@@ -59,12 +59,6 @@ class PipelineExit(Exception):
         self.diagnostic = {"error": message, **details}
 
 
-def complex_to_json(z, digits=None):
-    z = mpc(z)
-    digits = digits or int(mp.prec / 3.32) + 2
-    return {"re": mp.nstr(z.real, digits), "im": mp.nstr(z.imag, digits)}
-
-
 def format_value(z, digits=10):
     """Decimal string; collapses to the real part when imaginary dust only."""
     z = mpc(z)
@@ -190,11 +184,9 @@ def analyze_critical_points(spec):
             "no critical point converged; supply seeds for more than two variables",
         )
     reports = []
-    for i, pt in enumerate(points):
+    for pt, flag in zip(points, iso):
         others = [q for q in points if q is not pt]
-        rep = build_report(spec.H, spec.alpha, pt, other_points=others)
-        rep.isolated = iso[i]
-        reports.append(rep)
+        reports.append(build_report(spec.H, spec.alpha, pt, flag, other_points=others))
     return reports
 
 
@@ -419,9 +411,9 @@ def run_critical(spec):
             if not points:
                 raise PipelineExit(EXIT_NO_CRITICAL, "the variety has no points")
             reports = [
-                build_report(spec.H, spec.alpha, pt,
+                build_report(spec.H, spec.alpha, pt, flag,
                              other_points=[q for q in points if q is not pt])
-                for pt in points
+                for pt, flag in zip(points, iso)
             ]
         else:
             reports = analyze_critical_points(spec)

@@ -16,7 +16,7 @@ from mpmath import mp, mpc, mpf
 
 from .geometry import Direction
 from .localframe import degenerate_phase_order, vanishing_order
-from .series import Jet, coef_to_mpc
+from .series import Jet, coef_to_mpc, complex_to_json
 from .stationary import (
     PhaseData,
     det_inv_sqrt,
@@ -119,8 +119,6 @@ class FlatSeries:
         return FlatSeries(list(acc.items()), error_exponent=err)
 
     def to_json(self):
-        from .cli import complex_to_json
-
         return {
             "terms": [
                 {"exponent": str(e), "coef": complex_to_json(c)} for e, c in self.terms
@@ -210,8 +208,6 @@ class Expansion:
         return base * total
 
     def to_json(self):
-        from .cli import complex_to_json
-
         out = {
             "kind": self.kind,
             "point": [complex_to_json(z) for z in self.base_point],

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 from mpmath import mp, mpc, mpf
 
-from .series import GaussRat, SparsePoly, coef_to_mpc
+from .series import GaussRat, SparsePoly, coef_to_mpc, complex_to_json
 
 RESIDUAL_TOL = mpf("1e-10")
 NEWTON_MAX_ITER = 200
@@ -98,8 +98,6 @@ class CriticalPointReport:
         return self.residual_H < tol and self.residual_critical < tol
 
     def to_json(self):
-        from .cli import complex_to_json  # shared formatting helpers
-
         return {
             "point": [complex_to_json(z) for z in self.point],
             "smooth": self.smooth,
@@ -145,7 +143,7 @@ def critical_system(H, direction):
     return polys
 
 
-def system_residual(polys, point, direction=None):
+def system_residual(polys, point):
     """(|H(c)|, max residual of the critical equations), scale-normalized."""
     h_scale = max(polys[0].coeff_bound(), mpf(1))
     res_h = abs(polys[0].eval(point)) / h_scale
@@ -398,7 +396,7 @@ def solve_critical(H, direction, seeds=None):
         x, ok, _ = newton_polish(polys, cand)
         if not ok:
             continue
-        res_h, res_c = system_residual(polys, x, direction)
+        res_h, res_c = system_residual(polys, x)
         if res_h > RESIDUAL_TOL or res_c > RESIDUAL_TOL:
             continue
         points.append(tuple(x))
@@ -535,7 +533,6 @@ def _one_minus_H_nonneg(H):
 def _torus_slice_min(H, x_values, prec_scan=53):
     """For each x in x_values, the min |y| over roots of H(x, .). d=2 only."""
     ydeg = H.max_degree(1)
-    ycoef_polys = [SparsePoly(1, {}) for _ in range(ydeg + 1)]
     terms = [dict() for _ in range(ydeg + 1)]
     for (ex, ey), c in H.terms.items():
         terms[ey][(ex,)] = terms[ey].get((ex,), Fraction(0)) + c
@@ -558,7 +555,7 @@ def _torus_slice_min(H, x_values, prec_scan=53):
     return out
 
 
-def check_minimality(H, point, direction=None, other_points=(), grid=(24, 96),
+def check_minimality(H, point, other_points=(), grid=(24, 96),
                      samples=400, rng_seed=7):
     """Minimality verdict for a smooth variety point.
 
@@ -720,16 +717,18 @@ def _sample_minimality(H, point, samples, rng_seed):
     )
 
 
-def build_report(H, direction, point, other_points=()):
-    """Classify one solved point into a CriticalPointReport."""
+def build_report(H, direction, point, isolated, other_points=()):
+    """Classify one solved point into a CriticalPointReport.
+
+    ``isolated`` is the point's flag from ``solve_critical``.
+    """
     polys = critical_system(H, direction)
-    res_h, res_c = system_residual(polys, point, direction)
+    res_h, res_c = system_residual(polys, point)
     smooth, witness, perm = check_smooth(H, point)
     if smooth:
-        verdict = check_minimality(H, point, direction, other_points=other_points)
+        verdict = check_minimality(H, point, other_points=other_points)
     else:
         verdict = MinimalityVerdict("unknown", "not a smooth point")
-    iso = "isolated-unverified" if _jacobian_singular(polys, point) else "yes"
     return CriticalPointReport(
         point=tuple(point),
         smooth=smooth,
@@ -738,5 +737,5 @@ def build_report(H, direction, point, other_points=()):
         minimality=verdict,
         residual_H=res_h,
         residual_critical=res_c,
-        isolated=iso,
+        isolated=isolated,
     )

@@ -166,6 +166,13 @@ def format_coef(c):
     return str(c)
 
 
+def complex_to_json(z, digits=None):
+    """Complex number as a ``{"re", "im"}`` pair of decimal strings."""
+    z = mpc(z)
+    digits = digits or int(mp.prec / 3.32) + 2
+    return {"re": mp.nstr(z.real, digits), "im": mp.nstr(z.imag, digits)}
+
+
 class SparsePoly:
     """Multivariate polynomial with exact coefficients, stored sparsely.
 

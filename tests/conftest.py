@@ -6,9 +6,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 from mpmath import mp, mpc
 
 from smoothasym import Direction, SparsePoly
+
+# the same examples on every run, and no per-example time limit
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(autouse=True)

@@ -197,6 +197,21 @@ class TestRunCriticalAndOracle:
         kinds = sorted(r["minimality"]["kind"] for r in out["critical_points"])
         assert kinds == ["not-minimal", "strictly-minimal"]
 
+    @pytest.mark.parametrize("h2, flag", [("0", "yes"), ("1", "isolated-unverified")])
+    def test_univariate_isolation_flag(self, h2, flag):
+        # 1 - 2x + h2 x^2: a simple root, or the double root x = 1
+        obj = {
+            "variables": ["x"],
+            "G": [{"exp": [0], "coef": "1"}],
+            "H": [{"exp": [0], "coef": "1"}, {"exp": [1], "coef": "-2"},
+                  {"exp": [2], "coef": h2}],
+            "p": 1,
+            "alpha": ["1"],
+            "n_values": [1],
+        }
+        out = run_critical(ProblemSpec.from_json(obj))
+        assert [r["isolated"] for r in out["critical_points"]] == [flag]
+
     def test_oracle_rows(self):
         spec = ProblemSpec.from_json(DELANNOY_SPEC)
         csv_text = run_oracle(spec)

@@ -199,35 +199,35 @@ class TestAperiodic:
 
 class TestMinimality:
     def test_delannoy_positive_strict(self, delannoy, delannoy_point):
-        _, H, alpha = delannoy
-        verdict = check_minimality(H, delannoy_point, alpha)
+        _, H, _ = delannoy
+        verdict = check_minimality(H, delannoy_point)
         assert verdict.kind == "strictly-minimal"
 
     def test_delannoy_negative_not_minimal(self, delannoy, delannoy_point):
-        _, H, alpha = delannoy
+        _, H, _ = delannoy
         s13 = mp.sqrt(13)
         neg = (mpc(-2 - s13) / 3, mpc(-3 - s13) / 2)
-        verdict = check_minimality(H, neg, alpha, other_points=[delannoy_point])
+        verdict = check_minimality(H, neg, other_points=[delannoy_point])
         assert verdict.kind == "not-minimal"
         assert verdict.witness is not None
 
     def test_delannoy_negative_found_by_scan(self, delannoy):
         # same verdict without handing over the positive point
-        _, H, alpha = delannoy
+        _, H, _ = delannoy
         s13 = mp.sqrt(13)
         neg = (mpc(-2 - s13) / 3, mpc(-3 - s13) / 2)
-        verdict = check_minimality(H, neg, alpha)
+        verdict = check_minimality(H, neg)
         assert verdict.kind == "not-minimal"
         assert abs(H.eval(verdict.witness)) < mpf("1e-9")
 
     def test_central_binomial_strict(self, central_binomial):
-        _, H, alpha = central_binomial
-        verdict = check_minimality(H, (mpc(1) / 2, mpc(1) / 2), alpha)
+        _, H, _ = central_binomial
+        verdict = check_minimality(H, (mpc(1) / 2, mpc(1) / 2))
         assert verdict.kind == "strictly-minimal"
 
     def test_quantum_walk_minimal_not_strict(self, quantum_walk):
-        _, H, alpha = quantum_walk
-        verdict = check_minimality(H, (mpc(1), mpc(1)), alpha)
+        _, H, _ = quantum_walk
+        verdict = check_minimality(H, (mpc(1), mpc(1)))
         assert verdict.kind == "minimal"
 
     def test_univariate_finitely_minimal(self):
@@ -244,22 +244,23 @@ class TestMinimality:
         pts, _ = solve_critical(H, Direction((1, 1, 1)),
                                 seeds=[(mpf("0.35"), mpf("0.35"), mpf("0.31"))])
         assert pts
-        verdict = check_minimality(H, pts[0], Direction((1, 1, 1)))
+        verdict = check_minimality(H, pts[0])
         assert verdict.kind in ("unknown", "not-minimal")
 
     def test_verdict_monotonicity(self, delannoy, delannoy_point):
-        _, H, alpha = delannoy
-        verdict = check_minimality(H, delannoy_point, alpha)
+        _, H, _ = delannoy
+        verdict = check_minimality(H, delannoy_point)
         assert verdict.implies_minimal()
 
 
 class TestReports:
     def test_delannoy_reports(self, delannoy):
         _, H, alpha = delannoy
-        points, _ = solve_critical(H, alpha)
+        points, iso = solve_critical(H, alpha)
         reports = [
-            build_report(H, alpha, pt, other_points=[q for q in points if q is not pt])
-            for pt in points
+            build_report(H, alpha, pt, flag,
+                         other_points=[q for q in points if q is not pt])
+            for pt, flag in zip(points, iso)
         ]
         kinds = sorted(r.minimality.kind for r in reports)
         assert kinds == ["not-minimal", "strictly-minimal"]

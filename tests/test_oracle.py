@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
 from smoothasym import GaussRat, Jet, SparsePoly, fourier_laplace_quad, maclaurin_table
@@ -98,6 +101,82 @@ class TestMaclaurinTable:
         assert decimal_str(Fraction(1, 3), 5) == "0.33333"
 
 
+rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
+nonzero_rationals = rationals.filter(bool)
+
+
+@st.composite
+def oracle_instances(draw, gaussian=False):
+    """Random ``(G_num, H, p, bounds, G_den)`` with ``H(0)`` not in {0, 1}.
+
+    ``G_num`` carries a random monomial factor, so some cells are zero.  With
+    ``gaussian`` one coefficient of ``H`` (maybe the constant term) gets a
+    nonzero imaginary part.
+    """
+    d = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 2)] * d)
+    zero = (0,) * d
+
+    def poly(const, min_terms=0):
+        terms = draw(st.dictionaries(exps.filter(any), nonzero_rationals,
+                                     min_size=min_terms, max_size=3))
+        terms[zero] = draw(const)
+        return terms
+
+    H = poly(nonzero_rationals.filter(lambda c: c != 1), min_terms=1)
+    if gaussian:
+        e = draw(st.sampled_from(sorted(H)))
+        H[e] = GaussRat(H[e], draw(nonzero_rationals))
+    shift = SparsePoly(d, {draw(exps): 1})
+    G_num = SparsePoly(d, poly(rationals)) * shift
+    G_den = SparsePoly(d, poly(nonzero_rationals)) if draw(st.booleans()) else None
+    p = draw(st.sampled_from([1, 2, 3]))
+    bounds = draw(st.tuples(*[st.integers(0, 5)] * d))
+    return G_num, SparsePoly(d, H), p, bounds, G_den
+
+
+def _check_against_geometric(G_num, H, p, bounds, G_den):
+    table = maclaurin_table(G_num, H, p, bounds, G_den=G_den)
+    k = max(bounds)
+    geo = maclaurin_table_geometric(G_num, H, p, k, G_den=G_den)
+    for beta in itertools.product(*(range(b + 1) for b in bounds)):
+        if sum(beta) > k:
+            continue
+        got, want = table.coeff_at(beta), geo.get(beta, Fraction(0))
+        assert got == want and type(got) is type(want), (beta, got, want)
+    assert recurrence_residual(table, G_num, H, p, G_den=G_den) == 0
+    for beta in (tuple(b + 1 if j == 0 else b for j, b in enumerate(bounds)),
+                 (-1,) + tuple(bounds[1:]), tuple(bounds) + (0,)):
+        with pytest.raises(OracleError):
+            table.coeff_at(beta)
+    return table
+
+
+class TestMaclaurinTableProperties:
+    @settings(max_examples=60)
+    @given(oracle_instances())
+    def test_matches_geometric_series(self, instance):
+        _check_against_geometric(*instance)
+
+    @settings(max_examples=30)
+    @given(oracle_instances(gaussian=True))
+    def test_gaussian_cells_are_exact(self, instance):
+        table = _check_against_geometric(*instance)
+        for val in table.values.values():
+            assert isinstance(val, Fraction) or (isinstance(val, GaussRat) and val.im)
+
+    def test_zero_cells_are_fraction_zero(self):
+        # x^2 / (2 - y): every cell with beta_x != 2 vanishes
+        G = poly(2, {(2, 0): 1})
+        H = poly(2, {(0, 0): 2, (0, 1): -1})
+        table = maclaurin_table(G, H, 2, (3, 3))
+        assert table.coeff_at((2, 3)) == Fraction(4, 2**5)
+        for beta in ((0, 0), (1, 3), (3, 2)):
+            val = table.coeff_at(beta)
+            assert val == 0 and type(val) is Fraction
+        assert set(table.values) == {(2, j) for j in range(4)}
+
+
 class TestQuadrature:
     def test_gaussian(self):
         u = Jet.constant(1, 4, (mpc(0),), mpc(1))
@@ -128,9 +207,23 @@ class TestQuadrature:
         u = Jet.constant(2, 4, (mpc(0), mpc(0)), mpc(1))
         g = Jet(2, 4, (mpc(0), mpc(0)), {(2, 0): mpc(1) / 2, (0, 2): mpc(1) / 2})
         with mp.workprec(80):
-            val, _ = fourier_laplace_quad(u, g, 60, 2.5)
+            val, err = fourier_laplace_quad(u, g, 60, 2.5)
         expect = 2 * mp.pi / 60
         assert abs(val - expect) < mpf("1e-10") * expect
+        assert abs(val - expect) <= err < mpf("1e-10") * expect
+
+    def test_two_dimensional_second_moment(self):
+        # g = t^T A t / 2 with A = [[1, 1/2], [1/2, 2]]: the integral of t1^2
+        # is 2 pi / (omega sqrt(det A)) * (A^{-1})_{11} / omega, on a window
+        # that differs per variable
+        u = Jet(2, 4, (mpc(0), mpc(0)), {(2, 0): mpc(1)})
+        g = Jet(2, 4, (mpc(0), mpc(0)),
+                {(2, 0): mpc(1) / 2, (1, 1): mpc(1) / 2, (0, 2): mpc(1)})
+        omega = 40
+        with mp.workprec(80):
+            val, err = fourier_laplace_quad(u, g, omega, (2.5, 3.0))
+            expect = 2 * mp.pi / (omega * mp.sqrt(mpf(7) / 4)) * (mpf(8) / 7) / omega
+        assert abs(val - expect) <= err < mpf("1e-12") * expect
 
     def test_dimension_mismatch(self):
         u = Jet.constant(1, 2, (mpc(0),), mpc(1))
