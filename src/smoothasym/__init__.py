@@ -41,7 +41,6 @@ from .series import (
     DEFAULT_BITS,
     GaussRat,
     Jet,
-    Precision,
     SparsePoly,
     jet_circle_substitute,
     workprec,
@@ -65,7 +64,6 @@ __all__ = [
     "Jet",
     "LocalFrame",
     "PhaseData",
-    "Precision",
     "SparsePoly",
     "amplitude_jets",
     "build_frame",

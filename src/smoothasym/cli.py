@@ -42,8 +42,8 @@ from .localframe import (
     smooth_phase_order,
     vanishing_order,
 )
-from .oracle import decimal_str, maclaurin_table
-from .series import DEFAULT_BITS, Precision, SeriesError, SparsePoly, workprec
+from .oracle import decimal_str, maclaurin_table, rational_str
+from .series import DEFAULT_BITS, SeriesError, SparsePoly, workprec
 
 PRECISION_ENV = "SMOOTHASYM_PRECISION"
 
@@ -82,7 +82,7 @@ class ProblemSpec:
     seeds: list = None
     assume_strictly_minimal: bool = False
     force_degenerate: bool = False
-    precision: Precision = Precision()
+    precision_bits: int = DEFAULT_BITS
 
     def __post_init__(self):
         d = len(self.variables)
@@ -121,7 +121,6 @@ class ProblemSpec:
             seeds = [
                 [_parse_complex(z) for z in point] for point in obj["seeds"]
             ]
-        bits = int(obj.get("precision_bits", _default_bits()))
         return cls(
             variables=variables,
             G_num=G_num,
@@ -134,7 +133,7 @@ class ProblemSpec:
             seeds=seeds,
             assume_strictly_minimal=bool(overrides.get("assume_strictly_minimal", False)),
             force_degenerate=bool(overrides.get("force_degenerate", False)),
-            precision=Precision(bits),
+            precision_bits=int(obj.get("precision_bits", _default_bits())),
         )
 
 
@@ -157,7 +156,7 @@ def _default_bits():
 def provenance(spec):
     return {
         "tool": f"smoothasym {__version__}",
-        "precision_bits": spec.precision.bits,
+        "precision_bits": spec.precision_bits,
         "overrides": {
             "assume_strictly_minimal": spec.assume_strictly_minimal,
             "force_degenerate": spec.force_degenerate,
@@ -378,7 +377,7 @@ def rows_to_csv(rows):
 
 def run_expand(spec):
     """expansion + oracle comparison; returns (result dict, csv text)."""
-    with workprec(spec.precision.bits):
+    with workprec(spec.precision_bits):
         expansion, reports = build_expansion(spec)
         rows, skipped = evaluation_rows(spec, expansion)
         result = {
@@ -405,7 +404,7 @@ def run_expand(spec):
 
 def run_critical(spec):
     """Critical-point reports only."""
-    with workprec(spec.precision.bits):
+    with workprec(spec.precision_bits):
         if spec.d == 1:
             points, iso = solve_critical(spec.H, spec.alpha)
             if not points:
@@ -425,7 +424,7 @@ def run_critical(spec):
 
 def run_oracle(spec, digits=10):
     """Exact coefficients at the requested indices, as CSV rows."""
-    with workprec(spec.precision.bits):
+    with workprec(spec.precision_bits):
         usable = [n for n in spec.n_values if spec.alpha.n_is_integral(n)]
         if not usable:
             raise PipelineExit(1, "no requested n gives integral indices")
@@ -440,9 +439,8 @@ def run_oracle(spec, digits=10):
         for n in usable:
             idx = spec.alpha.index_for(n)
             val = table.coeff_at(idx)
-            lines.append(
-                ",".join([str(i) for i in idx] + [str(val), decimal_str(val, digits)])
-            )
+            cells = [str(i) for i in idx] + [rational_str(val), decimal_str(val, digits)]
+            lines.append(",".join(cells))
         return "\n".join(lines) + "\n"
 
 

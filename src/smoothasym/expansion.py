@@ -19,6 +19,7 @@ from .localframe import degenerate_phase_order, vanishing_order
 from .series import Jet, coef_to_mpc, complex_to_json
 from .stationary import (
     PhaseData,
+    branch_root,
     det_inv_sqrt,
     stationary_term,
     stationary_term_even,
@@ -259,6 +260,44 @@ def _flatten(records, alpha_d, error_exponent):
     )
 
 
+def _assemble(frame, kind, N, term, phase, pref, y_exponent, error_exponent, meta):
+    """Expansion from the term functional ``term(u, phase, k)`` of every
+    amplitude u.
+
+    Record (j, k) carries ``pref / ((p-1-j)! j!)`` as its weight, ``p-1-j``
+    rising-factorial factors and ``y_exponent(k)``.
+    """
+    alpha_d = frame.direction.alpha[-1]
+    p = frame.p
+    records = []
+    for j in range(p):
+        u = frame.amplitudes[j]
+        for k in range(N):
+            records.append(
+                {
+                    "j": j,
+                    "k": k,
+                    "term": term(u, phase, k),
+                    "weight": pref / (math.factorial(p - 1 - j) * math.factorial(j)),
+                    "rising": p - 1 - j,
+                    "y_exponent": y_exponent(k),
+                }
+            )
+    flattened, dropped = _flatten(records, alpha_d, error_exponent)
+    return Expansion(
+        kind=kind,
+        base_point=frame.point,
+        direction=frame.direction,
+        p=p,
+        N=N,
+        structured=records,
+        flattened=flattened,
+        dropped=dropped,
+        error_exponent=error_exponent,
+        meta={"alpha_d": alpha_d, **meta, "reordering": frame.reordering},
+    )
+
+
 def expand_smooth(frame, N):
     """Nondegenerate expansion at a smooth minimal critical point, N terms."""
     if N < 1:
@@ -276,38 +315,16 @@ def expand_smooth(frame, N):
             "phase Hessian is singular at the critical point"
         )
     phase = PhaseData.nondegenerate(frame.phase, frame.hessian)
-    alpha_d = frame.direction.alpha[-1]
-    p = frame.p
-    pref = (2 * mp.pi) ** (-mpf(d - 1) / 2) * det_inv_sqrt(frame.hessian)
-    records = []
-    for j in range(p):
-        u = frame.amplitudes[j]
-        for k in range(N):
-            term = stationary_term(u, phase, k)
-            weight = pref / (math.factorial(p - 1 - j) * math.factorial(j))
-            records.append(
-                {
-                    "j": j,
-                    "k": k,
-                    "term": term,
-                    "weight": weight,
-                    "rising": p - 1 - j,
-                    "y_exponent": -(Fraction(d - 1, 2) + k),
-                }
-            )
-    error_exponent = Fraction(p - 1) - Fraction(d - 1, 2) - N
-    flattened, dropped = _flatten(records, alpha_d, error_exponent)
-    return Expansion(
-        kind="smooth",
-        base_point=frame.point,
-        direction=frame.direction,
-        p=p,
-        N=N,
-        structured=records,
-        flattened=flattened,
-        dropped=dropped,
-        error_exponent=error_exponent,
-        meta={"alpha_d": alpha_d, "det": det, "reordering": frame.reordering},
+    return _assemble(
+        frame,
+        "smooth",
+        N,
+        stationary_term,
+        phase,
+        pref=(2 * mp.pi) ** (-mpf(d - 1) / 2) * det_inv_sqrt(frame.hessian),
+        y_exponent=lambda k: -(Fraction(d - 1, 2) + k),
+        error_exponent=Fraction(frame.p - 1) - Fraction(d - 1, 2) - N,
+        meta={"det": det},
     )
 
 
@@ -326,54 +343,22 @@ def expand_degenerate(frame, N, v=None):
             f"frame order {frame.order} below the {needed} required for N={N}, v={v}"
         )
     phase = PhaseData.degenerate(frame.phase, v)
-    alpha_d = frame.direction.alpha[-1]
-    p = frame.p
     if parity == "even":
-        from .stationary import branch_root
-
+        term, step = stationary_term_even, 2
         pref = branch_root(phase.a, v) / (mp.pi * v)
-        error_exponent = Fraction(p - 1) - Fraction(2 * N + 1, v)
     else:
+        term, step = stationary_term_odd, 1
         pref = abs(mpc(phase.a)) ** (mpf(-1) / v) / (2 * mp.pi * v)
-        error_exponent = Fraction(p - 1) - Fraction(N + 1, v)
-    records = []
-    for j in range(p):
-        u = frame.amplitudes[j]
-        for k in range(N):
-            if parity == "even":
-                term = stationary_term_even(u, phase, k)
-                step = Fraction(2 * k, v)
-            else:
-                term = stationary_term_odd(u, phase, k)
-                step = Fraction(k, v)
-            weight = pref / (math.factorial(p - 1 - j) * math.factorial(j))
-            records.append(
-                {
-                    "j": j,
-                    "k": k,
-                    "term": term,
-                    "weight": weight,
-                    "rising": p - 1 - j,
-                    "y_exponent": -(Fraction(1, v) + step),
-                }
-            )
-    flattened, dropped = _flatten(records, alpha_d, error_exponent)
-    return Expansion(
-        kind=f"degenerate-{parity}",
-        base_point=frame.point,
-        direction=frame.direction,
-        p=p,
-        N=N,
-        structured=records,
-        flattened=flattened,
-        dropped=dropped,
-        error_exponent=error_exponent,
-        meta={
-            "alpha_d": alpha_d,
-            "v": v,
-            "a": phase.a,
-            "reordering": frame.reordering,
-        },
+    return _assemble(
+        frame,
+        f"degenerate-{parity}",
+        N,
+        term,
+        phase,
+        pref=pref,
+        y_exponent=lambda k: -(Fraction(1, v) + Fraction(step * k, v)),
+        error_exponent=Fraction(frame.p - 1) - Fraction(step * N + 1, v),
+        meta={"v": v, "a": phase.a},
     )
 
 

@@ -70,17 +70,10 @@ class CoeffTable:
             for beta in zip(*np.nonzero(self.numerators))
         }
 
-    def to_csv_rows(self, digits=10):
-        rows = []
-        for beta in sorted(self.values):
-            val = self.values[beta]
-            rows.append(
-                list(beta) + [_rat_str(val), decimal_str(val, digits)]
-            )
-        return rows
 
-
-def _rat_str(v):
+def rational_str(v):
+    """Exact rational as ``num/den``; a Gaussian one as ``re+imi`` or
+    ``re-imi``."""
     if isinstance(v, GaussRat):
         return f"{v.re}{'+' if v.im >= 0 else ''}{v.im}i"
     return str(v)

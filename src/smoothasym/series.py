@@ -11,7 +11,6 @@ is ``d^beta f(c) / beta!``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
 from mpmath import mp, mpc, mpf
@@ -25,17 +24,6 @@ class SeriesError(ValueError):
 
 class NonInvertibleJetError(SeriesError):
     """Jet has zero constant term where an invertible one is required."""
-
-
-@dataclass(frozen=True)
-class Precision:
-    """Significand precision, in bits, for complex jet arithmetic."""
-
-    bits: int = DEFAULT_BITS
-
-    def __post_init__(self):
-        if self.bits < 53:
-            raise SeriesError("precision must be at least 53 bits")
 
 
 def workprec(bits):
@@ -540,6 +528,29 @@ class Jet:
         return out
 
     __rmul__ = scale
+
+    def mul_degree(self, other, m):
+        """Degree-``m`` homogeneous part of ``self * other``.
+
+        Each coefficient is bit-identical to the one ``__mul__`` returns: the
+        same operand is the outer loop and every coefficient sums its pairs
+        in the same order.
+        """
+        self._compat(other)
+        small, big = self.coeffs, other.coeffs
+        if len(big) < len(small):
+            small, big = big, small
+        by_degree = {}
+        for b2, v2 in big.items():
+            by_degree.setdefault(sum(b2), []).append((b2, v2))
+        coeffs = {}
+        for b1, v1 in small.items():
+            for b2, v2 in by_degree.get(m - sum(b1), ()):
+                b = tuple(x + y for x, y in zip(b1, b2))
+                prod = v1 * v2
+                coeffs[b] = coeffs[b] + prod if b in coeffs else prod
+        return Jet(self.nvars, self.order, self.center, coeffs,
+                   caps=_merge_caps(self.caps, other.caps))
 
     def pow_int(self, k):
         if not isinstance(k, int) or k < 0:

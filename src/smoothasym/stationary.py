@@ -6,6 +6,16 @@ expansion of ``integral u(t) exp(-w g(t)) dt``: the nondegenerate case in any
 dimension (Hessian-inverse differential operator), and the one-dimensional
 degenerate cases of even/odd vanishing order v with Gamma-factor weights.
 
+All three are one driver, ``_term``: the k-th term is a finite sum over l of
+a weight times one linear functional of ``u * remainder^l``, and only the
+weights and the l-range differ.  Each functional reads one homogeneous slice
+of that product, of degree ``m(l)``: the ``t^m`` coefficient in the degenerate
+cases, and ``Hop^(l+k)(w)(0)`` with ``m = 2(l+k)`` in the nondegenerate case,
+because the Hessian-inverse operator ``Hop`` lowers degree by exactly two.
+The slice is computed with the pair order of the full jet product, and the
+powers ``remainder^l`` are built once per phase, so every term equals, bit for
+bit, the one the full-jet computation gives.
+
 Branch convention throughout: ``z**(-1/v) = |z|**(-1/v) exp(-i arg(z)/v)``
 with ``arg z`` in [-pi/2, pi/2].
 """
@@ -13,11 +23,12 @@ with ``arg z`` in [-pi/2, pi/2].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import mpmath
 from mpmath import mp, mpc, mpf
 
+from .localframe import hessian_from_jet
 from .series import Jet
 
 
@@ -80,12 +91,22 @@ class PhaseData:
     nondegenerate case; ``a``, ``v``, ``zeta`` only for the degenerate one.
     """
 
-    g_jet: Jet
     remainder: Jet
     hessian_inverse: object = None
-    hessian: object = None
     a: object = None
     v: int = None
+    _powers: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        r = self.remainder
+        self._powers = [Jet.constant(r.nvars, r.order, r.center, mpc(1))]
+
+    def remainder_power(self, l):
+        """``remainder**l``, each power one product from the one below, built
+        once per phase at the precision in effect when first asked for."""
+        while len(self._powers) <= l:
+            self._powers.append(self._powers[-1] * self.remainder)
+        return self._powers[l]
 
     @property
     def zeta(self):
@@ -98,9 +119,7 @@ class PhaseData:
         n = g_jet.nvars
         coeffs = {b: v for b, v in g_jet.coeffs.items() if sum(b) > 2}
         remainder = Jet(n, g_jet.order, g_jet.center, coeffs)
-        inv = _invert(hessian)
-        return cls(g_jet=g_jet, remainder=remainder, hessian_inverse=inv,
-                   hessian=hessian)
+        return cls(remainder=remainder, hessian_inverse=_invert(hessian))
 
     @classmethod
     def degenerate(cls, g_jet, v):
@@ -111,7 +130,7 @@ class PhaseData:
             raise BranchError("vanishing-order coefficient is zero")
         coeffs = {b: c for b, c in g_jet.coeffs.items() if b[0] > v}
         remainder = Jet(1, g_jet.order, g_jet.center, coeffs)
-        return cls(g_jet=g_jet, remainder=remainder, a=a, v=v)
+        return cls(remainder=remainder, a=a, v=v)
 
 
 def _invert(A):
@@ -149,8 +168,6 @@ def integral_asymptotic_sum(u_jet, g_jet, omega, N, v=None, coeff_tol=mpf("1e-20
     nondegenerate multivariate route when the quadratic part is nonsingular);
     the direct counterpart of the quadrature oracle.
     """
-    from .localframe import hessian_from_jet
-
     omega = mpf(omega)
     if g_jet.nvars == 1 and v is None:
         top = max((abs(c) for c in g_jet.coeffs.values()), default=mpf(0))
@@ -180,6 +197,22 @@ def integral_asymptotic_sum(u_jet, g_jet, omega, N, v=None, coeff_tol=mpf("1e-20
     return abs(mpc(phase.a)) ** (mpf(-1) / v) * omega ** (mpf(-1) / v) / v * s
 
 
+def _term(u_jet, phase, k, count, degree, summand):
+    """Sum over l < count of ``summand(l, w)``, where ``w`` is the
+    degree-``degree(l)`` part of ``u * remainder^l`` (``degree`` increases
+    with l, so the last slice sets the order budget)."""
+    needed = degree(count - 1)
+    if u_jet.order < needed or phase.remainder.order < needed:
+        raise OrderBudgetError(
+            f"term {k} needs jets of order {needed}, have "
+            f"{min(u_jet.order, phase.remainder.order)}"
+        )
+    total = mpc(0)
+    for l in range(count):
+        total += summand(l, u_jet.mul_degree(phase.remainder_power(l), degree(l)))
+    return total
+
+
 def stationary_term(u_jet, phase, k):
     """k-th term functional at a nondegenerate stationary point.
 
@@ -189,30 +222,14 @@ def stationary_term(u_jet, phase, k):
     """
     if phase.hessian_inverse is None:
         raise ParityError("phase was not decomposed for the nondegenerate case")
-    needed = 2 * (2 * k + k)
-    if u_jet.order < needed or phase.remainder.order < needed:
-        raise OrderBudgetError(
-            f"term {k} needs jets of order {needed}, have "
-            f"{min(u_jet.order, phase.remainder.order)}"
-        )
-    total = mpc(0)
-    gpow = Jet.constant(u_jet.nvars, u_jet.order, u_jet.center, mpc(1))
-    for l in range(0, 2 * k + 1):
-        w = u_jet * gpow
+
+    def summand(l, w):
         for _ in range(l + k):
             w = _hessian_inverse_op(w, phase.hessian_inverse)
-        value = w.constant_coefficient()
         denom = mpf((-1) ** k) * mpf(2) ** (l + k) * math.factorial(l) * math.factorial(l + k)
-        total += value / denom
-        if l < 2 * k:
-            gpow = gpow * phase.remainder
-    return total
+        return w.constant_coefficient() / denom
 
-
-def _derivative_at_zero(jet, m):
-    if m > jet.order:
-        raise OrderBudgetError(f"need order {m}, jet has order {jet.order}")
-    return jet.coefficient((m,)) * mpf(math.factorial(m))
+    return _term(u_jet, phase, k, 2 * k + 1, lambda l: 2 * (l + k), summand)
 
 
 def stationary_term_even(u_jet, phase, k):
@@ -222,33 +239,15 @@ def stationary_term_even(u_jet, phase, k):
     ``(2k+vl)``-th derivative of ``u * remainder^l`` scaled by the branch
     root of the leading coefficient; at most 2k derivatives land on u.
     """
-    v = phase.v
-    if v is None:
-        raise ParityError("phase was not decomposed for the degenerate case")
-    if v % 2 != 0:
-        raise ParityError(f"even-order functional with v={v}")
+    v = _degenerate_order(phase, "even")
     root = branch_root(phase.a, v)
-    needed = 2 * k + v * 2 * k
-    if u_jet.order < needed or phase.remainder.order < needed:
-        raise OrderBudgetError(
-            f"term {k} needs jets of order {needed}, have "
-            f"{min(u_jet.order, phase.remainder.order)}"
-        )
-    total = mpc(0)
-    gpow = Jet.constant(1, u_jet.order, u_jet.center, mpc(1))
-    for l in range(0, 2 * k + 1):
+
+    def summand(l, w):
         m = 2 * k + v * l
-        w = u_jet * gpow
-        dv = w.coefficient((m,))  # m-th derivative / m!
-        weight = (
-            mpf((-1) ** l)
-            * mpmath.gamma(mpf(2 * k + v * l + 1) / v)
-            / mpf(math.factorial(l))
-        )
-        total += weight * root**m * dv
-        if l < 2 * k:
-            gpow = gpow * phase.remainder
-    return total
+        weight = mpf((-1) ** l) * mpmath.gamma(mpf(m + 1) / v) / mpf(math.factorial(l))
+        return weight * root**m * w.coefficient((m,))  # m-th derivative / m!
+
+    return _term(u_jet, phase, k, 2 * k + 1, lambda l: 2 * k + v * l, summand)
 
 
 def stationary_term_odd(u_jet, phase, k):
@@ -258,33 +257,23 @@ def stationary_term_odd(u_jet, phase, k):
     ``zeta^{m+1} + (-1)^m zeta^{-(m+1)}`` (m = k+vl) and derivative scale
     ``|a|^{-1/v} i sgn(a)``; at most k derivatives land on u.
     """
+    v = _degenerate_order(phase, "odd")
+    scale = abs(mpc(phase.a)) ** (mpf(-1) / v) * (mpc(0, 1) * sign_factor(phase.a))
+    zeta = phase.zeta
+
+    def summand(l, w):
+        m = k + v * l
+        phase_factor = zeta ** (m + 1) + mpf((-1) ** m) * zeta ** (-(m + 1))
+        weight = mpf((-1) ** l) * mpmath.gamma(mpf(m + 1) / v) / mpf(math.factorial(l))
+        return weight * phase_factor * scale**m * w.coefficient((m,))
+
+    return _term(u_jet, phase, k, k + 1, lambda l: k + v * l, summand)
+
+
+def _degenerate_order(phase, parity):
     v = phase.v
     if v is None:
         raise ParityError("phase was not decomposed for the degenerate case")
-    if v % 2 == 0:
-        raise ParityError(f"odd-order functional with v={v}")
-    mag_root = abs(mpc(phase.a)) ** (mpf(-1) / v)
-    isign = mpc(0, 1) * sign_factor(phase.a)
-    zeta = phase.zeta
-    needed = k + v * k
-    if u_jet.order < needed or phase.remainder.order < needed:
-        raise OrderBudgetError(
-            f"term {k} needs jets of order {needed}, have "
-            f"{min(u_jet.order, phase.remainder.order)}"
-        )
-    total = mpc(0)
-    gpow = Jet.constant(1, u_jet.order, u_jet.center, mpc(1))
-    for l in range(0, k + 1):
-        m = k + v * l
-        w = u_jet * gpow
-        dv = w.coefficient((m,))  # m-th derivative / m!
-        phase_factor = zeta ** (m + 1) + mpf((-1) ** m) * zeta ** (-(m + 1))
-        weight = (
-            mpf((-1) ** l)
-            * mpmath.gamma(mpf(k + v * l + 1) / v)
-            / mpf(math.factorial(l))
-        )
-        total += weight * phase_factor * (mag_root * isign) ** m * dv
-        if l < k:
-            gpow = gpow * phase.remainder
-    return total
+    if ("even" if v % 2 == 0 else "odd") != parity:
+        raise ParityError(f"{parity}-order functional with v={v}")
+    return v

@@ -75,7 +75,7 @@ class TestSpecParsing:
         spec = ProblemSpec.from_json(DELANNOY_SPEC)
         assert spec.d == 2 and spec.p == 1 and spec.N == 2
         assert spec.alpha.alpha == (Fraction(3), Fraction(2))
-        assert spec.precision.bits == 212
+        assert spec.precision_bits == 212
 
     def test_rational_g(self):
         obj = dict(DELANNOY_SPEC)
@@ -89,7 +89,7 @@ class TestSpecParsing:
     def test_env_var_precision(self, monkeypatch):
         monkeypatch.setenv("SMOOTHASYM_PRECISION", "128")
         spec = ProblemSpec.from_json(DELANNOY_SPEC)
-        assert spec.precision.bits == 128
+        assert spec.precision_bits == 128
 
     def test_seeds(self):
         obj = dict(QWALK_SPEC)
@@ -297,3 +297,25 @@ class TestMainEntry:
         spec_path = self._write(tmp_path, DELANNOY_SPEC)
         assert main(["oracle", "--input", spec_path]) == 0
         assert "beta_x" in capsys.readouterr().out
+
+    def test_oracle_command_gaussian(self, tmp_path, capsys):
+        # H = 1 + (-1/2 + i/3) x - y/2: the xy coefficient is 1/2 - i/3
+        obj = dict(DELANNOY_SPEC, alpha=["1", "1"], n_values=[1, 2])
+        obj["H"] = [
+            {"exp": [0, 0], "coef": "1"},
+            {"exp": [1, 0], "coef": {"re": "-1/2", "im": "1/3"}},
+            {"exp": [0, 1], "coef": "-1/2"},
+        ]
+        spec_path = self._write(tmp_path, obj)
+        assert main(["oracle", "--input", spec_path]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.strip().split("\n")]
+        assert all(len(row) == 4 for row in rows)
+        assert rows[1][:3] == ["1", "1", "1/2-1/3i"]
+        assert rows[2][:3] == ["2", "2", "5/24-1/2i"]
+
+    def test_precision_below_minimum(self, tmp_path, capsys):
+        spec_path = self._write(tmp_path, DELANNOY_SPEC)
+        code = main(["expand", "--input", spec_path, "--precision-bits", "40"])
+        assert code == 1
+        diagnostic = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert "53 bits" in diagnostic["error"]

@@ -91,12 +91,6 @@ class TestMaclaurinTable:
             if sum(e) <= 10:
                 assert geo.get(e, Fraction(0)) == c
 
-    def test_csv_rows(self, delannoy):
-        G, H, _ = delannoy
-        table = maclaurin_table(G, H, 1, (2, 1))
-        rows = table.to_csv_rows(digits=6)
-        assert [1, 1, "3", "3.0"] in rows
-
     def test_decimal_str(self):
         assert decimal_str(Fraction(1, 3), 5) == "0.33333"
 

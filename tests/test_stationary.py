@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import mpmath
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
 from smoothasym import (
@@ -252,3 +255,222 @@ class TestBranchConsistency:
                 omega ** (-k) * stationary_term_even(u, phase, k) for k in range(N)
             )
             assert abs(smooth - even) <= mpf("1e-10") * abs(smooth)
+
+
+# -- reference oracle: the full-jet term functionals ----------------------------
+#
+# The term functionals as first written: each k rebuilds ``remainder^l`` and
+# the whole product ``u * remainder^l``, and the nondegenerate rule applies
+# the Hessian-inverse operator to whole jets.  The driver in ``stationary``
+# reads one homogeneous slice and caches the powers; it must agree bit for bit.
+
+
+def reference_hop(jet, inv):
+    n = jet.nvars
+    out = None
+    for r in range(n):
+        dr = jet.partial(r)
+        for s in range(n):
+            if inv[r, s] == 0:
+                continue
+            term = dr.partial(s).scale(-inv[r, s])
+            out = term if out is None else out + term
+    if out is None:
+        return Jet(n, max(jet.order - 2, 0), jet.center, {})
+    return out
+
+
+def _reference_budget(u_jet, phase, k, needed):
+    if u_jet.order < needed or phase.remainder.order < needed:
+        raise OrderBudgetError(f"term {k} needs jets of order {needed}")
+
+
+def reference_term(u_jet, phase, k):
+    if phase.hessian_inverse is None:
+        raise ParityError("not nondegenerate")
+    _reference_budget(u_jet, phase, k, 6 * k)
+    total = mpc(0)
+    gpow = Jet.constant(u_jet.nvars, u_jet.order, u_jet.center, mpc(1))
+    for l in range(0, 2 * k + 1):
+        w = u_jet * gpow
+        for _ in range(l + k):
+            w = reference_hop(w, phase.hessian_inverse)
+        denom = mpf((-1) ** k) * mpf(2) ** (l + k) * math.factorial(l) * math.factorial(l + k)
+        total += w.constant_coefficient() / denom
+        if l < 2 * k:
+            gpow = gpow * phase.remainder
+    return total
+
+
+def reference_term_even(u_jet, phase, k):
+    v = phase.v
+    if v is None or v % 2 != 0:
+        raise ParityError("not even")
+    root = branch_root(phase.a, v)
+    _reference_budget(u_jet, phase, k, 2 * k + v * 2 * k)
+    total = mpc(0)
+    gpow = Jet.constant(1, u_jet.order, u_jet.center, mpc(1))
+    for l in range(0, 2 * k + 1):
+        m = 2 * k + v * l
+        dv = (u_jet * gpow).coefficient((m,))
+        weight = (
+            mpf((-1) ** l)
+            * mpmath.gamma(mpf(2 * k + v * l + 1) / v)
+            / mpf(math.factorial(l))
+        )
+        total += weight * root**m * dv
+        if l < 2 * k:
+            gpow = gpow * phase.remainder
+    return total
+
+
+def reference_term_odd(u_jet, phase, k):
+    v = phase.v
+    if v is None or v % 2 == 0:
+        raise ParityError("not odd")
+    mag_root = abs(mpc(phase.a)) ** (mpf(-1) / v)
+    isign = mpc(0, 1) * sign_factor(phase.a)
+    zeta = phase.zeta
+    _reference_budget(u_jet, phase, k, k + v * k)
+    total = mpc(0)
+    gpow = Jet.constant(1, u_jet.order, u_jet.center, mpc(1))
+    for l in range(0, k + 1):
+        m = k + v * l
+        dv = (u_jet * gpow).coefficient((m,))
+        phase_factor = zeta ** (m + 1) + mpf((-1) ** m) * zeta ** (-(m + 1))
+        weight = (
+            mpf((-1) ** l)
+            * mpmath.gamma(mpf(k + v * l + 1) / v)
+            / mpf(math.factorial(l))
+        )
+        total += weight * phase_factor * (mag_root * isign) ** m * dv
+        if l < k:
+            gpow = gpow * phase.remainder
+    return total
+
+
+RULES = (
+    (stationary_term, reference_term),
+    (stationary_term_even, reference_term_even),
+    (stationary_term_odd, reference_term_odd),
+)
+
+
+def outcome(fn, *args):
+    """The value, or the type of the error raised."""
+    try:
+        return fn(*args)
+    except (OrderBudgetError, ParityError) as exc:
+        return type(exc)
+
+
+# small Gaussian rationals, zero included, so sums cancel and drop out
+coefs = st.builds(
+    lambda re, im, den: mpc(mpf(re) / den, mpf(im) / den),
+    st.integers(-4, 4), st.integers(-4, 4), st.sampled_from([1, 2, 3, 7]),
+)
+
+
+@st.composite
+def random_jet(draw, nvars, order, low=0, terms=30):
+    """A jet at 0 with up to ``terms`` monomials of degree in [low, order]."""
+    monomials = [
+        b for b in itertools.product(range(order + 1), repeat=nvars)
+        if low <= sum(b) <= order
+    ]
+    size = min(terms, len(monomials))
+    coeffs = draw(st.dictionaries(st.sampled_from(monomials), coefs,
+                                  min_size=size // 2, max_size=size))
+    return Jet(nvars, order, (mpc(0),) * nvars, coeffs)
+
+
+@st.composite
+def nondegenerate_case(draw, n, k):
+    order = max(6 * k, 3) + draw(st.integers(0, 2))
+    A = mp.matrix(n, n)
+    for r in range(n):
+        for s in range(r, n):
+            A[r, s] = A[s, r] = draw(coefs)
+    assume(mp.det(A) != 0)
+    g = draw(random_jet(n, order, low=3))  # the remainder; A is the quadratic part
+    return draw(random_jet(n, order)), PhaseData.nondegenerate(g, A), k
+
+
+@st.composite
+def degenerate_case(draw, v, k):
+    needed = (2 * k + 2 * v * k) if v % 2 == 0 else (k + v * k)
+    order = max(needed, v + 1) + draw(st.integers(0, 2))
+    g = draw(random_jet(1, order, low=v + 1))
+    g.coeffs[(v,)] = mpc(draw(st.integers(1, 5)), draw(st.integers(-5, 5)))
+    return draw(random_jet(1, order)), PhaseData.degenerate(g, v), k
+
+
+def same_as_reference(case):
+    """Each rule returns its reference's value bit for bit, or raises the same
+    error; returns the outcome of every rule.  The cached powers are checked
+    against the reference chain of products too, because a rounding change
+    in one summand can vanish in the rounding of the sum."""
+    u, phase, k = case
+    outcomes = [outcome(rule, u, phase, k) for rule, _ in RULES]
+    assert outcomes == [outcome(reference, u, phase, k) for _, reference in RULES]
+    gpow = Jet.constant(u.nvars, u.order, u.center, mpc(1))
+    for l in range(2 * k + 1):
+        assert phase.remainder_power(l).coeffs == gpow.coeffs
+        gpow = gpow * phase.remainder
+    return outcomes
+
+
+class TestDriverMatchesFullJetOracle:
+    """The driver against the full-jet reference on random jets with equal
+    amplitude and phase orders, as the pipeline builds them."""
+
+    @pytest.mark.parametrize("n, order", [(1, 12), (2, 8), (3, 5)])
+    @settings(max_examples=10)
+    @given(data=st.data())
+    def test_slice_is_the_full_product_slice(self, n, order, data):
+        a = data.draw(random_jet(n, order))
+        b = data.draw(random_jet(n, order, low=data.draw(st.integers(0, 3))))
+        full = (a * b).coeffs
+        for m in range(order + 1):
+            want = {beta: c for beta, c in full.items() if sum(beta) == m}
+            assert a.mul_degree(b, m).coeffs == want
+
+    @pytest.mark.parametrize("n, k", [(n, k) for n in (1, 2, 3) for k in (0, 1, 2)])
+    @settings(max_examples=10)
+    @given(data=st.data())
+    def test_nondegenerate(self, n, k, data):
+        outcomes = same_as_reference(data.draw(nondegenerate_case(n, k)))
+        assert outcomes[1:] == [ParityError, ParityError]
+
+    @pytest.mark.parametrize("v, k", [(v, k) for v in (2, 4, 6) for k in (0, 1, 2)])
+    @settings(max_examples=10)
+    @given(data=st.data())
+    def test_even(self, v, k, data):
+        outcomes = same_as_reference(data.draw(degenerate_case(v, k)))
+        assert outcomes[0] is ParityError and outcomes[2] is ParityError
+
+    @pytest.mark.parametrize("v, k", [(v, k) for v in (3, 5) for k in (0, 1, 2, 3)])
+    @settings(max_examples=10)
+    @given(data=st.data())
+    def test_odd(self, v, k, data):
+        outcomes = same_as_reference(data.draw(degenerate_case(v, k)))
+        assert outcomes[0] is ParityError and outcomes[1] is ParityError
+
+    @pytest.mark.parametrize(
+        "rule, reference, v, needed",
+        [
+            (stationary_term, reference_term, None, 6),
+            (stationary_term_even, reference_term_even, 4, 10),
+            (stationary_term_odd, reference_term_odd, 3, 4),
+        ],
+    )
+    def test_budget_error_fires_one_order_short(self, rule, reference, v, needed):
+        def case(order):
+            u = jet1({0: 1, 1: 2, 2: 3}, order=order)
+            if v is None:
+                return u, quadratic_phase_1d(1, extra={3: 1}, order=order), 1
+            return u, PhaseData.degenerate(jet1({v: 1, v + 1: 1}, order=order), v), 1
+
+        assert outcome(rule, *case(needed - 1)) is OrderBudgetError
+        assert outcome(reference, *case(needed - 1)) is OrderBudgetError
+        assert outcome(rule, *case(needed)) == outcome(reference, *case(needed)) != 0
