@@ -43,7 +43,7 @@ from .localframe import (
     vanishing_order,
 )
 from .oracle import decimal_str, maclaurin_table, rational_str
-from .series import DEFAULT_BITS, SeriesError, SparsePoly, workprec
+from .series import DEFAULT_BITS, SeriesError, SparsePoly, coef_to_mpc, workprec
 
 PRECISION_ENV = "SMOOTHASYM_PRECISION"
 
@@ -329,7 +329,7 @@ def evaluation_rows(spec, expansion):
     for n in usable:
         idx = spec.alpha.index_for(n)
         exact = table.coeff_at(idx)
-        exact_mp = _rat_to_mpc(exact)
+        exact_mp = coef_to_mpc(exact)
         approx1, _ = expansion.evaluate(n, terms=1)
         approxN, _ = expansion.evaluate(n)
         rel1 = (exact_mp - approx1) / exact_mp if exact_mp != 0 else mpc("nan")
@@ -346,12 +346,6 @@ def evaluation_rows(spec, expansion):
             }
         )
     return rows, skipped
-
-
-def _rat_to_mpc(value):
-    from .series import coef_to_mpc
-
-    return coef_to_mpc(value)
 
 
 def rows_to_csv(rows):

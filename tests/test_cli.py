@@ -293,6 +293,20 @@ class TestMainEntry:
         out = capsys.readouterr().out
         assert '"critical_points"' in out
 
+    def test_critical_command_vanishing_jacobian_column(self, tmp_path, capsys):
+        obj = dict(DELANNOY_SPEC, alpha=["2", "1"])
+        obj["H"] = [
+            {"exp": [0, 0], "coef": "1"},
+            {"exp": [0, 1], "coef": "2"},
+            {"exp": [2, 0], "coef": "3"},
+            {"exp": [2, 2], "coef": "-1"},
+        ]
+        spec_path = self._write(tmp_path, obj)
+        assert main(["critical", "--input", spec_path]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["critical_points"]
+        assert "Traceback" not in captured.err
+
     def test_oracle_command(self, tmp_path, capsys):
         spec_path = self._write(tmp_path, DELANNOY_SPEC)
         assert main(["oracle", "--input", spec_path]) == 0

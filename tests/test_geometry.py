@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
 from smoothasym import (
     Direction,
+    GaussRat,
     SparsePoly,
     check_minimality,
     check_smooth,
@@ -16,12 +22,17 @@ from smoothasym import (
     is_aperiodic,
     solve_critical,
 )
+from smoothasym import geometry
 from smoothasym.geometry import (
     GeometryError,
     build_report,
     resultant_eliminate_y,
     system_residual,
+    _best_slice_root,
     _dense_roots_double,
+    _jacobian_singular,
+    _min_modulus_roots,
+    _scan_minimality_2d,
 )
 
 from conftest import poly, random_critical_instance
@@ -76,6 +87,19 @@ class TestSolveCritical:
             assert abs(g[0] - e[0]) < mpf("1e-40")
             assert abs(g[1] - e[1]) < mpf("1e-40")
         assert iso == ["yes", "yes"]
+
+    def test_vanishing_jacobian_column(self):
+        # at the candidate x = 0 the first Jacobian column is zero, which
+        # mpmath's LU reports as a TypeError rather than ZeroDivisionError
+        H = poly(2, {(0, 0): 1, (0, 1): 2, (2, 0): 3, (2, 2): -1})
+        alpha = Direction((2, 1))
+        polys = critical_system(H, alpha)
+        assert _jacobian_singular(polys, (mpc(0), mpc(-1) / 2))
+        points, _ = solve_critical(H, alpha)
+        assert points
+        for pt in points:
+            res_h, res_c = system_residual(polys, pt)
+            assert res_h < mpf("1e-30") and res_c < mpf("1e-30")
 
     def test_symmetric_diagonal_shortcut(self):
         H = poly(3, {(0, 0, 0): 1, (1, 0, 0): -1, (0, 1, 0): -1, (0, 0, 1): -1})
@@ -281,3 +305,124 @@ class TestReports:
             assert any(
                 max(abs(a - b) for a, b in zip(pt, q)) < mpf("1e-25") for q in points
             )
+
+
+# -- the per-slice scan, kept as the reference for the batched one -------------
+
+
+def reference_torus_slice_min(H, x_values, prec_scan=53):
+    """For each x in x_values, the min |y| over roots of H(x, .). d=2 only."""
+    ydeg = H.max_degree(1)
+    terms = [dict() for _ in range(ydeg + 1)]
+    for (ex, ey), c in H.terms.items():
+        terms[ey][(ex,)] = terms[ey].get((ex,), Fraction(0)) + c
+    ycoef_polys = [SparsePoly(1, t) for t in terms]
+    out = []
+    for x in x_values:
+        coeffs = np.array(
+            [complex(P.eval((x,))) for P in reversed(ycoef_polys)], dtype=np.complex128
+        )
+        coeffs = np.trim_zeros(coeffs, "f")
+        if coeffs.size <= 1:
+            out.append((x, None))
+            continue
+        roots = np.roots(coeffs)
+        if roots.size == 0:
+            out.append((x, None))
+            continue
+        k = int(np.argmin(np.abs(roots)))
+        out.append((x, complex(roots[k])))
+    return out
+
+
+def reference_best_slice_root(H, point, grid):
+    """``_best_slice_root`` as a loop of one slice at a time, each evaluated
+    at working precision and solved by ``np.roots``."""
+    n_r, n_theta = grid
+    r1 = abs(point[0])
+    r2 = abs(point[1])
+    best = None  # (ratio, x, y)
+    for i in range(1, n_r + 1):
+        r = r1 * i / (n_r + 1)  # strictly inside |x| < |c1|
+        for k in range(n_theta):
+            theta = 2 * math.pi * k / n_theta
+            x = complex(float(r) * math.cos(theta), float(r) * math.sin(theta))
+            for xv, y in reference_torus_slice_min(H, [x]):
+                if y is None:
+                    continue
+                ratio = abs(y) / float(r2)
+                if best is None or ratio < best[0]:
+                    best = (ratio, x, y)
+    return best if best is not None else (math.inf, None, None)
+
+
+def reference_scan(H, point, grid):
+    with mock.patch.object(geometry, "_best_slice_root", reference_best_slice_root):
+        return _scan_minimality_2d(H, point, grid)
+
+
+@st.composite
+def bivariate_scans(draw):
+    """Random H(x, y) with H(0) != 0, Gaussian coefficients among them, and a
+    polyradius to scan inside.
+
+    The scan reads only the moduli of the point, so it need not lie on the
+    variety."""
+    rationals = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3))
+    coefs = st.one_of(rationals, st.builds(GaussRat, rationals, rationals))
+    exps = st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(any)
+    terms = draw(st.dictionaries(exps, coefs, min_size=1, max_size=6))
+    terms[(0, 0)] = draw(coefs)
+    point = tuple(mpc(draw(st.integers(1, 12))) / 6 for _ in range(2))
+    return SparsePoly(2, terms), point
+
+
+class TestSliceScan:
+    GRID = (6, 24)
+
+    @settings(max_examples=30)
+    @given(bivariate_scans())
+    def test_matches_per_slice_reference(self, case):
+        H, point = case
+        ratio, _, _ = _best_slice_root(H, point, self.GRID)
+        ref_ratio, _, _ = reference_best_slice_root(H, point, self.GRID)
+        if math.isinf(ref_ratio):
+            assert math.isinf(ratio)
+        else:
+            assert abs(ratio - ref_ratio) <= 1e-9 * ref_ratio
+        verdict = _scan_minimality_2d(H, point, self.GRID)
+        ref = reference_scan(H, point, self.GRID)
+        assert verdict.kind == ref.kind
+        if ref.witness is not None:
+            x, y = verdict.witness
+            assert abs(H.eval((x, y))) < mpf("1e-40")
+            assert abs(x) < abs(point[0]) and abs(y) < abs(point[1])
+
+    def test_quantum_walk_full_grid_evidence(self, quantum_walk):
+        _, H, _ = quantum_walk
+        point = (mpc(1), mpc(1))
+        verdict = _scan_minimality_2d(H, point, (24, 96))
+        ref = reference_scan(H, point, (24, 96))
+        assert verdict.kind == ref.kind == "minimal"
+        assert verdict.evidence == ref.evidence
+
+    @pytest.mark.parametrize("row", [
+        [0, 0, 1, -3, 2],  # zero leading coefficients
+        [1, -3, 2, 0, 0],  # zero constant term: roots at 0
+        [0, 0, 0, 0, 5],  # constant: no root
+        [0, 0, 0, 0, 0],  # zero: no root
+        [2, 1j, -1, 3, 1 - 1j],  # regular, for the batched path
+    ])
+    def test_min_modulus_roots_agree_with_np_roots(self, row):
+        regular = [1, 2, 3, 4, 5]
+        polys = np.array([regular, row, regular, row], dtype=np.complex128)
+        roots, found = _min_modulus_roots(polys)
+        for s, p in enumerate(polys):
+            expect = np.roots(np.trim_zeros(p, "f"))
+            assert found[s] == (expect.size > 0)
+            if expect.size:
+                assert roots[s] == expect[np.argmin(np.abs(expect))]
+
+    def test_min_modulus_roots_constant_in_y(self):
+        roots, found = _min_modulus_roots(np.array([[1], [0]], dtype=np.complex128))
+        assert not found.any()
