@@ -20,6 +20,7 @@ from .expansion import (
 from .geometry import (
     CriticalPointReport,
     Direction,
+    build_report,
     check_minimality,
     check_smooth,
     critical_system,
@@ -67,6 +68,7 @@ __all__ = [
     "SparsePoly",
     "amplitude_jets",
     "build_frame",
+    "build_report",
     "check_minimality",
     "check_smooth",
     "combine_expansions",

@@ -174,7 +174,7 @@ def analyze_critical_points(spec):
     if spec.G_den is not None and not spec.G_den.constant_term():
         raise PipelineExit(1, "G denominator vanishes at the origin")
     try:
-        points, iso = solve_critical(spec.H, spec.alpha, seeds=spec.seeds)
+        points, checks = solve_critical(spec.H, spec.alpha, seeds=spec.seeds)
     except GeometryError as exc:
         raise PipelineExit(EXIT_NO_CRITICAL, f"critical solve failed: {exc}")
     if not points:
@@ -183,9 +183,9 @@ def analyze_critical_points(spec):
             "no critical point converged; supply seeds for more than two variables",
         )
     reports = []
-    for pt, flag in zip(points, iso):
+    for pt, check in zip(points, checks):
         others = [q for q in points if q is not pt]
-        reports.append(build_report(spec.H, spec.alpha, pt, flag, other_points=others))
+        reports.append(build_report(spec.H, pt, check, other_points=others))
     return reports
 
 
@@ -400,13 +400,13 @@ def run_critical(spec):
     """Critical-point reports only."""
     with workprec(spec.precision_bits):
         if spec.d == 1:
-            points, iso = solve_critical(spec.H, spec.alpha)
+            points, checks = solve_critical(spec.H, spec.alpha)
             if not points:
                 raise PipelineExit(EXIT_NO_CRITICAL, "the variety has no points")
             reports = [
-                build_report(spec.H, spec.alpha, pt, flag,
+                build_report(spec.H, pt, check,
                              other_points=[q for q in points if q is not pt])
-                for pt, flag in zip(points, iso)
+                for pt, check in zip(points, checks)
             ]
         else:
             reports = analyze_critical_points(spec)

@@ -12,6 +12,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 from mpmath import mp, mpc, mpf
@@ -20,6 +21,17 @@ from .series import GaussRat, SparsePoly, coef_to_mpc, complex_to_json
 
 RESIDUAL_TOL = mpf("1e-10")
 NEWTON_MAX_ITER = 200
+
+# A y-root of H(x_r, .) is paired with the eliminant root x_r when the second
+# critical polynomial at (x_r, y), evaluated in complex128, is below this
+# fraction of the sum of its term moduli.  It sits far above double-precision
+# error because x_r is only a double-precision root: good to about 1e-16 when
+# simple, but to about 1e-8 when double and 1e-5 when triple (square and cube
+# roots of the unit roundoff), as when H depends on y only through y^2 or
+# y^3.  It sits far below O(1) because a y-root that belongs to no critical
+# point leaves the polynomial at a sizeable share of its term moduli (1e-2 or
+# more on random bivariate H); such starts are where Newton stalls.
+PAIRING_TOL = 1e-3
 
 
 class GeometryError(ValueError):
@@ -341,23 +353,59 @@ def _jacobian_singular(polys, point):
 
 
 def _dedupe(points, tol=None):
+    """Indices of the points kept: each one not within ``tol`` (relative) of
+    an earlier kept point."""
     tol = tol or mpf("1e-12")
-    out = []
-    for p in points:
+    keep = []
+    for i, p in enumerate(points):
         scale = max(max(abs(z) for z in p), mpf(1))
-        if not any(max(abs(a - b) for a, b in zip(p, q)) < tol * scale for q in out):
-            out.append(tuple(p))
-    return out
+        if not any(
+            max(abs(a - b) for a, b in zip(p, points[k])) < tol * scale for k in keep
+        ):
+            keep.append(i)
+    return keep
+
+
+def _paired_y_roots(P, x, ys):
+    """The roots in ``ys`` that pair with ``x`` on ``P`` (``PAIRING_TOL``).
+
+    ``P`` is evaluated at every ``(x, y)`` in complex128 and judged against
+    the sum of its term moduli there.  If no root passes, all of ``ys`` are
+    returned, so an ill-conditioned eliminant root loses no candidate.
+    """
+    terms = [(complex(coef_to_mpc(c)), ex, ey) for (ex, ey), c in P.terms.items()]
+    paired = []
+    for y in ys:
+        values = [c * x**ex * complex(y) ** ey for c, ex, ey in terms]
+        if abs(sum(values)) <= PAIRING_TOL * sum(map(abs, values)):
+            paired.append(y)
+    return paired or list(ys)
+
+
+class PointCheck(NamedTuple):
+    """What ``solve_critical`` measured at one returned point."""
+
+    isolated: str  # yes | isolated-unverified
+    residual_H: object
+    residual_critical: object
 
 
 def solve_critical(H, direction, seeds=None):
     """All isolated solutions of the critical system found by the solver.
 
+    Returns ``(points, checks)``, with one ``PointCheck`` per point: its
+    isolation flag and its ``system_residual``.
+
     d=1: the equations reduce to H itself (univariate roots).  d=2: exact
-    elimination by a resultant in x, companion-matrix eigenvalues for seeds,
-    back-substitution and Newton polish.  d>=3: damped Newton from each seed
-    plus the diagonal shortcut for symmetric H with a constant direction.
-    Every returned point has scale-normalized residual below 1e-10.
+    elimination of y by a resultant in x, companion-matrix eigenvalues for
+    its roots ``x_r``, and back-substitution: the y-roots of ``H(x_r, .)``
+    are seeds only where they also nearly solve the second critical
+    equation (``_paired_y_roots``: complex128, relative to the sum of its
+    term moduli, below ``PAIRING_TOL``), or all of them where none does.
+    Each seed gets a Newton polish at working precision.  d>=3: damped
+    Newton from each seed plus the diagonal shortcut for symmetric H with a
+    constant direction.  Every returned point has scale-normalized residual
+    below 1e-10.
     """
     d = H.nvars
     polys = critical_system(H, direction)
@@ -387,7 +435,7 @@ def solve_critical(H, direction, seeds=None):
             arr_trim = np.trim_zeros(arr, "f")
             if arr_trim.size <= 1:
                 continue
-            for yr in np.roots(arr_trim):
+            for yr in _paired_y_roots(polys[1], xr, np.roots(arr_trim)):
                 candidates.append((mpc(xr), mpc(complex(yr))))
     else:
         if _is_symmetric(H) and len(set(direction.primitive)) == 1:
@@ -397,6 +445,7 @@ def solve_critical(H, direction, seeds=None):
         candidates.append(tuple(mpc(z) for z in seed))
 
     points = []
+    residuals = []
     for cand in candidates:
         x, ok, _ = newton_polish(polys, cand)
         if not ok:
@@ -405,11 +454,17 @@ def solve_critical(H, direction, seeds=None):
         if res_h > RESIDUAL_TOL or res_c > RESIDUAL_TOL:
             continue
         points.append(tuple(x))
-    unique = _dedupe(points)
-    iso = []
-    for p in unique:
-        iso.append("isolated-unverified" if _jacobian_singular(polys, p) else "yes")
-    return unique, iso
+        residuals.append((res_h, res_c))
+    keep = _dedupe(points)
+    unique = [points[i] for i in keep]
+    checks = [
+        PointCheck(
+            "isolated-unverified" if _jacobian_singular(polys, points[i]) else "yes",
+            *residuals[i],
+        )
+        for i in keep
+    ]
+    return unique, checks
 
 
 def _is_symmetric(H):
@@ -586,7 +641,7 @@ def _check_minimality_univariate(H, point):
         x, ok, _ = newton_polish([H], (mpc(z),))
         if ok:
             roots.append(x[0])
-    roots = [r[0] for r in _dedupe([(r,) for r in roots])]
+    roots = [roots[i] for i in _dedupe([(r,) for r in roots])]
     c = point[0]
     rho = min(abs(r) for r in roots)
     tol = mpf("1e-9") * max(abs(c), mpf(1))
@@ -762,13 +817,11 @@ def _sample_minimality(H, point, samples, rng_seed):
     )
 
 
-def build_report(H, direction, point, isolated, other_points=()):
+def build_report(H, point, check, other_points=()):
     """Classify one solved point into a CriticalPointReport.
 
-    ``isolated`` is the point's flag from ``solve_critical``.
+    ``check`` is the point's ``PointCheck`` from ``solve_critical``.
     """
-    polys = critical_system(H, direction)
-    res_h, res_c = system_residual(polys, point)
     smooth, witness, perm = check_smooth(H, point)
     if smooth:
         verdict = check_minimality(H, point, other_points=other_points)
@@ -780,7 +833,7 @@ def build_report(H, direction, point, isolated, other_points=()):
         smooth_witness=witness,
         reordering=perm,
         minimality=verdict,
-        residual_H=res_h,
-        residual_critical=res_c,
-        isolated=isolated,
+        residual_H=check.residual_H,
+        residual_critical=check.residual_critical,
+        isolated=check.isolated,
     )

@@ -24,14 +24,17 @@ from smoothasym import (
 )
 from smoothasym import geometry
 from smoothasym.geometry import (
+    RESIDUAL_TOL,
     GeometryError,
     build_report,
+    newton_polish,
     resultant_eliminate_y,
     system_residual,
     _best_slice_root,
     _dense_roots_double,
     _jacobian_singular,
     _min_modulus_roots,
+    _paired_y_roots,
     _scan_minimality_2d,
 )
 
@@ -77,7 +80,7 @@ class TestCriticalSystem:
 class TestSolveCritical:
     def test_delannoy_points(self, delannoy):
         _, H, alpha = delannoy
-        points, iso = solve_critical(H, alpha)
+        points, checks = solve_critical(H, alpha)
         assert len(points) == 2
         s13 = mp.sqrt(13)
         expect = sorted([((-2 + s13) / 3, (-3 + s13) / 2), ((-2 - s13) / 3, (-3 - s13) / 2)],
@@ -86,7 +89,7 @@ class TestSolveCritical:
         for g, e in zip(got, expect):
             assert abs(g[0] - e[0]) < mpf("1e-40")
             assert abs(g[1] - e[1]) < mpf("1e-40")
-        assert iso == ["yes", "yes"]
+        assert [c.isolated for c in checks] == ["yes", "yes"]
 
     def test_vanishing_jacobian_column(self):
         # at the candidate x = 0 the first Jacobian column is zero, which
@@ -116,9 +119,10 @@ class TestSolveCritical:
     def test_residual_invariant(self, delannoy):
         _, H, alpha = delannoy
         polys = critical_system(H, alpha)
-        for pt in solve_critical(H, alpha)[0]:
+        for pt, check in zip(*solve_critical(H, alpha)):
             res_h, res_c = system_residual(polys, pt)
             assert res_h < mpf("1e-10") and res_c < mpf("1e-10")
+            assert (check.residual_H, check.residual_critical) == (res_h, res_c)
 
     def test_seed_superset(self, delannoy):
         _, H, alpha = delannoy
@@ -153,6 +157,137 @@ class TestSolveCritical:
         H = poly(1, {(0,): 1, (1,): -1})
         points, _ = solve_critical(H, Direction((1,)))
         assert len(points) == 1 and abs(points[0][0] - 1) < mpf("1e-50")
+
+
+# -- the all-pairs back-substitution, kept as the reference for the paired one --
+
+
+def reference_dedupe(points, tol=None):
+    tol = tol or mpf("1e-12")
+    out = []
+    for p in points:
+        scale = max(max(abs(z) for z in p), mpf(1))
+        if not any(max(abs(a - b) for a, b in zip(p, q)) < tol * scale for q in out):
+            out.append(tuple(p))
+    return out
+
+
+def reference_solve_critical_2d(H, direction):
+    """``solve_critical`` for d=2 without seeds, polishing every y-root of
+    ``H(x_r, .)`` for every eliminant root ``x_r``.  Returns (points, flags)."""
+    polys = critical_system(H, direction)
+    candidates = []
+    elim = resultant_eliminate_y(polys[0], polys[1])
+    if not elim:
+        raise GeometryError(
+            "critical system is degenerate: the elimination polynomial vanishes"
+        )
+    for xr in _dense_roots_double(elim):
+        # back-substitute: roots in y of H(x, .)
+        ydeg = H.max_degree(1)
+        ycoeffs = [mpc(0)] * (ydeg + 1)
+        for (ex, ey), c in H.terms.items():
+            ycoeffs[ey] += geometry.coef_to_mpc(c) * mpc(xr) ** ex
+        arr = np.array(
+            [complex(v) for v in reversed(ycoeffs)], dtype=np.complex128
+        )
+        arr_trim = np.trim_zeros(arr, "f")
+        if arr_trim.size <= 1:
+            continue
+        for yr in np.roots(arr_trim):
+            candidates.append((mpc(xr), mpc(complex(yr))))
+
+    points = []
+    for cand in candidates:
+        x, ok, _ = newton_polish(polys, cand)
+        if not ok:
+            continue
+        res_h, res_c = system_residual(polys, x)
+        if res_h > RESIDUAL_TOL or res_c > RESIDUAL_TOL:
+            continue
+        points.append(tuple(x))
+    unique = reference_dedupe(points)
+    iso = []
+    for p in unique:
+        iso.append("isolated-unverified" if _jacobian_singular(polys, p) else "yes")
+    return unique, iso
+
+
+@st.composite
+def bivariate_critical_systems(draw):
+    """Random rational H(x, y) with H(0) != 0 and y-degree at least 2, and a
+    direction."""
+    rationals = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3))
+    exps = st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(any)
+    terms = draw(st.dictionaries(exps, rationals, min_size=1, max_size=4))
+    terms[(draw(st.integers(0, 2)), draw(st.integers(2, 3)))] = draw(rationals)
+    terms[(0, 0)] = draw(rationals)
+    alpha = Direction((draw(st.integers(1, 3)), draw(st.integers(1, 3))))
+    return SparsePoly(2, terms), alpha
+
+
+def _same_point(p, q, tol=mpf("1e-30")):
+    return max(abs(a - b) for a, b in zip(p, q)) < tol
+
+
+class TestPairedBackSubstitution:
+    @settings(max_examples=20)
+    @given(bivariate_critical_systems())
+    def test_matches_all_pairs_reference(self, case):
+        H, alpha = case
+        try:
+            ref_points, ref_iso = reference_solve_critical_2d(H, alpha)
+        except GeometryError:
+            with pytest.raises(GeometryError):
+                solve_critical(H, alpha)
+            return
+        points, checks = solve_critical(H, alpha)
+        assert len(points) == len(ref_points)
+        for pt, check in zip(points, checks):
+            hits = [k for k, q in enumerate(ref_points) if _same_point(pt, q)]
+            assert len(hits) == 1
+            assert check.isolated == ref_iso[hits[0]]
+
+    def test_every_newton_start_converges(self):
+        # the y-root of H(x_r, .) that solves no critical equation used to
+        # start a Newton run that stalled for NEWTON_MAX_ITER steps
+        H = poly(2, {(0, 0): 1, (1, 0): -4, (0, 1): -1, (2, 2): -4})
+        alpha = Direction((1, 2))
+        converged = []
+
+        def recording(*args):
+            out = newton_polish(*args)
+            converged.append(out[1])
+            return out
+
+        with mock.patch.object(geometry, "newton_polish", recording):
+            points, _ = solve_critical(H, alpha)
+        assert points and converged and all(converged)
+
+    @pytest.mark.parametrize("terms, alpha, x, y_squared", [
+        # the resultant is (2 - 3x)^2: a double root
+        ({(0, 0): 1, (1, 0): -1, (0, 2): -1}, (1, 1), Fraction(2, 3), Fraction(1, 3)),
+        # the second critical equation on H = 0 is 2(x - 1)^2
+        ({(0, 0): 1, (1, 0): -1, (0, 2): -1, (2, 0): Fraction(1, 3)}, (1, 2),
+         Fraction(1), Fraction(1, 3)),
+    ])
+    def test_points_sharing_an_x_coordinate(self, terms, alpha, x, y_squared):
+        H = poly(2, terms)
+        points, _ = solve_critical(H, Direction(alpha))
+        x = mpf(x.numerator) / x.denominator
+        y = mp.sqrt(mpf(y_squared.numerator) / y_squared.denominator)
+        expect = [(x, y), (x, -y)]
+        assert len(points) == 2
+        for e in expect:
+            assert any(_same_point(p, e, mpf("1e-20")) for p in points)
+
+    def test_pairing_keeps_every_root_when_none_passes(self):
+        # P = y - x at x = i
+        P = poly(2, {(0, 1): 1, (1, 0): -1})
+        ys = np.array([1j * (1 + 1e-9), -1j, 2], dtype=np.complex128)
+        assert list(_paired_y_roots(P, 1j, ys)) == [ys[0]]
+        far = ys[1:]
+        assert list(_paired_y_roots(P, 1j, far)) == list(far)
 
 
 class TestCheckSmooth:
@@ -280,11 +415,11 @@ class TestMinimality:
 class TestReports:
     def test_delannoy_reports(self, delannoy):
         _, H, alpha = delannoy
-        points, iso = solve_critical(H, alpha)
+        points, checks = solve_critical(H, alpha)
         reports = [
-            build_report(H, alpha, pt, flag,
+            build_report(H, pt, check,
                          other_points=[q for q in points if q is not pt])
-            for pt, flag in zip(points, iso)
+            for pt, check in zip(points, checks)
         ]
         kinds = sorted(r.minimality.kind for r in reports)
         assert kinds == ["not-minimal", "strictly-minimal"]
