@@ -33,11 +33,10 @@ from .localframe import (
     build_frame,
     implicit_root_jet,
     phase_hessian,
-    phase_hessian_symmetric_q,
     phase_jet,
     vanishing_order,
 )
-from .oracle import CoeffTable, fourier_laplace_quad, maclaurin_table
+from .oracle import CoeffTable, maclaurin_table
 from .series import (
     DEFAULT_BITS,
     GaussRat,
@@ -48,7 +47,6 @@ from .series import (
 )
 from .stationary import (
     PhaseData,
-    integral_asymptotic_sum,
     stationary_term,
     stationary_term_even,
     stationary_term_odd,
@@ -76,14 +74,11 @@ __all__ = [
     "expand_degenerate",
     "expand_smooth",
     "expand_univariate",
-    "fourier_laplace_quad",
     "implicit_root_jet",
-    "integral_asymptotic_sum",
     "is_aperiodic",
     "jet_circle_substitute",
     "maclaurin_table",
     "phase_hessian",
-    "phase_hessian_symmetric_q",
     "phase_jet",
     "ratio_asymptotics",
     "solve_critical",

@@ -24,6 +24,7 @@ from mpmath import mp, mpc, mpf
 from . import __version__
 from .expansion import (
     DegenerateHessianError,
+    ExpansionError,
     combine_expansions,
     expand_degenerate,
     expand_smooth,
@@ -221,14 +222,13 @@ def select_expansion_points(spec, reports):
 # -- expansion construction ------------------------------------------------------
 
 
-def build_expansion(spec, reports=None):
+def build_expansion(spec):
     """Full route: reports -> frames -> expansion (single point or combined)."""
     if not spec.H.constant_term():
         raise PipelineExit(EXIT_NO_CRITICAL, "origin on variety: H(0) = 0")
     if spec.d == 1:
-        return _build_expansion_univariate(spec), reports or []
-    if reports is None:
-        reports = analyze_critical_points(spec)
+        return _build_expansion_univariate(spec), []
+    reports = analyze_critical_points(spec)
     group = select_expansion_points(spec, reports)
     expansions = []
     for rep in group:
@@ -299,7 +299,7 @@ def _build_expansion_univariate(spec):
                     direction=spec.alpha,
                 )
             )
-        except Exception as exc:
+        except (ExpansionError, SeriesError) as exc:
             raise PipelineExit(EXIT_NO_CRITICAL, f"univariate expansion failed: {exc}")
     return combine_expansions(expansions)
 
@@ -416,7 +416,7 @@ def run_critical(spec):
         }
 
 
-def run_oracle(spec, digits=10):
+def run_oracle(spec):
     """Exact coefficients at the requested indices, as CSV rows."""
     with workprec(spec.precision_bits):
         usable = [n for n in spec.n_values if spec.alpha.n_is_integral(n)]
@@ -433,7 +433,7 @@ def run_oracle(spec, digits=10):
         for n in usable:
             idx = spec.alpha.index_for(n)
             val = table.coeff_at(idx)
-            cells = [str(i) for i in idx] + [rational_str(val), decimal_str(val, digits)]
+            cells = [str(i) for i in idx] + [rational_str(val), decimal_str(val, 10)]
             lines.append(",".join(cells))
         return "\n".join(lines) + "\n"
 

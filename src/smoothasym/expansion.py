@@ -146,10 +146,6 @@ class Expansion:
     meta: dict = field(default_factory=dict)
     children: list = field(default_factory=list)
 
-    @property
-    def d(self):
-        return len(self.base_point)
-
     def base_magnitude(self):
         out = mpf(1)
         for z, a in zip(self.base_point, self.direction.alpha):
@@ -190,23 +186,6 @@ class Expansion:
             e, c = self.dropped.terms[0]
             estimate = abs(base) * abs(c) * mpf(n) ** (mpf(e.numerator) / e.denominator)
         return value, estimate
-
-    def evaluate_structured(self, n):
-        """Evaluate from the structured (j, k) records, nothing dropped."""
-        if self.kind == "combined":
-            return sum(child.evaluate_structured(n) for child in self.children)
-        base = self.base_power(n)
-        y = mpf(self.meta["alpha_d"].numerator) / self.meta["alpha_d"].denominator * n
-        total = mpc(0)
-        for rec in self.structured:
-            rf = mpf(1)
-            for i in range(rec["rising"]):
-                rf *= y + 1 + i
-            e = rec["y_exponent"]
-            total += rf * rec["weight"] * rec["term"] * y ** (
-                mpf(e.numerator) / e.denominator
-            )
-        return base * total
 
     def to_json(self):
         out = {
@@ -386,34 +365,18 @@ def expand_univariate(G_num, H, p, point, G_den=None, direction=None):
     K = Jet.from_poly(G_num, (c,), order) * H1.pow_int(p).reciprocal()
     if G_den is not None:
         K = K * Jet.from_poly(G_den, (c,), order).reciprocal()
-    amplitudes = []
-    for j in range(p):
-        u = (-c) ** (-p + j) * mpf(math.factorial(j)) * K.coefficient((j,))
-        amplitudes.append(u)
-    records = []
-    acc = {}
-    for j in range(p):
-        weight = mpf(1) / (math.factorial(p - 1 - j) * math.factorial(j))
-        records.append(
-            {
-                "j": j,
-                "k": 0,
-                "term": amplitudes[j],
-                "weight": weight,
-                "rising": p - 1 - j,
-                "y_exponent": Fraction(0),
-            }
-        )
-        rf = rising_factorial_poly(Fraction(1), p - 1 - j)
-        for i, ci in enumerate(rf):
-            if ci == 0:
-                continue
-            # the polynomial lives in the index m = alpha_1 * n
-            scale = mpf(a1.numerator) / a1.denominator
-            e = Fraction(i)
-            acc[e] = acc.get(e, mpc(0)) + (
-                weight * amplitudes[j] * coef_to_mpc(ci) * scale**i
-            )
+    records = [
+        {
+            "j": j,
+            "k": 0,
+            "term": (-c) ** (-p + j) * mpf(math.factorial(j)) * K.coefficient((j,)),
+            "weight": mpf(1) / (math.factorial(p - 1 - j) * math.factorial(j)),
+            "rising": p - 1 - j,
+            "y_exponent": Fraction(0),
+        }
+        for j in range(p)
+    ]
+    flattened, dropped = _flatten(records, a1, None)
     return Expansion(
         kind="univariate",
         base_point=(c,),
@@ -421,8 +384,8 @@ def expand_univariate(G_num, H, p, point, G_den=None, direction=None):
         p=p,
         N=p,
         structured=records,
-        flattened=FlatSeries(list(acc.items()), error_exponent=None),
-        dropped=FlatSeries([]),
+        flattened=flattened,
+        dropped=dropped,
         error_exponent=None,
         meta={"alpha_d": a1},
     )

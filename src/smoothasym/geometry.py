@@ -21,6 +21,10 @@ from .series import GaussRat, SparsePoly, coef_to_mpc, complex_to_json
 
 RESIDUAL_TOL = mpf("1e-10")
 NEWTON_MAX_ITER = 200
+POSITIVE_REAL_TOL = mpf("1e-12")  # imaginary part allowed, relative to |z|
+SLICE_GRID = (24, 96)  # radii x angles of the two-variable minimality scan
+TORUS_SAMPLES = 400  # witness search in more than two variables, fixed seed
+TORUS_SEED = 7
 
 # A y-root of H(x_r, .) is paired with the eliminant root x_r when the second
 # critical polynomial at (x_r, y), evaluated in complex128, is below this
@@ -106,8 +110,8 @@ class CriticalPointReport:
     residual_critical: object
     isolated: str = "yes"  # yes | isolated-unverified
 
-    def is_valid(self, tol=RESIDUAL_TOL):
-        return self.residual_H < tol and self.residual_critical < tol
+    def is_valid(self):
+        return self.residual_H < RESIDUAL_TOL and self.residual_critical < RESIDUAL_TOL
 
     def to_json(self):
         return {
@@ -295,7 +299,7 @@ def _dense_roots_double(coeffs):
 _SINGULAR_LU = (ZeroDivisionError, TypeError)
 
 
-def newton_polish(polys, point, max_iter=NEWTON_MAX_ITER):
+def newton_polish(polys, point):
     """Damped Newton iteration on a square polynomial system, at working prec.
 
     Returns (point, converged, jacobian_singular).
@@ -311,7 +315,7 @@ def newton_polish(polys, point, max_iter=NEWTON_MAX_ITER):
 
     vals, err = resid(x)
     singular = False
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         if err < target:
             break
         J = mp.matrix(d, d)
@@ -352,10 +356,10 @@ def _jacobian_singular(polys, point):
     return abs(det) < mpf("1e-10") * scale**d
 
 
-def _dedupe(points, tol=None):
-    """Indices of the points kept: each one not within ``tol`` (relative) of
+def _dedupe(points):
+    """Indices of the points kept: each one not within 1e-12 (relative) of
     an earlier kept point."""
-    tol = tol or mpf("1e-12")
+    tol = mpf("1e-12")
     keep = []
     for i, p in enumerate(points):
         scale = max(max(abs(z) for z in p), mpf(1))
@@ -380,6 +384,28 @@ def _paired_y_roots(P, x, ys):
         if abs(sum(values)) <= PAIRING_TOL * sum(map(abs, values)):
             paired.append(y)
     return paired or list(ys)
+
+
+def _y_slice(H, w):
+    """Coefficients of ``H(w, .)`` in the last variable, lowest degree first,
+    with the leading coordinates fixed at the ``mpc`` values ``w``.
+
+    Each term is ``coef * w_0**e_0 * w_1**e_1 * ...``, multiplied in that
+    order, and the terms are summed in ``H.terms`` order.
+    """
+    d = H.nvars
+    coeffs = [mpc(0)] * (H.max_degree(d - 1) + 1)
+    for e, c in H.terms.items():
+        term = coef_to_mpc(c)
+        for j in range(d - 1):
+            term *= w[j] ** e[j]
+        coeffs[e[d - 1]] += term
+    return coeffs
+
+
+def _slice_roots(coeffs):
+    """Double-precision roots of a ``_y_slice``; none when it is constant."""
+    return np.roots(np.array([complex(v) for v in reversed(coeffs)], dtype=np.complex128))
 
 
 class PointCheck(NamedTuple):
@@ -425,17 +451,8 @@ def solve_critical(H, direction, seeds=None):
             )
         for xr in _dense_roots_double(elim):
             # back-substitute: roots in y of H(x, .)
-            ydeg = H.max_degree(1)
-            ycoeffs = [mpc(0)] * (ydeg + 1)
-            for (ex, ey), c in H.terms.items():
-                ycoeffs[ey] += coef_to_mpc(c) * mpc(xr) ** ex
-            arr = np.array(
-                [complex(v) for v in reversed(ycoeffs)], dtype=np.complex128
-            )
-            arr_trim = np.trim_zeros(arr, "f")
-            if arr_trim.size <= 1:
-                continue
-            for yr in _paired_y_roots(polys[1], xr, np.roots(arr_trim)):
+            ys = _slice_roots(_y_slice(H, (mpc(xr),)))
+            for yr in _paired_y_roots(polys[1], xr, ys):
                 candidates.append((mpc(xr), mpc(complex(yr))))
     else:
         if _is_symmetric(H) and len(set(direction.primitive)) == 1:
@@ -494,7 +511,7 @@ def _diagonal_points(H):
 # -- smoothness ---------------------------------------------------------------
 
 
-def check_smooth(H, point, tol=RESIDUAL_TOL):
+def check_smooth(H, point):
     """(is_smooth, witness index, reordering that puts a usable coordinate last).
 
     The reordering maximizes |c_j dH/dx_j(c)| in the last slot so downstream
@@ -502,20 +519,20 @@ def check_smooth(H, point, tol=RESIDUAL_TOL):
     nonvanishing partial.
     """
     d = H.nvars
-    scale = max(H.coeff_bound(), mpf(1))
-    if abs(H.eval(point)) > tol * scale:
+    tol = RESIDUAL_TOL * max(H.coeff_bound(), mpf(1))
+    if abs(H.eval(point)) > tol:
         raise GeometryError("point is not on the variety")
     partials = [H.partial(j).eval(point) for j in range(d)]
     mags = [abs(v) for v in partials]
     witness = max(range(d), key=lambda j: mags[j])
-    if mags[witness] <= tol * scale:
+    if mags[witness] <= tol:
         return False, -1, tuple(range(d))
     weighted = [abs(point[j]) * mags[j] for j in range(d)]
-    if weighted[d - 1] > tol * scale:
+    if weighted[d - 1] > tol:
         last = d - 1  # keep the original order when it already works
     else:
         last = max(range(d), key=lambda j: weighted[j])
-        if weighted[last] <= tol * scale:
+        if weighted[last] <= tol:
             # smooth, but x_j dH/dx_j vanishes in every coordinate
             last = witness
     perm = [j for j in range(d) if j != last] + [last]
@@ -568,10 +585,10 @@ def is_aperiodic(P):
 # -- minimality ----------------------------------------------------------------
 
 
-def _is_positive_real(point, tol=mpf("1e-12")):
+def _is_positive_real(point):
     for z in point:
         scale = max(abs(z), mpf(1))
-        if abs(z.imag) > tol * scale or z.real <= 0:
+        if abs(z.imag) > POSITIVE_REAL_TOL * scale or z.real <= 0:
             return False
     return True
 
@@ -590,13 +607,12 @@ def _one_minus_H_nonneg(H):
     return True, P
 
 
-def check_minimality(H, point, other_points=(), grid=(24, 96),
-                     samples=400, rng_seed=7):
+def check_minimality(H, point, other_points=()):
     """Minimality verdict for a smooth variety point.
 
     Ladder: (a) nonnegativity/aperiodicity shortcut certifying strict
     minimality at positive real points; (b) for two variables, a
-    double-precision 24x96 slice grid scan whose best witness is polished at
+    double-precision ``SLICE_GRID`` slice scan whose best witness is polished at
     working precision, which can certify not-minimal with a witness or report
     plain minimality; (c) heuristic torus sampling otherwise, which only ever
     yields not-minimal or unknown.
@@ -627,9 +643,9 @@ def check_minimality(H, point, other_points=(), grid=(24, 96),
         )
 
     if d == 2:
-        return _scan_minimality_2d(H, point, grid)
+        return _scan_minimality_2d(H, point, SLICE_GRID)
 
-    return _sample_minimality(H, point, samples, rng_seed)
+    return _sample_minimality(H, point)
 
 
 def _check_minimality_univariate(H, point):
@@ -763,14 +779,11 @@ def _min_modulus_roots(polys):
 
 
 def _polish_slice_root(H, x, y0):
-    ydeg = H.max_degree(1)
-    coeffs = [mpc(0)] * (ydeg + 1)
-    for (ex, ey), c in H.terms.items():
-        coeffs[ey] += coef_to_mpc(c) * x**ex
+    coeffs = _y_slice(H, (x,))
     y = mpc(y0)
     for _ in range(80):
-        f = sum(coeffs[k] * y**k for k in range(ydeg + 1))
-        fp = sum(k * coeffs[k] * y ** (k - 1) for k in range(1, ydeg + 1))
+        f = sum(coeffs[k] * y**k for k in range(len(coeffs)))
+        fp = sum(k * coeffs[k] * y ** (k - 1) for k in range(1, len(coeffs)))
         if abs(fp) == 0:
             return None
         step = f / fp
@@ -778,41 +791,31 @@ def _polish_slice_root(H, x, y0):
         if abs(step) < mpf(2) ** (20 - mp.prec) * max(abs(y), mpf(1)):
             break
     scale = max(max(abs(c) for c in coeffs), mpf(1))
-    f = sum(coeffs[k] * y**k for k in range(ydeg + 1))
+    f = sum(coeffs[k] * y**k for k in range(len(coeffs)))
     return y if abs(f) < RESIDUAL_TOL * scale else None
 
 
-def _sample_minimality(H, point, samples, rng_seed):
+def _sample_minimality(H, point):
     """Random scaled-torus sampling; can only find witnesses, never certify."""
     d = H.nvars
-    rng = random.Random(rng_seed)
-    ydeg = H.max_degree(d - 1)
-    for _ in range(samples):
+    rng = random.Random(TORUS_SEED)
+    for _ in range(TORUS_SAMPLES):
         s = 0.5 + 0.5 * rng.random()  # shrink factor < 1
-        w = [
-            complex(s * float(abs(point[j])) * math.cos(t), s * float(abs(point[j])) * math.sin(t))
+        w = tuple(
+            mpc(complex(s * float(abs(point[j])) * math.cos(t),
+                        s * float(abs(point[j])) * math.sin(t)))
             for j, t in ((j, 2 * math.pi * rng.random()) for j in range(d - 1))
-        ]
-        coeffs = [mpc(0)] * (ydeg + 1)
-        for e, c in H.terms.items():
-            term = coef_to_mpc(c)
-            for j in range(d - 1):
-                term *= mpc(w[j]) ** e[j]
-            coeffs[e[d - 1]] += term
-        arr = np.array([complex(v) for v in reversed(coeffs)], dtype=np.complex128)
-        arr = np.trim_zeros(arr, "f")
-        if arr.size <= 1:
-            continue
-        for y in np.roots(arr):
+        )
+        for y in _slice_roots(_y_slice(H, w)):
             if abs(y) < float(abs(point[d - 1])) * (1 - 1e-9):
                 return MinimalityVerdict(
                     "not-minimal",
                     "sampled variety point with strictly smaller coordinate moduli",
-                    witness=tuple(mpc(z) for z in w) + (mpc(complex(y)),),
+                    witness=w + (mpc(complex(y)),),
                 )
     return MinimalityVerdict(
         "unknown",
-        f"no witness in {samples} scaled-torus samples; minimality in more than "
+        f"no witness in {TORUS_SAMPLES} scaled-torus samples; minimality in more than "
         "two variables is not decided by this tool",
     )
 

@@ -15,7 +15,10 @@ from dataclasses import dataclass
 from mpmath import mp, mpc, mpf
 
 from .geometry import Direction
-from .series import Jet, jet_circle_substitute
+from .series import Jet, complex_to_json, jet_circle_substitute
+
+VANISHING_TOL = mpf("1e-12")  # negligible phase coefficient, relative to the largest
+FRAME_TOL = mpf("1e-10")  # relative tolerance of the ``validate_frame`` identities
 
 
 class FrameError(ValueError):
@@ -89,7 +92,7 @@ def implicit_root_jet(H, point, order):
     return Jet(d - 1, order, w_center, coeffs)
 
 
-def phase_jet(h_jet, point, direction, order=None):
+def phase_jet(h_jet, direction, order=None):
     """Jet at 0 of the torus phase driving the Fourier-Laplace integrals.
 
     ``log(h~(t)/h~(0)) + i sum_m (alpha_m/alpha_d) t_m`` where ``h~`` is the
@@ -130,7 +133,7 @@ def hessian_from_jet(g_jet):
     return A
 
 
-def phase_hessian(H, point, direction=None):
+def phase_hessian(H, point):
     """Closed-form phase Hessian from partial derivatives of H at the point.
 
     Valid at any smooth point with nonvanishing last coordinate and last
@@ -174,27 +177,6 @@ def phase_hessian(H, point, direction=None):
     return A
 
 
-def phase_hessian_symmetric_q(H, point):
-    """Symmetric shortcut: the scalar q with off-diagonal q, diagonal 2q.
-
-    Requires H symmetric under variable permutations and the point on the
-    positive diagonal; returns (q, det) with det = d * q^(d-1).
-    """
-    from .geometry import _is_symmetric
-
-    d = H.nvars
-    if not _is_symmetric(H):
-        raise FrameError("polynomial is not symmetric in its variables")
-    c = tuple(mpc(z) for z in point)
-    if any(abs(z - c[0]) > mpf("1e-12") * max(abs(c[0]), mpf(1)) for z in c):
-        raise FrameError("point is not on the diagonal")
-    dHd = H.partial(d - 1).eval(c)
-    ddH = H.partial(d - 1).partial(d - 1).eval(c)
-    dxdH = H.partial(0).partial(d - 1).eval(c)
-    q = 1 + (c[0] / dHd) * (ddH - dxdH)
-    return q, d * q ** (d - 1)
-
-
 def amplitude_jets(G_num, H, p, point, h_jet, order, G_den=None):
     """Torus jets of the amplitudes weighting each residue term, j < p.
 
@@ -212,7 +194,7 @@ def amplitude_jets(G_num, H, p, point, h_jet, order, G_den=None):
             f"amplitudes to order {order} at pole order {p} need the implicit "
             f"jet to order {work_order}, have {h_jet.order}"
         )
-    H_jet = Jet.from_poly(H, c, work_order, caps=None)
+    H_jet = Jet.from_poly(H, c, work_order)
 
     # substitute y = h(w) + v; the v^0 slice vanishes identically
     h_shift = Jet(
@@ -265,7 +247,7 @@ def amplitude_jets(G_num, H, p, point, h_jet, order, G_den=None):
     return out, Q_sv
 
 
-def vanishing_order(g_jet, tol=mpf("1e-12")):
+def vanishing_order(g_jet):
     """Least order >= 2 whose phase jet coefficient is non-negligible."""
     if g_jet.nvars != 1:
         raise FrameError("vanishing order is only defined for one torus variable")
@@ -273,7 +255,7 @@ def vanishing_order(g_jet, tol=mpf("1e-12")):
     if top == 0:
         raise FrameError("phase numerically flat")
     for v in range(2, g_jet.order + 1):
-        if abs(g_jet.coefficient((v,))) > tol * top:
+        if abs(g_jet.coefficient((v,))) > VANISHING_TOL * top:
             return v
     raise FrameError("phase numerically flat")
 
@@ -300,15 +282,9 @@ class LocalFrame:
         return mp.det(self.hessian) if self.d > 1 else mpc(1)
 
     def to_json(self):
-        digits = int(mp.prec / 3.32) + 2
-
-        def cx(z):
-            z = mpc(z)
-            return {"re": mp.nstr(z.real, digits), "im": mp.nstr(z.imag, digits)}
-
         n = self.d - 1
         return {
-            "point": [cx(z) for z in self.point],
+            "point": [complex_to_json(z) for z in self.point],
             "alpha": [str(a) for a in self.direction.alpha],
             "p": self.p,
             "order": self.order,
@@ -317,13 +293,13 @@ class LocalFrame:
             "phase_jet": self.phase.to_json(),
             "amplitude_jets": [u.to_json() for u in self.amplitudes],
             "hessian": [
-                [cx(self.hessian[i, j]) for j in range(n)] for i in range(n)
+                [complex_to_json(self.hessian[i, j]) for j in range(n)]
+                for i in range(n)
             ],
         }
 
 
-def build_frame(G_num, H, p, direction, point, order, G_den=None, reordering=None,
-                validate=True):
+def build_frame(G_num, H, p, direction, point, order, G_den=None, reordering=None):
     """Construct and validate the local frame at a solved critical point.
 
     The reordering (from the smoothness check) is applied to everything
@@ -346,9 +322,9 @@ def build_frame(G_num, H, p, direction, point, order, G_den=None, reordering=Non
     dirp = direction.permute(perm)
 
     h_jet = implicit_root_jet(Hp, cp, order + p - 1)
-    g_jet = phase_jet(h_jet, cp, dirp, order)
+    g_jet = phase_jet(h_jet, dirp, order)
     amps, _ = amplitude_jets(Gp, Hp, p, cp, h_jet, order, G_den=Gdp)
-    hess = phase_hessian(Hp, cp, dirp)
+    hess = phase_hessian(Hp, cp)
 
     frame = LocalFrame(
         point=cp,
@@ -361,12 +337,11 @@ def build_frame(G_num, H, p, direction, point, order, G_den=None, reordering=Non
         reordering=perm,
         order=order,
     )
-    if validate:
-        validate_frame(frame)
+    validate_frame(frame)
     return frame
 
 
-def validate_frame(frame, tol=mpf("1e-10")):
+def validate_frame(frame):
     """Assert the identities every valid frame satisfies.
 
     The phase jet has zero constant term and vanishing gradient (criticality),
@@ -375,11 +350,11 @@ def validate_frame(frame, tol=mpf("1e-10")):
     g = frame.phase
     n = g.nvars
     scale = max((abs(v) for v in g.coeffs.values()), default=mpf(1))
-    if abs(g.constant_coefficient()) > tol * scale:
+    if abs(g.constant_coefficient()) > FRAME_TOL * scale:
         raise FrameError("phase jet has a nonzero constant term")
     for m in range(n):
         beta = tuple(1 if j == m else 0 for j in range(n))
-        if abs(g.coefficient(beta)) > tol * max(scale, mpf(1)):
+        if abs(g.coefficient(beta)) > FRAME_TOL * max(scale, mpf(1)):
             raise FrameError(
                 "phase gradient does not vanish: the point is not critical "
                 "for this direction"
@@ -391,7 +366,7 @@ def validate_frame(frame, tol=mpf("1e-10")):
     )
     for i in range(n):
         for j in range(n):
-            if abs(A[i, j] - B[i, j]) > tol * hscale:
+            if abs(A[i, j] - B[i, j]) > FRAME_TOL * hscale:
                 raise FrameError(
                     "phase Hessian from the jet disagrees with the closed form"
                 )

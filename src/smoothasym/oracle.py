@@ -1,4 +1,4 @@
-"""Ground truth: exact Maclaurin coefficients and direct quadrature.
+"""Ground truth: exact Maclaurin coefficients.
 
 The coefficient oracle solves ``D * F = G_num`` with ``D = G_den * H^p``
 coefficientwise, in exact integer (or Gaussian-integer) arithmetic.  The
@@ -12,23 +12,21 @@ so no cell ever needs a gcd.  Every stencil offset ``e`` has ``|e| >= 1``,
 hence the hyperplane ``|beta| = s`` depends only on earlier hyperplanes, and
 the box is swept one total degree at a time with each hyperplane updated as
 a numpy ``object`` array.  ``Fraction`` (or ``GaussRat``) cells are built
-only when asked for.  The quadrature oracle integrates
-``u(t) exp(-w g(t))`` directly and exists only to validate the term
-calculus.
+only when asked for.  The tests check the table against an independent
+geometric-series expansion and against the exact residual of the recurrence.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from mpmath import mp, mpc, mpf
+from mpmath import mp
 
-from .series import GaussRat, SparsePoly, coef_to_mpc
+from .series import GaussRat, coef_to_mpc
 
 
 class OracleError(ValueError):
@@ -154,149 +152,3 @@ def maclaurin_table(G_num, H, p, bounds, G_den=None):
             tgt = cells[np.all(coords >= e, axis=0)]
             E[tgt] -= w * E[tgt - off]
     return CoeffTable(bounds=bounds, numerators=E.reshape(shape), qpow=qpow)
-
-
-def recurrence_residual(table, G_num, H, p, G_den=None):
-    """Max |D*F - P| over the box; exactly zero for a correct table."""
-    D = H**p
-    if G_den is not None:
-        D = D * G_den
-    worst = Fraction(0)
-    for beta in itertools.product(*(range(b + 1) for b in table.bounds)):
-        acc = -G_num.terms.get(beta, Fraction(0))
-        for e, c in D.terms.items():
-            prev = tuple(b - g for b, g in zip(beta, e))
-            if any(x < 0 for x in prev):
-                continue
-            acc = acc + c * table.values.get(prev, Fraction(0))
-        mag = acc.re * acc.re + acc.im * acc.im if isinstance(acc, GaussRat) else acc * acc
-        if mag > worst:
-            worst = mag
-    return worst
-
-
-def maclaurin_table_geometric(G_num, H, p, max_total_degree, G_den=None):
-    """Independent small-case method: expand 1/D as a geometric series.
-
-    ``1/D = (1/D0) sum_m (1 - D/D0)^m`` truncated by total degree; the factor
-    polynomial has positive valuation so the sum is finite.  Quadratic cost,
-    intended for cross-checking boxes of small total degree only.
-    """
-    d = H.nvars
-    D = H**p
-    if G_den is not None:
-        D = D * G_den
-    D0 = D.constant_term()
-    if not D0:
-        raise OracleError("H(0) = 0: the origin lies on the variety")
-
-    def trunc(P):
-        return SparsePoly(
-            d, {e: c for e, c in P.terms.items() if sum(e) <= max_total_degree}
-        )
-
-    U = trunc(SparsePoly.constant(d, 1) - D * (Fraction(1) / D0))
-    acc = SparsePoly.constant(d, 1)
-    for _ in range(max_total_degree):
-        acc = trunc(U * acc) + SparsePoly.constant(d, 1)
-    inv = acc * (Fraction(1) / D0)
-    series = trunc(G_num * inv)
-    return {e: c for e, c in series.terms.items()}
-
-
-# -- quadrature oracle ---------------------------------------------------------
-
-_GL_DEGREE = 24
-_START_PIECES = {1: 32, 2: 4}  # per variable
-_MAX_NODES = 400_000  # tensor grid points of the finest resolution tried
-_ROUNDING = 10 * float(np.finfo(float).eps)  # per unit of integrated modulus
-
-
-def _bump_np(s):
-    """C-infinity cutoff profile: 1 for s <= 0, 0 for s >= 1."""
-    out = np.zeros_like(s)
-    out[s <= 0] = 1.0
-    mid = (s > 0) & (s < 1)
-    sm = s[mid]
-    f1 = np.exp(-1.0 / (1.0 - sm))
-    f0 = np.exp(-1.0 / sm)
-    out[mid] = f1 / (f1 + f0)
-    return out
-
-
-def _jet_on_grid(jet, axes):
-    """The truncated jet as a polynomial on the tensor grid of ``axes``."""
-    coef = np.zeros((jet.order + 1,) * jet.nvars, dtype=np.complex128)
-    for b, v in jet.coeffs.items():
-        coef[b] = complex(coef_to_mpc(v))
-    # each Horner pass consumes the leading exponent axis and appends a grid axis
-    for t in axes:
-        coef = np.polynomial.polynomial.polyval(t, coef)
-    return coef
-
-
-def _quad_composite(u_jet, g_jet, omega, X, cutoff, pieces):
-    """Tensor composite Gauss-Legendre over uniform pieces per variable.
-
-    Returns the integral and the integral of the integrand's modulus, which
-    scales the double-precision rounding error of the sum.
-    """
-    nodes, weights = np.polynomial.legendre.leggauss(_GL_DEGREE)
-    axes, wts = [], []
-    for Xj in X:
-        edges = np.linspace(-Xj, Xj, pieces + 1)
-        mids = 0.5 * (edges[1:] + edges[:-1])
-        half = 0.5 * (edges[1] - edges[0])
-        axes.append((mids[:, None] + half * nodes[None, :]).ravel())
-        wts.append(np.tile(weights, pieces) * half)
-    vals = _jet_on_grid(u_jet, axes) * np.exp(-omega * _jet_on_grid(g_jet, axes))
-    if cutoff:
-        radius = functools.reduce(
-            np.maximum, [2.0 * np.abs(t) / Xj - 1.0 for t, Xj in zip(np.ix_(*axes), X)]
-        )
-        vals = vals * _bump_np(radius)
-    size = np.abs(vals)
-    for w in wts:
-        vals = np.tensordot(w, vals, axes=1)
-        size = np.tensordot(w, size, axes=1)
-    return complex(vals), float(size)
-
-
-def fourier_laplace_quad(u_jet, g_jet, omega, window, cutoff=True, pieces=None,
-                         tol=1e-13):
-    """Direct quadrature of ``integral u(t) exp(-omega g(t)) dt``.
-
-    ``u_jet``/``g_jet`` are jets at 0 in one or two variables, evaluated as
-    truncated polynomials on the window ``[-X, X]`` (per variable).  With
-    ``cutoff`` a smooth plateau factor (identically 1 on the inner half) makes
-    the integrand compactly supported, matching the hypotheses of the
-    expansion theorems.  Tensor composite Gauss-Legendre panels, in double
-    precision, double the pieces per variable until two resolutions agree to
-    ``tol`` relative (handles the oscillatory phases) or the grid would exceed
-    ``_MAX_NODES`` points.  Returns (value, achieved-error estimate), the
-    estimate being the difference of the last two resolutions (infinite when
-    ``pieces`` leaves no room to double) but never below the rounding level
-    ``_ROUNDING * integral |u exp(-omega g)|``; inspect it rather than
-    assuming convergence.
-    """
-    if u_jet.nvars != g_jet.nvars:
-        raise OracleError("amplitude and phase dimension mismatch")
-    nv = u_jet.nvars
-    if nv not in _START_PIECES:
-        raise OracleError("quadrature oracle supports one or two variables")
-    if isinstance(window, (tuple, list)):
-        X = [float(w) for w in window]
-    else:
-        X = [float(window)] * nv
-    omega = float(omega)
-    p = pieces or _START_PIECES[nv]
-    prev, size = _quad_composite(u_jet, g_jet, omega, X, cutoff, p)
-    err = mp.inf
-    while (2 * p * _GL_DEGREE) ** nv <= _MAX_NODES:
-        p *= 2
-        cur, size = _quad_composite(u_jet, g_jet, omega, X, cutoff, p)
-        err = abs(cur - prev)
-        prev = cur
-        if err < tol * max(abs(cur), 1e-30):
-            break
-    return mpc(prev), mpf(max(err, _ROUNDING * size))

@@ -154,10 +154,11 @@ def format_coef(c):
     return str(c)
 
 
-def complex_to_json(z, digits=None):
-    """Complex number as a ``{"re", "im"}`` pair of decimal strings."""
+def complex_to_json(z):
+    """Complex number as a ``{"re", "im"}`` pair of decimal strings, with the
+    digits the working precision carries."""
     z = mpc(z)
-    digits = digits or int(mp.prec / 3.32) + 2
+    digits = int(mp.prec / 3.32) + 2
     return {"re": mp.nstr(z.real, digits), "im": mp.nstr(z.imag, digits)}
 
 
@@ -317,17 +318,6 @@ class SparsePoly:
             total += term
         return total
 
-    def eval_exact(self, point):
-        """Evaluate at exact rational/Gaussian-rational coordinates."""
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            term = c
-            for j, k in enumerate(e):
-                if k:
-                    term = term * point[j] ** k
-            total = total + term
-        return total
-
     def permute(self, perm):
         """Reorder variables: new variable i is old variable ``perm[i]``."""
         if sorted(perm) != list(range(self.nvars)):
@@ -342,9 +332,6 @@ class SparsePoly:
 
     def max_degree(self, j):
         return max((e[j] for e in self.terms), default=-1)
-
-    def support(self):
-        return sorted(self.terms)
 
     def constant_term(self):
         return self.terms.get((0,) * self.nvars, Fraction(0))
@@ -403,7 +390,7 @@ class Jet:
         return cls(nvars, order, center, {(0,) * nvars: value}, caps=caps)
 
     @classmethod
-    def from_poly(cls, poly, center, order, caps=None, exact=False):
+    def from_poly(cls, poly, center, order, exact=False):
         """Taylor-shift a polynomial: coefficients of ``P(center + s)``.
 
         Exact for every polynomial whose degree fits the truncation; terms
@@ -418,7 +405,7 @@ class Jet:
         else:
             cpoint = tuple(mpc(z) for z in center)
             one = mpc(1)
-        out = cls(poly.nvars, order, cpoint, {}, caps=caps)
+        out = cls(poly.nvars, order, cpoint, {})
         zero_idx = (0,) * poly.nvars
         for e, c in poly.terms.items():
             # expand prod_j (c_j + s_j)^{e_j} by the binomial theorem
@@ -466,9 +453,9 @@ class Jet:
     def constant_coefficient(self):
         return self.coeffs.get((0,) * self.nvars, mpc(0))
 
-    def truncate(self, order, caps=None):
-        caps = caps if caps is not None else self.caps
-        return Jet(self.nvars, min(order, self.order), self.center, self.coeffs, caps=caps)
+    def truncate(self, order):
+        return Jet(self.nvars, min(order, self.order), self.center, self.coeffs,
+                   caps=self.caps)
 
     def _compat(self, other):
         if not isinstance(other, Jet):
@@ -695,20 +682,15 @@ class Jet:
         items = ", ".join(f"{b}: {v}" for b, v in sorted(self.coeffs.items()))
         return f"Jet(nvars={self.nvars}, order={self.order}, {{{items}}})"
 
-    def to_json(self, digits=None):
+    def to_json(self):
         """Full-precision decimal serialization for debugging and golden tests."""
-        digits = digits or int(mp.prec / 3.32) + 2
-
-        def cx(z):
-            z = coef_to_mpc(z)
-            return {"re": mp.nstr(z.real, digits), "im": mp.nstr(z.imag, digits)}
-
         return {
             "nvars": self.nvars,
             "order": self.order,
-            "center": [cx(z) for z in self.center],
+            "center": [complex_to_json(coef_to_mpc(z)) for z in self.center],
             "coeffs": [
-                {"beta": list(b), "coef": cx(v)} for b, v in sorted(self.coeffs.items())
+                {"beta": list(b), "coef": complex_to_json(coef_to_mpc(v))}
+                for b, v in sorted(self.coeffs.items())
             ],
         }
 
@@ -757,27 +739,3 @@ def jet_circle_substitute(a, order=None):
         s = circle_exp_series(a.nvars, order, m, radii[m])
         out = out.substitute(m, s, new_center=zero_center)
     return Jet(out.nvars, out.order, zero_center, out.coeffs, caps=out.caps)
-
-
-def jet_allclose(a, b, rel=None, abs_tol=None):
-    """Coefficientwise closeness, relative to the largest magnitude present."""
-    scale = mpf(0)
-    for jet in (a, b):
-        for v in jet.coeffs.values():
-            m = abs(coef_to_mpc(v))
-            if m > scale:
-                scale = m
-    if scale == 0:
-        return True
-    if rel is None:
-        rel = mpf(2) ** (10 - mp.prec)
-    tol = scale * rel
-    if abs_tol is not None:
-        tol = max(tol, mpf(abs_tol))
-    keys = set(a.coeffs) | set(b.coeffs)
-    for k in keys:
-        va = coef_to_mpc(a.coeffs.get(k, 0))
-        vb = coef_to_mpc(b.coeffs.get(k, 0))
-        if abs(va - vb) > tol:
-            return False
-    return True

@@ -5,6 +5,8 @@ functions evaluate the k-th coefficient functional of the asymptotic
 expansion of ``integral u(t) exp(-w g(t)) dt``: the nondegenerate case in any
 dimension (Hessian-inverse differential operator), and the one-dimensional
 degenerate cases of even/odd vanishing order v with Gamma-factor weights.
+Only the terms live here; ``expansion`` weights and sums them.  The tests
+sum them into the integral itself and compare with direct quadrature.
 
 All three are one driver, ``_term``: the k-th term is a finite sum over l of
 a weight times one linear functional of ``u * remainder^l``, and only the
@@ -28,7 +30,6 @@ from dataclasses import dataclass, field
 import mpmath
 from mpmath import mp, mpc, mpf
 
-from .localframe import hessian_from_jet
 from .series import Jet
 
 
@@ -69,14 +70,17 @@ def det_inv_sqrt(A):
     return out
 
 
-def sign_factor(a, tol=mpf("1e-12")):
+SIGN_TOL = mpf("1e-12")
+
+
+def sign_factor(a):
     """``sgn a`` for the odd-order weights: the real sign when a is real to
     tolerance, otherwise the complex phase a/|a|."""
     a = mpc(a)
     mag = abs(a)
     if mag == 0:
         raise BranchError("zero leading coefficient")
-    if abs(a.imag) <= tol * mag:
+    if abs(a.imag) <= SIGN_TOL * mag:
         return mpc(1) if a.real > 0 else mpc(-1)
     return a / mag
 
@@ -159,42 +163,6 @@ def _hessian_inverse_op(jet, inv):
     if out is None:
         return Jet(n, max(jet.order - 2, 0), jet.center, {})
     return out
-
-
-def integral_asymptotic_sum(u_jet, g_jet, omega, N, v=None, coeff_tol=mpf("1e-20")):
-    """N-term asymptotic value of ``integral u e^{-omega g} dt`` at one omega.
-
-    Routes on the vanishing order of the one-variable phase (or uses the
-    nondegenerate multivariate route when the quadratic part is nonsingular);
-    the direct counterpart of the quadrature oracle.
-    """
-    omega = mpf(omega)
-    if g_jet.nvars == 1 and v is None:
-        top = max((abs(c) for c in g_jet.coeffs.values()), default=mpf(0))
-        for m in range(2, g_jet.order + 1):
-            if abs(g_jet.coefficient((m,))) > coeff_tol * top:
-                v = m
-                break
-        if v is None:
-            raise BranchError("phase numerically flat")
-    if g_jet.nvars > 1 or v == 2:
-        A = hessian_from_jet(g_jet)
-        phase = PhaseData.nondegenerate(g_jet, A)
-        s = sum(omega ** (-k) * stationary_term(u_jet, phase, k) for k in range(N))
-        n = g_jet.nvars
-        return (omega / (2 * mp.pi)) ** (-mpf(n) / 2) * det_inv_sqrt(A) * s
-    phase = PhaseData.degenerate(g_jet, v)
-    if v % 2 == 0:
-        s = sum(
-            omega ** (mpf(-2 * k) / v) * stationary_term_even(u_jet, phase, k)
-            for k in range(N)
-        )
-        return 2 * branch_root(phase.a, v) * omega ** (mpf(-1) / v) / v * s
-    s = sum(
-        omega ** (mpf(-k) / v) * stationary_term_odd(u_jet, phase, k)
-        for k in range(N)
-    )
-    return abs(mpc(phase.a)) ** (mpf(-1) / v) * omega ** (mpf(-1) / v) / v * s
 
 
 def _term(u_jet, phase, k, count, degree, summand):

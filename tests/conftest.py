@@ -11,6 +11,8 @@ from mpmath import mp, mpc
 
 from smoothasym import Direction, SparsePoly
 
+from oracles import eval_exact
+
 # the same examples on every run, and no per-example time limit
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
@@ -103,21 +105,21 @@ def random_critical_instance(rng, d, max_degree=4):
                 exp[rng.randrange(d)] += 1
             terms[tuple(exp)] = Fraction(rng.randint(-4, 4))
         H0 = SparsePoly(d, terms)
-        dHd = H0.partial(d - 1).eval_exact(c)
+        dHd = eval_exact(H0.partial(d - 1), c)
         if dHd == 0:
             continue
         kappa = c[d - 1] * dHd / alpha[d - 1]
         lams = []
         ok = True
         for j in range(d - 1):
-            lam = alpha[j] * kappa / c[j] - H0.partial(j).eval_exact(c)
+            lam = alpha[j] * kappa / c[j] - eval_exact(H0.partial(j), c)
             lams.append(lam)
         H = H0
         for j, lam in enumerate(lams):
             H = H + SparsePoly.variable(d, j) * lam
-        H = H - SparsePoly.constant(d, H.eval_exact(c))
+        H = H - SparsePoly.constant(d, eval_exact(H, c))
         # reconfirm smoothness in the last coordinate after the correction
-        if H.partial(d - 1).eval_exact(c) == 0:
+        if eval_exact(H.partial(d - 1), c) == 0:
             continue
         return H, c, Direction(alpha)
 

@@ -1,0 +1,288 @@
+"""Reference implementations the tests judge the package against.
+
+The pipeline calls none of these; each reaches its answer by its own route.
+Independent oracles, and what each checks:
+  maclaurin_table_geometric  ``maclaurin_table``, by a geometric series of 1/D
+  recurrence_residual        a coefficient table, by the residual of D * F = G
+  fourier_laplace_quad       the integral the term calculus expands, by quadrature
+  integral_asymptotic_sum    the term functionals, summed against the quadrature
+  phase_hessian_symmetric_q  ``phase_hessian``, for symmetric H on the diagonal
+  eval_exact                 ``SparsePoly.eval``, in exact arithmetic
+  evaluate_structured        an expansion's flattened and dropped series
+Test harness:
+  jet_allclose               coefficientwise closeness of two jets
+"""
+
+from __future__ import annotations
+
+import functools
+import itertools
+from fractions import Fraction
+
+import numpy as np
+from mpmath import mp, mpc, mpf
+
+from smoothasym.geometry import _is_symmetric
+from smoothasym.localframe import FrameError, hessian_from_jet
+from smoothasym.oracle import OracleError
+from smoothasym.series import GaussRat, SparsePoly, coef_to_mpc
+from smoothasym.stationary import (
+    BranchError,
+    PhaseData,
+    branch_root,
+    det_inv_sqrt,
+    stationary_term,
+    stationary_term_even,
+    stationary_term_odd,
+)
+
+
+def recurrence_residual(table, G_num, H, p, G_den=None):
+    """Max |D*F - P| over the box; exactly zero for a correct table."""
+    D = H**p
+    if G_den is not None:
+        D = D * G_den
+    worst = Fraction(0)
+    for beta in itertools.product(*(range(b + 1) for b in table.bounds)):
+        acc = -G_num.terms.get(beta, Fraction(0))
+        for e, c in D.terms.items():
+            prev = tuple(b - g for b, g in zip(beta, e))
+            if any(x < 0 for x in prev):
+                continue
+            acc = acc + c * table.values.get(prev, Fraction(0))
+        mag = acc.re * acc.re + acc.im * acc.im if isinstance(acc, GaussRat) else acc * acc
+        if mag > worst:
+            worst = mag
+    return worst
+
+
+def maclaurin_table_geometric(G_num, H, p, max_total_degree, G_den=None):
+    """Independent small-case method: expand 1/D as a geometric series.
+
+    ``1/D = (1/D0) sum_m (1 - D/D0)^m`` truncated by total degree; the factor
+    polynomial has positive valuation so the sum is finite.  Quadratic cost,
+    intended for cross-checking boxes of small total degree only.
+    """
+    d = H.nvars
+    D = H**p
+    if G_den is not None:
+        D = D * G_den
+    D0 = D.constant_term()
+    if not D0:
+        raise OracleError("H(0) = 0: the origin lies on the variety")
+
+    def trunc(P):
+        return SparsePoly(
+            d, {e: c for e, c in P.terms.items() if sum(e) <= max_total_degree}
+        )
+
+    U = trunc(SparsePoly.constant(d, 1) - D * (Fraction(1) / D0))
+    acc = SparsePoly.constant(d, 1)
+    for _ in range(max_total_degree):
+        acc = trunc(U * acc) + SparsePoly.constant(d, 1)
+    inv = acc * (Fraction(1) / D0)
+    series = trunc(G_num * inv)
+    return {e: c for e, c in series.terms.items()}
+
+
+def eval_exact(P, point):
+    """Evaluate ``P`` at exact rational/Gaussian-rational coordinates."""
+    total = Fraction(0)
+    for e, c in P.terms.items():
+        term = c
+        for j, k in enumerate(e):
+            if k:
+                term = term * point[j] ** k
+        total = total + term
+    return total
+
+
+_GL_DEGREE = 24
+_START_PIECES = {1: 32, 2: 4}  # per variable
+_MAX_NODES = 400_000  # tensor grid points of the finest resolution tried
+_ROUNDING = 10 * float(np.finfo(float).eps)  # per unit of integrated modulus
+_AGREE = 1e-13  # relative agreement of two resolutions that ends the doubling
+_FLAT = mpf("1e-20")  # phase coefficients below this share of the largest vanish
+
+
+def _bump_np(s):
+    """C-infinity cutoff profile: 1 for s <= 0, 0 for s >= 1."""
+    out = np.zeros_like(s)
+    out[s <= 0] = 1.0
+    mid = (s > 0) & (s < 1)
+    sm = s[mid]
+    f1 = np.exp(-1.0 / (1.0 - sm))
+    f0 = np.exp(-1.0 / sm)
+    out[mid] = f1 / (f1 + f0)
+    return out
+
+
+def _jet_on_grid(jet, axes):
+    """The truncated jet as a polynomial on the tensor grid of ``axes``."""
+    coef = np.zeros((jet.order + 1,) * jet.nvars, dtype=np.complex128)
+    for b, v in jet.coeffs.items():
+        coef[b] = complex(coef_to_mpc(v))
+    # each Horner pass consumes the leading exponent axis and appends a grid axis
+    for t in axes:
+        coef = np.polynomial.polynomial.polyval(t, coef)
+    return coef
+
+
+def _quad_composite(u_jet, g_jet, omega, X, pieces):
+    """Tensor composite Gauss-Legendre over uniform pieces per variable.
+
+    Returns the integral and the integral of the integrand's modulus, which
+    scales the double-precision rounding error of the sum.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(_GL_DEGREE)
+    axes, wts = [], []
+    for Xj in X:
+        edges = np.linspace(-Xj, Xj, pieces + 1)
+        mids = 0.5 * (edges[1:] + edges[:-1])
+        half = 0.5 * (edges[1] - edges[0])
+        axes.append((mids[:, None] + half * nodes[None, :]).ravel())
+        wts.append(np.tile(weights, pieces) * half)
+    vals = _jet_on_grid(u_jet, axes) * np.exp(-omega * _jet_on_grid(g_jet, axes))
+    radius = functools.reduce(
+        np.maximum, [2.0 * np.abs(t) / Xj - 1.0 for t, Xj in zip(np.ix_(*axes), X)]
+    )
+    vals = vals * _bump_np(radius)
+    size = np.abs(vals)
+    for w in wts:
+        vals = np.tensordot(w, vals, axes=1)
+        size = np.tensordot(w, size, axes=1)
+    return complex(vals), float(size)
+
+
+def fourier_laplace_quad(u_jet, g_jet, omega, window):
+    """Direct quadrature of ``integral u(t) exp(-omega g(t)) dt``.
+
+    ``u_jet``/``g_jet`` are jets at 0 in one or two variables, evaluated as
+    truncated polynomials on the window ``[-X, X]`` (per variable).  A smooth
+    plateau factor (identically 1 on the inner half) makes the integrand
+    compactly supported, matching the hypotheses of the expansion theorems.
+    Tensor composite Gauss-Legendre panels, in double precision, double the
+    pieces per variable until two resolutions agree to ``_AGREE`` relative
+    (handles the oscillatory phases) or the grid would exceed ``_MAX_NODES``
+    points.  Returns (value, achieved-error estimate), the estimate being the
+    difference of the last two resolutions but never below the rounding level
+    ``_ROUNDING * integral |u exp(-omega g)|``; inspect it rather than
+    assuming convergence.
+    """
+    if u_jet.nvars != g_jet.nvars:
+        raise OracleError("amplitude and phase dimension mismatch")
+    nv = u_jet.nvars
+    if nv not in _START_PIECES:
+        raise OracleError("quadrature oracle supports one or two variables")
+    if isinstance(window, (tuple, list)):
+        X = [float(w) for w in window]
+    else:
+        X = [float(window)] * nv
+    omega = float(omega)
+    p = _START_PIECES[nv]
+    prev, size = _quad_composite(u_jet, g_jet, omega, X, p)
+    err = mp.inf
+    while (2 * p * _GL_DEGREE) ** nv <= _MAX_NODES:
+        p *= 2
+        cur, size = _quad_composite(u_jet, g_jet, omega, X, p)
+        err = abs(cur - prev)
+        prev = cur
+        if err < _AGREE * max(abs(cur), 1e-30):
+            break
+    return mpc(prev), mpf(max(err, _ROUNDING * size))
+
+
+def integral_asymptotic_sum(u_jet, g_jet, omega, N, v=None):
+    """N-term asymptotic value of ``integral u e^{-omega g} dt`` at one omega.
+
+    Routes on the vanishing order of the one-variable phase (or uses the
+    nondegenerate multivariate route when the quadratic part is nonsingular);
+    the direct counterpart of the quadrature oracle.
+    """
+    omega = mpf(omega)
+    if g_jet.nvars == 1 and v is None:
+        top = max((abs(c) for c in g_jet.coeffs.values()), default=mpf(0))
+        for m in range(2, g_jet.order + 1):
+            if abs(g_jet.coefficient((m,))) > _FLAT * top:
+                v = m
+                break
+        if v is None:
+            raise BranchError("phase numerically flat")
+    if g_jet.nvars > 1 or v == 2:
+        A = hessian_from_jet(g_jet)
+        phase = PhaseData.nondegenerate(g_jet, A)
+        s = sum(omega ** (-k) * stationary_term(u_jet, phase, k) for k in range(N))
+        n = g_jet.nvars
+        return (omega / (2 * mp.pi)) ** (-mpf(n) / 2) * det_inv_sqrt(A) * s
+    phase = PhaseData.degenerate(g_jet, v)
+    if v % 2 == 0:
+        s = sum(
+            omega ** (mpf(-2 * k) / v) * stationary_term_even(u_jet, phase, k)
+            for k in range(N)
+        )
+        return 2 * branch_root(phase.a, v) * omega ** (mpf(-1) / v) / v * s
+    s = sum(
+        omega ** (mpf(-k) / v) * stationary_term_odd(u_jet, phase, k)
+        for k in range(N)
+    )
+    return abs(mpc(phase.a)) ** (mpf(-1) / v) * omega ** (mpf(-1) / v) / v * s
+
+
+def phase_hessian_symmetric_q(H, point):
+    """Symmetric shortcut: the scalar q with off-diagonal q, diagonal 2q.
+
+    Requires H symmetric under variable permutations and the point on the
+    positive diagonal; returns (q, det) with det = d * q^(d-1).
+    """
+    d = H.nvars
+    if not _is_symmetric(H):
+        raise FrameError("polynomial is not symmetric in its variables")
+    c = tuple(mpc(z) for z in point)
+    if any(abs(z - c[0]) > mpf("1e-12") * max(abs(c[0]), mpf(1)) for z in c):
+        raise FrameError("point is not on the diagonal")
+    dHd = H.partial(d - 1).eval(c)
+    ddH = H.partial(d - 1).partial(d - 1).eval(c)
+    dxdH = H.partial(0).partial(d - 1).eval(c)
+    q = 1 + (c[0] / dHd) * (ddH - dxdH)
+    return q, d * q ** (d - 1)
+
+
+def evaluate_structured(expansion, n):
+    """Evaluate from the structured (j, k) records, nothing dropped."""
+    if expansion.kind == "combined":
+        return sum(evaluate_structured(child, n) for child in expansion.children)
+    base = expansion.base_power(n)
+    alpha_d = expansion.meta["alpha_d"]
+    y = mpf(alpha_d.numerator) / alpha_d.denominator * n
+    total = mpc(0)
+    for rec in expansion.structured:
+        rf = mpf(1)
+        for i in range(rec["rising"]):
+            rf *= y + 1 + i
+        e = rec["y_exponent"]
+        total += rf * rec["weight"] * rec["term"] * y ** (
+            mpf(e.numerator) / e.denominator
+        )
+    return base * total
+
+
+def jet_allclose(a, b, rel=None):
+    """Coefficientwise closeness, relative to the largest magnitude present."""
+    scale = mpf(0)
+    for jet in (a, b):
+        for v in jet.coeffs.values():
+            m = abs(coef_to_mpc(v))
+            if m > scale:
+                scale = m
+    if scale == 0:
+        return True
+    if rel is None:
+        rel = mpf(2) ** (10 - mp.prec)
+    tol = scale * rel
+    keys = set(a.coeffs) | set(b.coeffs)
+    for k in keys:
+        va = coef_to_mpc(a.coeffs.get(k, 0))
+        vb = coef_to_mpc(b.coeffs.get(k, 0))
+        if abs(va - vb) > tol:
+            return False
+    return True

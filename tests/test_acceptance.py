@@ -22,18 +22,21 @@ from smoothasym import (
     combine_expansions,
     expand_smooth,
     expand_univariate,
-    fourier_laplace_quad,
-    integral_asymptotic_sum,
     maclaurin_table,
     ratio_asymptotics,
     solve_critical,
 )
 from smoothasym.cli import ProblemSpec, run_expand
 from smoothasym.localframe import hessian_from_jet, smooth_phase_order
-from smoothasym.oracle import maclaurin_table_geometric, recurrence_residual
 from smoothasym.series import coef_to_mpc
 
 from conftest import poly, random_critical_instance, smirnov_family
+from oracles import (
+    fourier_laplace_quad,
+    integral_asymptotic_sum,
+    maclaurin_table_geometric,
+    recurrence_residual,
+)
 from test_cli import DELANNOY_SPEC, QWALK_SPEC
 
 

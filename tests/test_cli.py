@@ -277,6 +277,21 @@ class TestMainEntry:
         assert code == EXIT_NO_CRITICAL
         assert "origin" in capsys.readouterr().err
 
+    def test_exit_univariate_double_root(self, tmp_path, capsys):
+        # H = (1 - x)^2: the only variety point is a double zero
+        obj = {
+            "variables": ["x"],
+            "G": [{"exp": [0], "coef": "1"}],
+            "H": [{"exp": [0], "coef": "1"}, {"exp": [1], "coef": "-2"},
+                  {"exp": [2], "coef": "1"}],
+            "alpha": ["1"],
+        }
+        code = main(["expand", "--input", self._write(tmp_path, obj)])
+        assert code == EXIT_NO_CRITICAL
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "univariate expansion failed: point is not a smooth (simple) zero"
+        }
+
     def test_exit_degenerate_high_dim(self, tmp_path, capsys):
         spec_path = self._write(tmp_path, DEGENERATE_3D_SPEC)
         code = main(["expand", "--input", spec_path, "--assume-strictly-minimal"])

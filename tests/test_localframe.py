@@ -14,7 +14,6 @@ from smoothasym import (
     build_frame,
     implicit_root_jet,
     phase_hessian,
-    phase_hessian_symmetric_q,
     phase_jet,
     solve_critical,
     vanishing_order,
@@ -29,6 +28,7 @@ from smoothasym.localframe import (
 )
 
 from conftest import poly, random_critical_instance
+from oracles import phase_hessian_symmetric_q
 
 
 def close(a, b, tol="1e-45"):
@@ -83,7 +83,7 @@ class TestPhaseJet:
         # phase is log(2 - e^{it}) + it: value 0, slope 0, curvature 2
         _, H, alpha = central_binomial
         h = implicit_root_jet(H, (mpf(1) / 2, mpf(1) / 2), 6)
-        g = phase_jet(h, (mpf(1) / 2, mpf(1) / 2), alpha)
+        g = phase_jet(h, alpha)
         assert g.constant_coefficient() == 0
         assert abs(g.coefficient((1,))) < mpf("1e-55")
         assert close(2 * g.coefficient((2,)), 2)
@@ -91,22 +91,22 @@ class TestPhaseJet:
     def test_gradient_vanishes_at_critical_point(self, delannoy, delannoy_point):
         _, H, alpha = delannoy
         h = implicit_root_jet(H, delannoy_point, 6)
-        g = phase_jet(h, delannoy_point, alpha)
+        g = phase_jet(h, alpha)
         assert abs(g.coefficient((1,))) < mpf("1e-55")
 
     def test_order2_matches_closed_form(self, delannoy, delannoy_point):
         _, H, alpha = delannoy
         h = implicit_root_jet(H, delannoy_point, 6)
-        g = phase_jet(h, delannoy_point, alpha)
+        g = phase_jet(h, alpha)
         A = hessian_from_jet(g)
-        B = phase_hessian(H, delannoy_point, alpha)
+        B = phase_hessian(H, delannoy_point)
         assert close(A[0, 0], B[0, 0], "1e-12")
 
 
 class TestHessianClosedForm:
     def test_central_binomial_scalar(self, central_binomial):
         _, H, alpha = central_binomial
-        A = phase_hessian(H, (mpf(1) / 2, mpf(1) / 2), alpha)
+        A = phase_hessian(H, (mpf(1) / 2, mpf(1) / 2))
         assert close(A[0, 0], 2)
 
     def test_smirnov_matrix(self):
@@ -226,7 +226,7 @@ class TestVanishingOrder:
         G, H, alpha = quantum_walk
         c = (mpc(1), mpc(1))
         h = implicit_root_jet(H, c, 10)
-        g = phase_jet(h, c, alpha)
+        g = phase_jet(h, alpha)
         assert vanishing_order(g) == 3
 
     def test_flat_phase_rejected(self):

@@ -10,15 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
-from smoothasym import GaussRat, Jet, SparsePoly, fourier_laplace_quad, maclaurin_table
-from smoothasym.oracle import (
-    OracleError,
-    decimal_str,
-    maclaurin_table_geometric,
-    recurrence_residual,
-)
+from smoothasym import GaussRat, Jet, SparsePoly, maclaurin_table
+from smoothasym.oracle import OracleError, decimal_str
 
 from conftest import poly, smirnov_family
+from oracles import fourier_laplace_quad, maclaurin_table_geometric, recurrence_residual
 
 
 class TestMaclaurinTable:

@@ -1,11 +1,13 @@
 """The benchmark's accuracy gate, run on the requests a rounding change breaks.
 
-Delannoy at N=8 and Smirnov words at N=4 go through ``cli.main`` and are
-judged by ``perfbench/checks.py`` against ``perfbench/reference.json``:
-flattened coefficients must agree to ``2^-(prec-20)`` relative and exact
-values must match the stored strings.  These are the highest term orders
-the benchmark runs, so a change that reorders the rounding of the term
-calculus shows here first.  The benchmark's own modules are imported
+Delannoy at N=8, Smirnov words at N=4, the quantum walk at N=8 (the
+degenerate odd route) and Smirnov snaps at N=3 (pole order 2 in three
+variables) go through ``cli.main`` and are judged by ``perfbench/checks.py``
+against ``perfbench/reference.json``: flattened coefficients must agree to
+``2^-(prec-20)`` relative and exact values must match the stored strings.
+These are the highest term orders the benchmark runs, on every expansion
+route it takes, so a change that reorders the rounding of the term calculus
+shows here first.  The benchmark's own modules are imported
 read-only, as ``perfbench/tests`` does.
 """
 
@@ -33,7 +35,8 @@ def reference():
     return json.loads((PERFBENCH / "reference.json").read_text())
 
 
-@pytest.mark.parametrize("label, N", [("delannoy", 8), ("smirnov_words", 4)])
+@pytest.mark.parametrize("label, N", [("delannoy", 8), ("smirnov_words", 4),
+                                      ("quantum_walk", 8), ("smirnov_snaps", 3)])
 def test_matches_reference(tmp_path, reference, label, N):
     docs = gen.load_docs(PERFBENCH.parent)
     (req,) = [r for r in gen.generate("jets_high_order", 1, docs) if r.label == label]

@@ -14,7 +14,6 @@ from mpmath import mp, mpc, mpf
 from smoothasym import (
     Jet,
     PhaseData,
-    integral_asymptotic_sum,
     stationary_term,
     stationary_term_even,
     stationary_term_odd,
@@ -27,6 +26,8 @@ from smoothasym.stationary import (
     det_inv_sqrt,
     sign_factor,
 )
+
+from oracles import fourier_laplace_quad, integral_asymptotic_sum
 
 
 def jet1(coeffs, order=14):
@@ -177,8 +178,6 @@ class TestDegenerateEven:
 
     def test_leading_matches_quartic_integral(self):
         # 2 (a w)^{-1/4} / 4 * Gamma(1/4) equals integral e^{-w t^4} over R
-        from smoothasym import fourier_laplace_quad
-
         g = jet1({4: 1})
         phase = PhaseData.degenerate(g, 4)
         u = jet1({0: 1})
