@@ -1,13 +1,14 @@
 """Batch front end: problem specs in JSON, expansions and tables out.
 
-Pipeline per spec: solve the critical-point system, classify the points,
-build the local frame at the chosen minimal point, expand (nondegenerate or
-degenerate route), evaluate against the exact coefficient oracle, and emit a
-paper-style CSV table plus a machine-readable JSON result.
+Pipeline per spec, in every dimension: solve the critical-point system,
+classify the points, expand at the chosen minimal point(s) (univariate route
+in one variable, nondegenerate or degenerate route beyond), evaluate against
+the exact coefficient oracle, and emit a paper-style CSV table plus a
+machine-readable JSON result.
 
 Exit codes: 2 no valid critical point, 3 minimality unknown without the
-override flag, 4 degenerate Hessian in more than two variables; anything else
-malformed exits 1.  Diagnostics go to stderr as JSON.
+override flag, 4 degenerate Hessian in more than two variables; a malformed
+spec or anything else malformed exits 1.  Diagnostics go to stderr as JSON.
 """
 
 from __future__ import annotations
@@ -30,12 +31,7 @@ from .expansion import (
     expand_smooth,
     expand_univariate,
 )
-from .geometry import (
-    Direction,
-    GeometryError,
-    build_report,
-    solve_critical,
-)
+from .geometry import Direction, GeometryError, build_report, solve_critical
 from .localframe import (
     FrameError,
     build_frame,
@@ -117,6 +113,9 @@ class ProblemSpec:
             G_den = None
         H = SparsePoly.from_json(obj["H"], nvars=d)
         overrides = obj.get("overrides", {})
+        n_values = obj.get("n_values", [1, 2, 4, 8, 16])
+        if not isinstance(n_values, list):
+            raise SeriesError("n_values must be a list of integers")
         seeds = None
         if obj.get("seeds"):
             seeds = [
@@ -130,7 +129,7 @@ class ProblemSpec:
             p=int(obj.get("p", 1)),
             alpha=Direction(tuple(Fraction(a) for a in obj["alpha"])),
             N=int(obj.get("N", 2)),
-            n_values=[int(n) for n in obj.get("n_values", [1, 2, 4, 8, 16])],
+            n_values=[int(n) for n in n_values],
             seeds=seeds,
             assume_strictly_minimal=bool(overrides.get("assume_strictly_minimal", False)),
             force_degenerate=bool(overrides.get("force_degenerate", False)),
@@ -191,11 +190,18 @@ def analyze_critical_points(spec):
 
 
 def select_expansion_points(spec, reports):
-    """The smooth minimal point(s) the expansion is taken around."""
+    """The smooth minimal point(s) the expansion is taken around.
+
+    Strictly minimal points qualify, and so do finitely minimal ones: the
+    roots of least modulus in one variable, whose expansions are summed.
+    """
     smooth = [r for r in reports if r.smooth]
     if not smooth:
         raise PipelineExit(EXIT_NO_CRITICAL, "no smooth critical point found")
-    chosen = [r for r in smooth if r.minimality.kind == "strictly-minimal"]
+    chosen = [
+        r for r in smooth
+        if r.minimality.kind in ("strictly-minimal", "finitely-minimal")
+    ]
     if not chosen and spec.assume_strictly_minimal:
         chosen = [r for r in smooth if r.minimality.kind != "not-minimal"]
     if not chosen:
@@ -208,14 +214,15 @@ def select_expansion_points(spec, reports):
             verdicts=kinds,
         )
     # keep the group with the largest exponential base |c^(-alpha)|
-    def base_mag(rep):
-        out = mpf(1)
-        for z, a in zip(rep.point, spec.alpha.alpha):
-            out *= abs(z) ** (-mpf(a.numerator) / a.denominator)
-        return out
-
-    best = max(base_mag(r) for r in chosen)
-    group = [r for r in chosen if base_mag(r) >= best * (1 - mpf("1e-9"))]
+    mags = [spec.alpha.base_magnitude(r.point) for r in chosen]
+    best = max(mags)
+    group = [r for r, mag in zip(chosen, mags) if mag >= best * (1 - mpf("1e-9"))]
+    # every companion of a finitely minimal point shares its base, so it is in
+    # the group unless it is not smooth, and then the sum would miss its pole
+    if any(len(r.minimality.companions) >= len(group) for r in group):
+        raise PipelineExit(
+            EXIT_NO_CRITICAL, "a critical point of minimal modulus is not smooth"
+        )
     return group
 
 
@@ -224,32 +231,29 @@ def select_expansion_points(spec, reports):
 
 def build_expansion(spec):
     """Full route: reports -> frames -> expansion (single point or combined)."""
-    if not spec.H.constant_term():
-        raise PipelineExit(EXIT_NO_CRITICAL, "origin on variety: H(0) = 0")
-    if spec.d == 1:
-        return _build_expansion_univariate(spec), []
     reports = analyze_critical_points(spec)
     group = select_expansion_points(spec, reports)
-    expansions = []
-    for rep in group:
-        expansions.append(_expand_at_point(spec, rep))
-    exp = combine_expansions(expansions)
-    return exp, reports
+    return combine_expansions([_expand_at_point(spec, rep) for rep in group]), reports
 
 
 def _expand_at_point(spec, report):
-    order = smooth_phase_order(spec.N, spec.d)
-    try:
-        frame = build_frame(
-            spec.G_num,
-            spec.H,
-            spec.p,
-            spec.alpha,
-            report.point,
-            order,
-            G_den=spec.G_den,
-            reordering=report.reordering,
+    if spec.d == 1:
+        try:
+            return expand_univariate(
+                spec.G_num, spec.H, spec.p, report.point, G_den=spec.G_den,
+                direction=spec.alpha,
+            )
+        except (ExpansionError, SeriesError) as exc:
+            raise PipelineExit(EXIT_NO_CRITICAL, f"univariate expansion failed: {exc}")
+
+    def frame_of_order(order):
+        return build_frame(
+            spec.G_num, spec.H, spec.p, spec.alpha, report.point, order,
+            G_den=spec.G_den, reordering=report.reordering,
         )
+
+    try:
+        frame = frame_of_order(smooth_phase_order(spec.N, spec.d))
     except FrameError as exc:
         raise PipelineExit(EXIT_NO_CRITICAL, f"frame construction failed: {exc}")
     if not spec.force_degenerate:
@@ -266,53 +270,19 @@ def _expand_at_point(spec, report):
         v = vanishing_order(frame.phase)
         needed = degenerate_phase_order(spec.N, v)
         if frame.order < needed:
-            frame = build_frame(
-                spec.G_num,
-                spec.H,
-                spec.p,
-                spec.alpha,
-                report.point,
-                needed,
-                G_den=spec.G_den,
-                reordering=report.reordering,
-            )
+            frame = frame_of_order(needed)
         return expand_degenerate(frame, spec.N, v=v)
     except FrameError as exc:
         raise PipelineExit(EXIT_NO_CRITICAL, f"degenerate route failed: {exc}")
 
 
-def _build_expansion_univariate(spec):
-    try:
-        points, _ = solve_critical(spec.H, spec.alpha)
-    except GeometryError as exc:
-        raise PipelineExit(EXIT_NO_CRITICAL, f"critical solve failed: {exc}")
-    if not points:
-        raise PipelineExit(EXIT_NO_CRITICAL, "the variety has no points")
-    rho = min(abs(p[0]) for p in points)
-    ring = [p for p in points if abs(p[0]) <= rho * (1 + mpf("1e-9"))]
-    expansions = []
-    for (c,) in ring:
-        try:
-            expansions.append(
-                expand_univariate(
-                    spec.G_num, spec.H, spec.p, (c,), G_den=spec.G_den,
-                    direction=spec.alpha,
-                )
-            )
-        except (ExpansionError, SeriesError) as exc:
-            raise PipelineExit(EXIT_NO_CRITICAL, f"univariate expansion failed: {exc}")
-    return combine_expansions(expansions)
-
-
 # -- table assembly ---------------------------------------------------------------
 
 
-def evaluation_rows(spec, expansion):
-    """Paper-style rows: n, exact, one-term, N-term, signed relative errors.
-
-    Relative error convention matches the published tables:
-    ``(exact - approx) / exact``.
-    """
+def exact_table(spec):
+    """``(usable, skipped, table)``: the requested n whose indices
+    ``n alpha`` are integral, the others, and the exact table covering every
+    usable index."""
     usable = [n for n in spec.n_values if spec.alpha.n_is_integral(n)]
     skipped = [n for n in spec.n_values if n not in usable]
     if not usable:
@@ -325,6 +295,16 @@ def evaluation_rows(spec, expansion):
         max(spec.alpha.index_for(n)[j] for n in usable) for j in range(spec.d)
     )
     table = maclaurin_table(spec.G_num, spec.H, spec.p, bounds, G_den=spec.G_den)
+    return usable, skipped, table
+
+
+def evaluation_rows(spec, expansion):
+    """Paper-style rows: n, exact, one-term, N-term, signed relative errors.
+
+    Relative error convention matches the published tables:
+    ``(exact - approx) / exact``.
+    """
+    usable, skipped, table = exact_table(spec)
     rows = []
     for n in usable:
         idx = spec.alpha.index_for(n)
@@ -399,17 +379,7 @@ def run_expand(spec):
 def run_critical(spec):
     """Critical-point reports only."""
     with workprec(spec.precision_bits):
-        if spec.d == 1:
-            points, checks = solve_critical(spec.H, spec.alpha)
-            if not points:
-                raise PipelineExit(EXIT_NO_CRITICAL, "the variety has no points")
-            reports = [
-                build_report(spec.H, pt, check,
-                             other_points=[q for q in points if q is not pt])
-                for pt, check in zip(points, checks)
-            ]
-        else:
-            reports = analyze_critical_points(spec)
+        reports = analyze_critical_points(spec)
         return {
             "provenance": provenance(spec),
             "critical_points": [r.to_json() for r in reports],
@@ -419,13 +389,7 @@ def run_critical(spec):
 def run_oracle(spec):
     """Exact coefficients at the requested indices, as CSV rows."""
     with workprec(spec.precision_bits):
-        usable = [n for n in spec.n_values if spec.alpha.n_is_integral(n)]
-        if not usable:
-            raise PipelineExit(1, "no requested n gives integral indices")
-        bounds = tuple(
-            max(spec.alpha.index_for(n)[j] for n in usable) for j in range(spec.d)
-        )
-        table = maclaurin_table(spec.G_num, spec.H, spec.p, bounds, G_den=spec.G_den)
+        usable, _, table = exact_table(spec)
         header = (
             [f"beta_{v}" for v in spec.variables] + ["exact_rational", "decimal"]
         )
@@ -493,8 +457,12 @@ def main(argv=None):
     try:
         with open(args.input) as fh:
             spec_obj = json.load(fh)
-        spec_obj = _apply_cli_overrides(spec_obj, args)
-        spec = ProblemSpec.from_json(spec_obj)
+        spec = ProblemSpec.from_json(_apply_cli_overrides(spec_obj, args))
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        diagnostic = {"error": f"malformed spec: {exc}"}
+        sys.stderr.write(json.dumps(diagnostic, sort_keys=True) + "\n")
+        return 1
+    try:
         if args.command == "expand":
             result, csv_text = run_expand(spec)
             _write_or_print(json.dumps(result, indent=2, sort_keys=True) + "\n",

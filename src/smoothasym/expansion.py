@@ -147,10 +147,7 @@ class Expansion:
     children: list = field(default_factory=list)
 
     def base_magnitude(self):
-        out = mpf(1)
-        for z, a in zip(self.base_point, self.direction.alpha):
-            out *= abs(z) ** (-mpf(a.numerator) / a.denominator)
-        return out
+        return self.direction.base_magnitude(self.base_point)
 
     def base_power(self, n):
         """``c^(-n alpha)`` for an admissible integer-index n."""

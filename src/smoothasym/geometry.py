@@ -87,6 +87,14 @@ class Direction:
             raise GeometryError(f"n={n} does not give an integral index")
         return tuple(int(a * n) for a in self.alpha)
 
+    def base_magnitude(self, point):
+        """``|point^(-alpha)|``: the exponential growth per unit of n of the
+        coefficients ``F_{n alpha}`` that ``point`` contributes."""
+        out = mpf(1)
+        for z, a in zip(point, self.alpha):
+            out *= abs(z) ** (-mpf(a.numerator) / a.denominator)
+        return out
+
 
 @dataclass
 class MinimalityVerdict:
@@ -649,15 +657,7 @@ def check_minimality(H, point, other_points=()):
 
 
 def _check_minimality_univariate(H, point):
-    coeffs = [Fraction(0)] * (H.max_degree(0) + 1)
-    for (e,), c in H.terms.items():
-        coeffs[e] += c
-    roots = []
-    for z in _dense_roots_double(coeffs):
-        x, ok, _ = newton_polish([H], (mpc(z),))
-        if ok:
-            roots.append(x[0])
-    roots = [roots[i] for i in _dedupe([(r,) for r in roots])]
+    roots = [r for (r,) in solve_critical(H, Direction((1,)))[0]]
     c = point[0]
     rho = min(abs(r) for r in roots)
     tol = mpf("1e-9") * max(abs(c), mpf(1))

@@ -228,11 +228,33 @@ class TestRunCriticalAndOracle:
         assert rows[1][:2] == ["64", "16"] and rows[1][3].startswith("0.0774425381")
 
 
+def univariate_spec(*coefs):
+    """One-variable spec with G = 1 and H = sum coefs[e] x^e."""
+    return {
+        "variables": ["x"],
+        "G": [{"exp": [0], "coef": "1"}],
+        "H": [{"exp": [e], "coef": c} for e, c in enumerate(coefs) if c != "0"],
+        "alpha": ["1"],
+        "n_values": [1, 2, 3, 4],
+    }
+
+
 class TestMainEntry:
     def _write(self, tmp_path, obj, name="spec.json"):
         path = tmp_path / name
         path.write_text(json.dumps(obj))
         return str(path)
+
+    def _expand(self, tmp_path, capsys, obj):
+        """``(exit code, result JSON, CSV text, stderr)`` of ``expand``."""
+        out_json = str(tmp_path / "out.json")
+        out_csv = str(tmp_path / "out.csv")
+        code = main(["expand", "--input", self._write(tmp_path, obj),
+                     "--out-json", out_json, "--out-csv", out_csv])
+        err = capsys.readouterr().err
+        if code:
+            return code, None, None, err
+        return code, json.loads(open(out_json).read()), open(out_csv).read(), err
 
     def test_expand_writes_files(self, tmp_path, capsys):
         spec_path = self._write(tmp_path, DELANNOY_SPEC)
@@ -289,8 +311,59 @@ class TestMainEntry:
         code = main(["expand", "--input", self._write(tmp_path, obj)])
         assert code == EXIT_NO_CRITICAL
         assert json.loads(capsys.readouterr().err) == {
-            "error": "univariate expansion failed: point is not a smooth (simple) zero"
+            "error": "no smooth critical point found"
         }
+
+    def test_exit_univariate_double_root_on_the_minimal_ring(self, tmp_path, capsys):
+        # H = (1 - x)^2 (1 + x): the simple root -1 shares its modulus with
+        # the double root 1, whose pole an expansion at -1 alone would miss
+        code, _, _, err = self._expand(
+            tmp_path, capsys, univariate_spec("1", "-1", "-1", "1"))
+        assert code == EXIT_NO_CRITICAL
+        assert json.loads(err) == {
+            "error": "a critical point of minimal modulus is not smooth"
+        }
+
+    def test_univariate_critical_origin_on_variety(self, tmp_path, capsys):
+        spec_path = self._write(tmp_path, univariate_spec("0", "1", "-1"))
+        assert main(["critical", "--input", spec_path]) == EXIT_NO_CRITICAL
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "origin on variety: H(0) = 0"
+        }
+
+    def test_univariate_expand_strictly_minimal(self, tmp_path, capsys):
+        # H = 1 - 2x: F_n = 2^n exactly
+        code, result, csv_text, _ = self._expand(
+            tmp_path, capsys, univariate_spec("1", "-2"))
+        assert code == 0
+        kinds = [r["minimality"]["kind"] for r in result["critical_points"]]
+        assert kinds == ["strictly-minimal"]
+        assert result["expansion"]["kind"] == "univariate"
+        assert csv_text == (
+            "n,exact,approx_1,approx_N,rel_err_1,rel_err_N\n"
+            "1,2.0,2.0,2.0,0.0,0.0\n"
+            "2,4.0,4.0,4.0,0.0,0.0\n"
+            "3,8.0,8.0,8.0,0.0,0.0\n"
+            "4,16.0,16.0,16.0,0.0,0.0\n"
+        )
+
+    def test_univariate_expand_finitely_minimal(self, tmp_path, capsys):
+        # H = 1 - x^2: the roots 1 and -1 share the minimal modulus, and the
+        # sum of their expansions is the exact coefficient (1 + (-1)^n)/2
+        code, result, csv_text, _ = self._expand(
+            tmp_path, capsys, univariate_spec("1", "0", "-1"))
+        assert code == 0
+        kinds = [r["minimality"]["kind"] for r in result["critical_points"]]
+        assert kinds == ["finitely-minimal", "finitely-minimal"]
+        assert result["expansion"]["kind"] == "combined"
+        assert len(result["expansion"]["children"]) == 2
+        assert csv_text == (
+            "n,exact,approx_1,approx_N,rel_err_1,rel_err_N\n"
+            "1,0.0,0.0,0.0,nan+0.0j,nan+0.0j\n"
+            "2,1.0,1.0,1.0,0.0,0.0\n"
+            "3,0.0,0.0,0.0,nan+0.0j,nan+0.0j\n"
+            "4,1.0,1.0,1.0,0.0,0.0\n"
+        )
 
     def test_exit_degenerate_high_dim(self, tmp_path, capsys):
         spec_path = self._write(tmp_path, DEGENERATE_3D_SPEC)
@@ -301,6 +374,28 @@ class TestMainEntry:
         spec_path = self._write(tmp_path, {"variables": ["x"]})
         code = main(["expand", "--input", spec_path])
         assert code == 1
+        missing = str(tmp_path / "missing.json")
+        assert main(["expand", "--input", missing]) == 1
+        diagnostic = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert diagnostic["error"].startswith("malformed spec: ")
+
+    @pytest.mark.parametrize("field, value", [
+        ("H", [5]),
+        ("seeds", [1]),
+        ("alpha", 3),
+        ("variables", 2),
+        ("overrides", [1]),
+        (None, [1, 2]),  # a top-level list instead of an object
+        ("H", [{"exp": None, "coef": "1"}]),
+        ("n_values", "12"),
+    ])
+    def test_malformed_spec_field(self, tmp_path, capsys, field, value):
+        obj = value if field is None else dict(DELANNOY_SPEC, **{field: value})
+        code = main(["expand", "--input", self._write(tmp_path, obj)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"].startswith("malformed spec: ")
 
     def test_critical_command(self, tmp_path, capsys):
         spec_path = self._write(tmp_path, DELANNOY_SPEC)
