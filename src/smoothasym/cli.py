@@ -126,15 +126,23 @@ class ProblemSpec:
             G_num=G_num,
             G_den=G_den,
             H=H,
-            p=int(obj.get("p", 1)),
+            p=_json_int(obj.get("p", 1), "p"),
             alpha=Direction(tuple(Fraction(a) for a in obj["alpha"])),
-            N=int(obj.get("N", 2)),
-            n_values=[int(n) for n in n_values],
+            N=_json_int(obj.get("N", 2), "N"),
+            n_values=[_json_int(n, "n_values") for n in n_values],
             seeds=seeds,
             assume_strictly_minimal=bool(overrides.get("assume_strictly_minimal", False)),
             force_degenerate=bool(overrides.get("force_degenerate", False)),
-            precision_bits=int(obj.get("precision_bits", _default_bits())),
+            precision_bits=_json_int(obj.get("precision_bits", _default_bits()), "precision_bits"),
         )
+
+
+def _json_int(value, name):
+    """``int(value)``, refusing a bool or a number with a fractional part,
+    which ``int`` would silently truncate."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise SeriesError(f"{name}: {value!r} is not an integer")
+    return int(value)
 
 
 def _parse_complex(z):
@@ -178,10 +186,8 @@ def analyze_critical_points(spec):
     except GeometryError as exc:
         raise PipelineExit(EXIT_NO_CRITICAL, f"critical solve failed: {exc}")
     if not points:
-        raise PipelineExit(
-            EXIT_NO_CRITICAL,
-            "no critical point converged; supply seeds for more than two variables",
-        )
+        advice = "; supply seeds for more than two variables" if spec.d >= 3 else ""
+        raise PipelineExit(EXIT_NO_CRITICAL, "no critical point converged" + advice)
     reports = []
     for pt, check in zip(points, checks):
         others = [q for q in points if q is not pt]

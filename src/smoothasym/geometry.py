@@ -615,8 +615,12 @@ def _one_minus_H_nonneg(H):
     return True, P
 
 
-def check_minimality(H, point, other_points=()):
+def check_minimality(H, point, other_points=None):
     """Minimality verdict for a smooth variety point.
+
+    ``other_points`` are the other solutions of the critical system, when
+    the caller has them; in one variable they are every other root of
+    ``H``, and ``H`` is solved here when they are not given.
 
     Ladder: (a) nonnegativity/aperiodicity shortcut certifying strict
     minimality at positive real points; (b) for two variables, a
@@ -631,7 +635,7 @@ def check_minimality(H, point, other_points=()):
         raise GeometryError("point is not on the variety")
 
     # quick not-minimal witness: another known variety point strictly inside
-    for q in other_points:
+    for q in other_points or ():
         if all(abs(qj) < abs(pj) * (1 - mpf("1e-9")) for qj, pj in zip(q, point)):
             return MinimalityVerdict(
                 "not-minimal",
@@ -640,7 +644,11 @@ def check_minimality(H, point, other_points=()):
             )
 
     if d == 1:
-        return _check_minimality_univariate(H, point)
+        if other_points is None:
+            roots = solve_critical(H, Direction((1,)))[0]
+        else:
+            roots = [*other_points, point]
+        return _check_minimality_univariate(point, roots)
 
     ok, P = _one_minus_H_nonneg(H)
     if ok and _is_positive_real(point) and is_aperiodic(P):
@@ -656,8 +664,9 @@ def check_minimality(H, point, other_points=()):
     return _sample_minimality(H, point)
 
 
-def _check_minimality_univariate(H, point):
-    roots = [r for (r,) in solve_critical(H, Direction((1,)))[0]]
+def _check_minimality_univariate(point, roots):
+    """Verdict for ``point`` among ``roots``, all the roots of ``H``."""
+    roots = [r for (r,) in roots]
     c = point[0]
     rho = min(abs(r) for r in roots)
     tol = mpf("1e-9") * max(abs(c), mpf(1))
@@ -820,7 +829,7 @@ def _sample_minimality(H, point):
     )
 
 
-def build_report(H, point, check, other_points=()):
+def build_report(H, point, check, other_points=None):
     """Classify one solved point into a CriticalPointReport.
 
     ``check`` is the point's ``PointCheck`` from ``solve_critical``.

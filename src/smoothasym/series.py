@@ -6,14 +6,36 @@ point, normally with arbitrary-precision complex coefficients (``mpmath``),
 and are the substrate for every derivative computed downstream.  Jet
 coefficients are Taylor coefficients, i.e. the coefficient of ``(x-c)^beta``
 is ``d^beta f(c) / beta!``.
+
+Every jet product runs through one coefficient loop, ``Jet._product``, which
+``__mul__`` and ``mul_degree`` share.  Its invariants:
+
+- The operand with fewer coefficients is the outer loop; on a tie ``self``
+  is.  The inner operand keeps its own order.
+- Each output coefficient sums its pairs in outer-loop order: the first
+  product is stored, each later one is added to the running sum.
+- Output keys appear in the order in which the loops first reach them.
+- Coefficients that sum to an exact zero are dropped.
+
+When every coefficient of both operands is an ``mpc``, the loop works on the
+raw ``_mpc_`` pairs with ``mpmath.libmp``: ``mpf_mul`` without rounding, then
+``mpf_sub``/``mpf_add`` at the context's precision and rounding, read once per
+product.  That is exactly what ``mpc.__mul__`` and ``mpc.__add__`` do, so each
+coefficient is bit-identical to the one the same loop over ``mpc`` objects
+gives.  Other coefficients (the exact ``Fraction`` and ``GaussRat`` data of
+tests) go through the same loop with Python's operators.  ``Jet.__add__`` and
+the zero filter of ``Jet.__init__`` use the same two kinds of arithmetic.
 """
 
 from __future__ import annotations
 
 import json
+import operator
+from collections import namedtuple
 from fractions import Fraction
 
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import fzero, mpf_add, mpf_mul, mpf_sub
 
 DEFAULT_BITS = 212
 
@@ -349,12 +371,49 @@ class SparsePoly:
 # -- jets --------------------------------------------------------------------
 
 
+def _mpc_of(re, im):
+    """An ``mpc`` with the given raw parts, as ``mpc`` arithmetic builds one."""
+    z = object.__new__(mpc)
+    z._mpc_ = (re, im)
+    return z
+
+
+# How a coefficient becomes a pair of slots (``split``) and back (``join``),
+# and the slot arithmetic; ``add`` and ``sub`` take the precision and
+# rounding mode that ``mpmath.libmp`` needs.
+_Arithmetic = namedtuple("_Arithmetic", "split join mul add sub zero")
+_RAW = _Arithmetic(operator.attrgetter("_mpc_"), _mpc_of, mpf_mul, mpf_add, mpf_sub, fzero)
+# A value rides beside an exact 0, so the complex product of two pairs
+# reduces to ``v1 * v2`` (less ``0 * 0``) and sums to ``v1 + v2``.
+_EXACT = _Arithmetic(
+    lambda v: (v, 0),
+    lambda re, im: re,
+    operator.mul,
+    lambda x, y, prec, rnd: x + y,
+    lambda x, y, prec, rnd: x - y,
+    0,
+)
+
+
+def _arithmetic(*coeff_dicts):
+    """``_RAW`` when every coefficient is an ``mpc``, ``_EXACT`` otherwise."""
+    if all(type(v) is mpc for d in coeff_dicts for v in d.values()):
+        return _RAW
+    return _EXACT
+
+
 class Jet:
     """Truncated Taylor expansion at ``center``, orders ``<= order``.
 
     Coefficients are ``mpc`` (or exact rationals when built from exact data).
     ``caps`` is an optional per-variable degree cap used internally to avoid
     carrying powers that can never influence the requested coefficients.
+
+    Products keep the invariants the module docstring states: the smaller
+    operand (``self`` on a tie) is the outer loop, each coefficient sums its
+    pairs in outer-loop order, keys appear in first-reached order, and exact
+    zeros are dropped.  On ``mpc`` coefficients every rounding is the one
+    ``mpc`` arithmetic makes, so results are bit-identical to it.
     """
 
     __slots__ = ("nvars", "order", "center", "coeffs", "caps")
@@ -370,8 +429,10 @@ class Jet:
         self.caps = tuple(caps) if caps is not None else None
         self.coeffs = {}
         if coeffs:
+            arith = _arithmetic(coeffs)
+            zeros = (arith.zero, arith.zero)
             for beta, c in coeffs.items():
-                if self._keeps(beta) and not (c == 0):
+                if self._keeps(beta) and arith.split(c) != zeros:
                     self.coeffs[tuple(beta)] = c
 
     def _keeps(self, beta):
@@ -476,9 +537,16 @@ class Jet:
 
     def __add__(self, other):
         self._compat(other)
+        split, join, _, add, _, _ = _arithmetic(self.coeffs, other.coeffs)
+        prec, rnd = mp._prec_rounding
         coeffs = dict(self.coeffs)
         for b, v in other.coeffs.items():
-            coeffs[b] = coeffs[b] + v if b in coeffs else v
+            old = coeffs.get(b)
+            if old is None:
+                coeffs[b] = v
+            else:
+                (re, im), (re2, im2) = split(old), split(v)
+                coeffs[b] = join(add(re, re2, prec, rnd), add(im, im2, prec, rnd))
         caps = _merge_caps(self.caps, other.caps)
         return Jet(self.nvars, self.order, self.center, coeffs, caps=caps)
 
@@ -494,50 +562,72 @@ class Jet:
     def __mul__(self, other):
         if not isinstance(other, Jet):
             return self.scale(other)
-        self._compat(other)
-        caps = _merge_caps(self.caps, other.caps)
-        out = Jet(self.nvars, self.order, self.center, {}, caps=caps)
-        coeffs = out.coeffs
-        small, big = self.coeffs, other.coeffs
-        if len(big) < len(small):
-            small, big = big, small
-        for b1, v1 in small.items():
-            d1 = sum(b1)
-            for b2, v2 in big.items():
-                if d1 + sum(b2) > self.order:
-                    continue
-                b = tuple(x + y for x, y in zip(b1, b2))
-                if not out._keeps(b):
-                    continue
-                prod = v1 * v2
-                coeffs[b] = coeffs[b] + prod if b in coeffs else prod
-        out.coeffs = {b: v for b, v in coeffs.items() if not (v == 0)}
-        return out
+        return self._product(other, 0, self.order)
 
     __rmul__ = scale
 
     def mul_degree(self, other, m):
         """Degree-``m`` homogeneous part of ``self * other``.
 
-        Each coefficient is bit-identical to the one ``__mul__`` returns: the
-        same operand is the outer loop and every coefficient sums its pairs
-        in the same order.
+        Each coefficient is bit-identical to the one ``__mul__`` returns: both
+        run ``_product``.
         """
+        return self._product(other, m, m)
+
+    def _product(self, other, lo, hi):
+        """The terms of ``self * other`` of total degree ``lo..hi``: the one
+        product loop, with the invariants the module docstring states."""
         self._compat(other)
+        caps = _merge_caps(self.caps, other.caps)
+        out = Jet(self.nvars, self.order, self.center, {}, caps=caps)
+        hi = min(hi, self.order)
         small, big = self.coeffs, other.coeffs
         if len(big) < len(small):
             small, big = big, small
-        by_degree = {}
-        for b2, v2 in big.items():
-            by_degree.setdefault(sum(b2), []).append((b2, v2))
-        coeffs = {}
+        split, join, mul, add, sub, zero = _arithmetic(small, big)
+        prec, rnd = mp._prec_rounding
+        # A multi-index packs into one integer, ``width`` bits per variable.
+        # No index of total degree <= order has a part above order, so the
+        # sum of two packed indices never carries.
+        width = self.order.bit_length() or 1
+        shifts = range(0, width * self.nvars, width)
+        capped = [(j, cap) for j, cap in enumerate(caps or ()) if cap is not None]
+        inner = [
+            (sum(b), b, sum(e << s for e, s in zip(b, shifts)), *split(v))
+            for b, v in big.items()
+        ]
+        rows = {}  # (outer degree, room under each cap) -> usable inner terms
+        acc = {}
+        get = acc.get
         for b1, v1 in small.items():
-            for b2, v2 in by_degree.get(m - sum(b1), ()):
-                b = tuple(x + y for x, y in zip(b1, b2))
-                prod = v1 * v2
-                coeffs[b] = coeffs[b] + prod if b in coeffs else prod
-        return Jet(self.nvars, self.order, self.center, coeffs,
-                   caps=_merge_caps(self.caps, other.caps))
+            d1 = sum(b1)
+            room = tuple(cap - b1[j] for j, cap in capped)
+            row = rows.get((d1, room))
+            if row is None:
+                row = rows[d1, room] = [
+                    (k2, c, d) for d2, b2, k2, c, d in inner
+                    if lo <= d1 + d2 <= hi
+                    and (not capped or all(b2[j] <= r for (j, _), r in zip(capped, room)))
+                ]
+            k1 = sum(e << s for e, s in zip(b1, shifts))
+            a, b = split(v1)
+            for k2, c, d in row:
+                re = sub(mul(a, c), mul(b, d), prec, rnd)
+                im = add(mul(a, d), mul(b, c), prec, rnd)
+                k = k1 + k2
+                old = get(k)
+                if old is None:
+                    acc[k] = (re, im)
+                else:
+                    acc[k] = (add(old[0], re, prec, rnd), add(old[1], im, prec, rnd))
+        mask = (1 << width) - 1
+        zeros = (zero, zero)
+        out.coeffs = {
+            tuple(k >> s & mask for s in shifts): join(*pair)
+            for k, pair in acc.items()
+            if pair != zeros
+        }
+        return out
 
     def pow_int(self, k):
         if not isinstance(k, int) or k < 0:

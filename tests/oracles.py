@@ -9,6 +9,8 @@ Independent oracles, and what each checks:
   phase_hessian_symmetric_q  ``phase_hessian``, for symmetric H on the diagonal
   eval_exact                 ``SparsePoly.eval``, in exact arithmetic
   evaluate_structured        an expansion's flattened and dropped series
+  reference_jet_mul          ``Jet.__mul__``, by the product loop on ``mpc`` objects
+  reference_mul_degree       ``Jet.mul_degree``, by the same loop on one degree
 Test harness:
   jet_allclose               coefficientwise closeness of two jets
 """
@@ -25,7 +27,7 @@ from mpmath import mp, mpc, mpf
 from smoothasym.geometry import _is_symmetric
 from smoothasym.localframe import FrameError, hessian_from_jet
 from smoothasym.oracle import OracleError
-from smoothasym.series import GaussRat, SparsePoly, coef_to_mpc
+from smoothasym.series import GaussRat, Jet, SparsePoly, _merge_caps, coef_to_mpc
 from smoothasym.stationary import (
     BranchError,
     PhaseData,
@@ -286,3 +288,51 @@ def jet_allclose(a, b, rel=None):
         if abs(va - vb) > tol:
             return False
     return True
+
+
+# The product loops ``Jet.__mul__`` and ``Jet.mul_degree`` ran before the jet
+# kernel worked on raw ``_mpc_`` pairs, kept as they were: coefficient objects
+# and their Python operators, tuple indices, and a degree test on every pair.
+# The kernel must give the same keys, in the same order, with the same bits.
+
+
+def reference_jet_mul(self, other):
+    if not isinstance(other, Jet):
+        return self.scale(other)
+    self._compat(other)
+    caps = _merge_caps(self.caps, other.caps)
+    out = Jet(self.nvars, self.order, self.center, {}, caps=caps)
+    coeffs = out.coeffs
+    small, big = self.coeffs, other.coeffs
+    if len(big) < len(small):
+        small, big = big, small
+    for b1, v1 in small.items():
+        d1 = sum(b1)
+        for b2, v2 in big.items():
+            if d1 + sum(b2) > self.order:
+                continue
+            b = tuple(x + y for x, y in zip(b1, b2))
+            if not out._keeps(b):
+                continue
+            prod = v1 * v2
+            coeffs[b] = coeffs[b] + prod if b in coeffs else prod
+    out.coeffs = {b: v for b, v in coeffs.items() if not (v == 0)}
+    return out
+
+
+def reference_mul_degree(self, other, m):
+    self._compat(other)
+    small, big = self.coeffs, other.coeffs
+    if len(big) < len(small):
+        small, big = big, small
+    by_degree = {}
+    for b2, v2 in big.items():
+        by_degree.setdefault(sum(b2), []).append((b2, v2))
+    coeffs = {}
+    for b1, v1 in small.items():
+        for b2, v2 in by_degree.get(m - sum(b1), ()):
+            b = tuple(x + y for x, y in zip(b1, b2))
+            prod = v1 * v2
+            coeffs[b] = coeffs[b] + prod if b in coeffs else prod
+    return Jet(self.nvars, self.order, self.center, coeffs,
+               caps=_merge_caps(self.caps, other.caps))

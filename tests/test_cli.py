@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from smoothasym import cli, geometry
 from smoothasym.cli import (
     EXIT_DEGENERATE_HIGH_DIM,
     EXIT_MINIMALITY_UNKNOWN,
@@ -18,6 +19,7 @@ from smoothasym.cli import (
     run_expand,
     run_oracle,
 )
+from smoothasym.geometry import solve_critical
 
 DELANNOY_SPEC = {
     "variables": ["x", "y"],
@@ -347,6 +349,30 @@ class TestMainEntry:
             "4,16.0,16.0,16.0,0.0,0.0\n"
         )
 
+    def test_univariate_roots_solved_once(self, tmp_path, capsys, monkeypatch):
+        # H = 1 - x^4: the minimality check of each root takes the other
+        # roots from the one solve instead of solving H again
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve_critical(*args, **kwargs)
+
+        monkeypatch.setattr(geometry, "solve_critical", counting)
+        monkeypatch.setattr(cli, "solve_critical", counting)
+        code, result, _, _ = self._expand(
+            tmp_path, capsys, univariate_spec("1", "0", "0", "0", "-1"))
+        assert code == 0
+        assert len(calls) == 1
+        verdicts = [r["minimality"] for r in result["critical_points"]]
+        assert [v["kind"] for v in verdicts] == ["finitely-minimal"] * 4
+
+    def test_exit_univariate_without_roots(self, tmp_path, capsys):
+        # H = 1: no seeds can help one variable, so none are suggested
+        code, _, _, err = self._expand(tmp_path, capsys, univariate_spec("1"))
+        assert code == EXIT_NO_CRITICAL
+        assert json.loads(err) == {"error": "no critical point converged"}
+
     def test_univariate_expand_finitely_minimal(self, tmp_path, capsys):
         # H = 1 - x^2: the roots 1 and -1 share the minimal modulus, and the
         # sum of their expansions is the exact coefficient (1 + (-1)^n)/2
@@ -388,6 +414,11 @@ class TestMainEntry:
         (None, [1, 2]),  # a top-level list instead of an object
         ("H", [{"exp": None, "coef": "1"}]),
         ("n_values", "12"),
+        ("n_values", [1.5, 2.9]),  # int() truncated each of these
+        ("N", 2.7),
+        ("p", True),
+        ("precision_bits", 212.5),
+        ("n_values", [4, False]),
     ])
     def test_malformed_spec_field(self, tmp_path, capsys, field, value):
         obj = value if field is None else dict(DELANNOY_SPEC, **{field: value})

@@ -6,6 +6,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
 from smoothasym import GaussRat, Jet, SparsePoly, jet_circle_substitute
@@ -17,7 +19,7 @@ from smoothasym.series import (
 )
 
 from conftest import poly
-from oracles import eval_exact, jet_allclose
+from oracles import eval_exact, jet_allclose, reference_jet_mul, reference_mul_degree
 
 
 def close(a, b, tol="1e-50"):
@@ -168,6 +170,78 @@ class TestJetArithmetic:
             c = _random_jet(rng, 2, 5)
             assert jet_allclose((a * b) * c, a * (b * c), rel=tol)
             assert jet_allclose(a * (b + c), a * b + a * c, rel=tol)
+
+
+@st.composite
+def product_operands(draw):
+    """Two jets for the product kernel, with coefficients built at the
+    current precision.
+
+    ``kind`` picks the coefficients: small Gaussian integers (every sum is
+    exact, so cancellations give exact zeros), rationals rounded to the
+    precision (sums round), or exact ``Fraction`` values.  The second jet is
+    independent of the first, or the first at ``-x`` (the same keys, so the
+    sizes tie and every odd-degree sum cancels), or the first's keys in
+    reverse order with new coefficients (the sizes tie again).
+    """
+    nvars = draw(st.integers(1, 3))
+    order = draw(st.integers(0, 8))
+    kind = draw(st.sampled_from(["gauss", "rounded", "fraction"]))
+
+    def coef():
+        if kind == "fraction":
+            return Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 7)))
+        re, im = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        if kind == "gauss":
+            return mpc(re, im)
+        return mpc(mpf(re) / draw(st.integers(1, 7)), mpf(im) / draw(st.integers(1, 7)))
+
+    def index():
+        room, beta = order, []
+        for _ in range(nvars):
+            beta.append(draw(st.integers(0, room)))
+            room -= beta[-1]
+        return tuple(draw(st.permutations(beta)))
+
+    def caps():
+        if not draw(st.booleans()):
+            return None
+        return tuple(draw(st.none() | st.integers(0, order)) for _ in range(nvars))
+
+    def jet(keys):
+        return Jet(nvars, order, (0,) * nvars, {b: coef() for b in keys}, caps=caps())
+
+    a = jet([index() for _ in range(draw(st.integers(0, 12)))])
+    shape = draw(st.sampled_from(["independent", "mirror", "reversed"]))
+    if shape == "independent":
+        b = jet([index() for _ in range(draw(st.integers(0, 12)))])
+    elif shape == "mirror":
+        b = Jet(nvars, order, a.center,
+                {k: -v if sum(k) % 2 else v for k, v in a.coeffs.items()}, caps=caps())
+    else:
+        b = jet(reversed(list(a.coeffs)))
+    return a, b
+
+
+def _bits(jet):
+    """A jet's keys in order, each with its coefficient's raw ``mpc`` parts
+    (or the exact value itself), and its caps."""
+    return jet.caps, [(b, getattr(v, "_mpc_", v)) for b, v in jet.coeffs.items()]
+
+
+class TestProductKernel:
+    """``Jet.__mul__`` and ``Jet.mul_degree`` against the loops they replaced
+    (``oracles.reference_jet_mul`` and ``reference_mul_degree``): the same
+    keys in the same order, and bit-identical ``mpc`` coefficients."""
+
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_bit_identical_to_reference_loop(self, data):
+        with mp.workprec(data.draw(st.sampled_from([212, 100]))):
+            a, b = data.draw(product_operands())
+            assert _bits(a * b) == _bits(reference_jet_mul(a, b))
+            for m in range(a.order + 2):
+                assert _bits(a.mul_degree(b, m)) == _bits(reference_mul_degree(a, b, m))
 
 
 class TestReciprocal:
