@@ -91,6 +91,10 @@ class ProblemSpec:
             raise SeriesError("p must be a positive integer")
         if self.N < 1:
             raise SeriesError("N must be a positive integer")
+        if any(n < 1 for n in self.n_values):
+            raise SeriesError("n_values entries must be positive integers")
+        if self.precision_bits < 53:
+            raise SeriesError("precision_bits must be at least 53 bits")
         if self.alpha.d != d:
             raise SeriesError("direction length does not match the variable list")
 

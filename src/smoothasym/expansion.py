@@ -290,7 +290,7 @@ def expand_smooth(frame, N):
         raise DegenerateHessianError(
             "phase Hessian is singular at the critical point"
         )
-    phase = PhaseData.nondegenerate(frame.phase, frame.hessian)
+    phase = PhaseData.nondegenerate(frame.phase, frame.hessian, N)
     return _assemble(
         frame,
         "smooth",
@@ -318,7 +318,7 @@ def expand_degenerate(frame, N, v=None):
         raise ExpansionError(
             f"frame order {frame.order} below the {needed} required for N={N}, v={v}"
         )
-    phase = PhaseData.degenerate(frame.phase, v)
+    phase = PhaseData.degenerate(frame.phase, v, N)
     if parity == "even":
         term, step = stationary_term_even, 2
         pref = branch_root(phase.a, v) / (mp.pi * v)

@@ -17,6 +17,20 @@ Every jet product runs through one coefficient loop, ``Jet._product``, which
 - Output keys appear in the order in which the loops first reach them.
 - Coefficients that sum to an exact zero are dropped.
 
+The Horner chains (``reciprocal``, ``log``, ``substitute``, and the remainder
+powers of ``stationary``) compute each step only through the highest degree a
+later step reads: ``_product(other, lo, hi)`` drops the pairs outside the
+window, and with the same outer operand every kept coefficient, its key and
+the key order are exactly the full product's restricted to the window.  The
+outer operand is chosen by operand sizes, and a windowed operand is smaller
+than its full-order self, so each windowed product is told the sizes the
+full-order operands have (``sizes``).  ``_Support`` tracks them: a step's own
+keys through its window, and above it the keys the full chain reaches, the
+sums of the operands' keys within the order and caps.  That count is the full
+chain's unless a coefficient above a window sums to an exact zero, which only
+the full chain can see; then a product may loop over the other operand, and
+its coefficients agree with the full chain's to rounding.
+
 When every coefficient of both operands is an ``mpc``, the loop works on the
 raw ``_mpc_`` pairs with ``mpmath.libmp``: ``mpf_mul`` without rounding, then
 ``mpf_sub``/``mpf_add`` at the context's precision and rounding, read once per
@@ -31,6 +45,7 @@ from __future__ import annotations
 
 import json
 import operator
+from bisect import bisect_left
 from collections import namedtuple
 from fractions import Fraction
 
@@ -414,6 +429,12 @@ class Jet:
     pairs in outer-loop order, keys appear in first-reached order, and exact
     zeros are dropped.  On ``mpc`` coefficients every rounding is the one
     ``mpc`` arithmetic makes, so results are bit-identical to it.
+
+    The Horner chains compute step ``t`` only through the degree later steps
+    read (``t`` for ``reciprocal`` and ``log``, ``order - k`` for the power
+    ``k`` of ``substitute``) and pick each outer operand by the sizes the
+    full-order operands have, so their results are the full chains' bit for
+    bit, unless a coefficient above a window sums to an exact zero.
     """
 
     __slots__ = ("nvars", "order", "center", "coeffs", "caps")
@@ -566,23 +587,29 @@ class Jet:
 
     __rmul__ = scale
 
-    def mul_degree(self, other, m):
+    def mul_degree(self, other, m, sizes=None):
         """Degree-``m`` homogeneous part of ``self * other``.
 
         Each coefficient is bit-identical to the one ``__mul__`` returns: both
-        run ``_product``.
+        run ``_product``.  ``sizes`` is as there.
         """
-        return self._product(other, m, m)
+        return self._product(other, m, m, sizes)
 
-    def _product(self, other, lo, hi):
+    def _product(self, other, lo, hi, sizes=None):
         """The terms of ``self * other`` of total degree ``lo..hi``: the one
-        product loop, with the invariants the module docstring states."""
+        product loop, with the invariants the module docstring states.
+
+        ``sizes`` gives the coefficient counts of the full-order jets that
+        ``self`` and ``other`` are windows of; the outer operand is chosen by
+        them, as the full-order product would choose it.
+        """
         self._compat(other)
         caps = _merge_caps(self.caps, other.caps)
         out = Jet(self.nvars, self.order, self.center, {}, caps=caps)
         hi = min(hi, self.order)
+        n_self, n_other = sizes or (len(self.coeffs), len(other.coeffs))
         small, big = self.coeffs, other.coeffs
-        if len(big) < len(small):
+        if n_other < n_self:
             small, big = big, small
         split, join, mul, add, sub, zero = _arithmetic(small, big)
         prec, rnd = mp._prec_rounding
@@ -669,11 +696,7 @@ class Jet:
             {b: -(v / a0) for b, v in self.coeffs.items() if sum(b) > 0},
             caps=self.caps,
         )
-        one = _one_like(self)
-        acc = Jet.constant(self.nvars, self.order, self.center, one, caps=self.caps)
-        for _ in range(self.order):
-            acc = u * acc
-            acc = acc + Jet.constant(self.nvars, self.order, self.center, one, caps=self.caps)
+        acc = u._horner([_one_like(self)] * (self.order + 1))
         return acc.map_coeffs(lambda v: v / a0)
 
     def log(self):
@@ -692,21 +715,36 @@ class Jet:
             out = Jet(self.nvars, 0, self.center, {}, caps=self.caps)
         else:
             # log(1+u) = u*(1 - u/2 + u^2/3 - ...) via Horner
-            acc = Jet.constant(
-                self.nvars, self.order, self.center,
-                mpc((-1) ** (self.order + 1)) / self.order, caps=self.caps,
+            out = u._horner(
+                [None] + [mpc((-1) ** (m + 1)) / m for m in range(1, self.order + 1)]
             )
-            for m in range(self.order - 1, 0, -1):
-                acc = u * acc
-                acc = acc + Jet.constant(
-                    self.nvars, self.order, self.center,
-                    mpc((-1) ** (m + 1)) / m, caps=self.caps,
-                )
-            out = u * acc
         const = mp.log(mpc(coef_to_mpc(a0)))
         if const != 0:
             out = out + Jet.constant(self.nvars, self.order, self.center, const, caps=self.caps)
         return out
+
+    def _horner(self, coeffs):
+        """``sum_m coeffs[m] * self**m`` for a jet without constant term, by
+        the chain ``acc = self * acc + coeffs[m]`` from the top ``m`` down;
+        ``coeffs[0]`` may be ``None``, which adds nothing.
+
+        Step ``t`` of the chain runs only through degree ``t``: ``self`` has
+        valuation >= 1, so step ``t + 1`` reads step ``t`` through degree
+        ``t`` and the last step, ``t = len(coeffs) - 1 = order``, is whole.
+        """
+        top = len(coeffs) - 1
+        support = _Support(self)
+        mine = support.keys(self.coeffs)
+        reached = {0}  # the keys of the full-order accumulator
+        acc = Jet.constant(self.nvars, self.order, self.center, coeffs[top], caps=self.caps)
+        for t in range(1, top + 1):
+            acc = self._product(acc, 0, t, (len(self.coeffs), len(reached)))
+            if coeffs[top - t] is not None:
+                acc = acc + Jet.constant(
+                    self.nvars, self.order, self.center, coeffs[top - t], caps=self.caps
+                )
+            reached = support.product(mine, reached, t + 1) | support.keys(acc.coeffs)
+        return acc
 
     # -- calculus ------------------------------------------------------------
 
@@ -762,10 +800,20 @@ class Jet:
             top = max(top, k)
         out = Jet(self.nvars, self.order, center, parts.get(top, {}), caps=self.caps)
         series = Jet(self.nvars, self.order, center, series.coeffs, caps=self.caps)
+        support = _Support(out)
+        theirs = support.keys(series.coeffs)
+        reached = support.keys(out.coeffs)  # the keys of the full-order ``out``
         for k in range(top - 1, -1, -1):
-            out = out * series
+            # ``series`` has valuation >= 1, so the result reads the step for
+            # ``k`` only through degree ``order - k``
+            hi = self.order - k
+            out = out._product(series, 0, hi, (len(reached), len(series.coeffs)))
+            above = support.product(reached, theirs, hi + 1)
             if k in parts:
-                out = out + Jet(self.nvars, self.order, center, parts[k], caps=self.caps)
+                above |= support.keys(parts[k], hi + 1)
+                low = {b: v for b, v in parts[k].items() if sum(b) <= hi}
+                out = out + Jet(self.nvars, self.order, center, low, caps=self.caps)
+            reached = above | support.keys(out.coeffs)
         return out
 
     def __repr__(self):
@@ -783,6 +831,74 @@ class Jet:
                 for b, v in sorted(self.coeffs.items())
             ],
         }
+
+
+class _Support:
+    """Key sets of the full-order jets of a windowed chain, on packed integers.
+
+    Through its window a step holds exactly the full-order step's keys; above
+    it, the set holds every key the full-order loops reach there, the sums of
+    the operands' keys within the order and caps.  Its size is the full-order
+    jet's unless a coefficient above the window summed to an exact zero,
+    which only the full-order computation can see.
+
+    A key packs a multi-index ``width`` bits per variable, with its total
+    degree in the field above, so keys sort by degree and the sum of two keys
+    is the key of the summed index.
+    """
+
+    def __init__(self, jet):
+        self.order = jet.order
+        width = jet.order.bit_length() or 1
+        self.shifts = range(0, width * jet.nvars, width)
+        self.top = width * jet.nvars
+        self.mask = (1 << width) - 1
+        self.caps = [(s, cap) for s, cap in zip(self.shifts, jet.caps or ()) if cap is not None]
+
+    def keys(self, coeffs, low=0):
+        """The packed keys of degree at least ``low`` of a coefficient dict."""
+        shifts, top = self.shifts, self.top
+        return {
+            sum(map(operator.lshift, b, shifts)) + (d << top)
+            for b in coeffs
+            if (d := sum(b)) >= low
+        }
+
+    def product(self, a, b, low):
+        """The keys of degree at least ``low`` that a product of jets with
+        keys ``a`` and ``b`` reaches: the sums within the order and caps."""
+        b = sorted(b)
+        out = set()
+        for x in a:
+            d = x >> self.top
+            lo = bisect_left(b, (low - d) << self.top)
+            hi = bisect_left(b, (self.order + 1 - d) << self.top)
+            out.update(map(x.__add__, b[lo:hi]))
+        if self.caps:
+            mask = self.mask
+            out = {k for k in out if all(k >> s & mask <= cap for s, cap in self.caps)}
+        return out
+
+
+def power_chain(base, window):
+    """Yield ``(base**l, count)`` for ``l = 0, 1, ...``, each power one
+    product from the one below and computed only through degree
+    ``window(l)``; ``count`` is the number of coefficients the full-order
+    power has (the ``sizes`` entry of a product with it).
+
+    ``window(l)`` must cover what power ``l + 1`` reads, which holds when
+    ``window(l + 1) - window(l)`` is at most the valuation of ``base``.
+    """
+    support = _Support(base)
+    theirs = support.keys(base.coeffs)
+    reached = {0}
+    power = Jet.constant(base.nvars, base.order, base.center, mpc(1))
+    l = 0
+    while True:
+        yield power, len(reached)
+        l += 1
+        power = power._product(base, 0, window(l), (len(reached), len(base.coeffs)))
+        reached = support.product(reached, theirs, window(l) + 1) | support.keys(power.coeffs)
 
 
 def _one_like(jet):

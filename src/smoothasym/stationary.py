@@ -15,8 +15,12 @@ of that product, of degree ``m(l)``: the ``t^m`` coefficient in the degenerate
 cases, and ``Hop^(l+k)(w)(0)`` with ``m = 2(l+k)`` in the nondegenerate case,
 because the Hessian-inverse operator ``Hop`` lowers degree by exactly two.
 The slice is computed with the pair order of the full jet product, and the
-powers ``remainder^l`` are built once per phase, so every term equals, bit for
-bit, the one the full-jet computation gives.
+powers ``remainder^l`` are built once per phase, through the degree the terms
+read: with N terms, the degree ``m(l)`` of term ``k = N - 1``.  Each power is
+a window of the full-order power, and each product with it loops over the
+operand the full-order product would have picked (``series.power_chain``),
+so every term equals, bit for bit, the one the full-jet computation gives,
+unless a coefficient of a power above its window sums to an exact zero.
 
 Branch convention throughout: ``z**(-1/v) = |z|**(-1/v) exp(-i arg(z)/v)``
 with ``arg z`` in [-pi/2, pi/2].
@@ -30,7 +34,7 @@ from dataclasses import dataclass, field
 import mpmath
 from mpmath import mp, mpc, mpf
 
-from .series import Jet
+from .series import Jet, power_chain
 
 
 class OrderBudgetError(ValueError):
@@ -93,23 +97,45 @@ class PhaseData:
     quadratic part in the nondegenerate case, the single ``a t^v`` term in the
     degenerate one-variable case.  ``hessian_inverse`` is set only for the
     nondegenerate case; ``a``, ``v``, ``zeta`` only for the degenerate one.
+    ``terms`` is the number N of terms the phase serves; the remainder powers
+    are built through the degree term N - 1 reads, or whole when it is None.
     """
 
     remainder: Jet
     hessian_inverse: object = None
     a: object = None
     v: int = None
+    terms: int = None
     _powers: list = field(init=False, repr=False, compare=False)
+    _chain: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        r = self.remainder
-        self._powers = [Jet.constant(r.nvars, r.order, r.center, mpc(1))]
+        self._powers = []
+        self._chain = power_chain(self.remainder, self._power_degree)
+
+    def _power_degree(self, l):
+        if self.terms is None:
+            return self.remainder.order
+        return self.slice_degree(self.terms - 1, l)
+
+    def slice_degree(self, k, l):
+        """The degree of ``u * remainder^l`` that term ``k`` reads for ``l``:
+        ``2(l+k)`` when nondegenerate, ``2k+vl`` for even v, ``k+vl`` for odd
+        v.  The remainder's valuation (at least 3, or v + 1) exceeds the step
+        in l, so power ``l`` through this degree for ``k = N - 1`` covers
+        what every term and power ``l + 1`` read."""
+        if self.v is None:
+            return 2 * (l + k)
+        return (2 * k if self.v % 2 == 0 else k) + self.v * l
 
     def remainder_power(self, l):
-        """``remainder**l``, each power one product from the one below, built
-        once per phase at the precision in effect when first asked for."""
+        """``(remainder**l, count)``: the power through the degree the terms
+        read, and the number of coefficients the full-order power has, which
+        picks the outer operand of a product with it.  Each power is one
+        product from the one below, built once per phase at the precision in
+        effect when first asked for."""
         while len(self._powers) <= l:
-            self._powers.append(self._powers[-1] * self.remainder)
+            self._powers.append(next(self._chain))
         return self._powers[l]
 
     @property
@@ -119,14 +145,14 @@ class PhaseData:
         return mp.exp(mpc(0, 1) * mp.pi / (2 * self.v))
 
     @classmethod
-    def nondegenerate(cls, g_jet, hessian):
+    def nondegenerate(cls, g_jet, hessian, terms=None):
         n = g_jet.nvars
         coeffs = {b: v for b, v in g_jet.coeffs.items() if sum(b) > 2}
         remainder = Jet(n, g_jet.order, g_jet.center, coeffs)
-        return cls(remainder=remainder, hessian_inverse=_invert(hessian))
+        return cls(remainder=remainder, hessian_inverse=_invert(hessian), terms=terms)
 
     @classmethod
-    def degenerate(cls, g_jet, v):
+    def degenerate(cls, g_jet, v, terms=None):
         if g_jet.nvars != 1:
             raise ValueError("degenerate phases are handled in one variable only")
         a = g_jet.coefficient((v,))
@@ -134,7 +160,7 @@ class PhaseData:
             raise BranchError("vanishing-order coefficient is zero")
         coeffs = {b: c for b, c in g_jet.coeffs.items() if b[0] > v}
         remainder = Jet(1, g_jet.order, g_jet.center, coeffs)
-        return cls(remainder=remainder, a=a, v=v)
+        return cls(remainder=remainder, a=a, v=v, terms=terms)
 
 
 def _invert(A):
@@ -165,11 +191,13 @@ def _hessian_inverse_op(jet, inv):
     return out
 
 
-def _term(u_jet, phase, k, count, degree, summand):
+def _term(u_jet, phase, k, count, summand):
     """Sum over l < count of ``summand(l, w)``, where ``w`` is the
-    degree-``degree(l)`` part of ``u * remainder^l`` (``degree`` increases
-    with l, so the last slice sets the order budget)."""
-    needed = degree(count - 1)
+    ``phase.slice_degree(k, l)`` part of ``u * remainder^l`` (the degree
+    increases with l, so the last slice sets the order budget)."""
+    if phase.terms is not None and k >= phase.terms:
+        raise OrderBudgetError(f"term {k} is beyond the {phase.terms} terms of the phase")
+    needed = phase.slice_degree(k, count - 1)
     if u_jet.order < needed or phase.remainder.order < needed:
         raise OrderBudgetError(
             f"term {k} needs jets of order {needed}, have "
@@ -177,7 +205,9 @@ def _term(u_jet, phase, k, count, degree, summand):
         )
     total = mpc(0)
     for l in range(count):
-        total += summand(l, u_jet.mul_degree(phase.remainder_power(l), degree(l)))
+        power, count_l = phase.remainder_power(l)
+        m = phase.slice_degree(k, l)
+        total += summand(l, u_jet.mul_degree(power, m, (len(u_jet.coeffs), count_l)))
     return total
 
 
@@ -197,7 +227,7 @@ def stationary_term(u_jet, phase, k):
         denom = mpf((-1) ** k) * mpf(2) ** (l + k) * math.factorial(l) * math.factorial(l + k)
         return w.constant_coefficient() / denom
 
-    return _term(u_jet, phase, k, 2 * k + 1, lambda l: 2 * (l + k), summand)
+    return _term(u_jet, phase, k, 2 * k + 1, summand)
 
 
 def stationary_term_even(u_jet, phase, k):
@@ -215,7 +245,7 @@ def stationary_term_even(u_jet, phase, k):
         weight = mpf((-1) ** l) * mpmath.gamma(mpf(m + 1) / v) / mpf(math.factorial(l))
         return weight * root**m * w.coefficient((m,))  # m-th derivative / m!
 
-    return _term(u_jet, phase, k, 2 * k + 1, lambda l: 2 * k + v * l, summand)
+    return _term(u_jet, phase, k, 2 * k + 1, summand)
 
 
 def stationary_term_odd(u_jet, phase, k):
@@ -235,7 +265,7 @@ def stationary_term_odd(u_jet, phase, k):
         weight = mpf((-1) ** l) * mpmath.gamma(mpf(m + 1) / v) / mpf(math.factorial(l))
         return weight * phase_factor * scale**m * w.coefficient((m,))
 
-    return _term(u_jet, phase, k, k + 1, lambda l: k + v * l, summand)
+    return _term(u_jet, phase, k, k + 1, summand)
 
 
 def _degenerate_order(phase, parity):

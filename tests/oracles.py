@@ -11,8 +11,13 @@ Independent oracles, and what each checks:
   evaluate_structured        an expansion's flattened and dropped series
   reference_jet_mul          ``Jet.__mul__``, by the product loop on ``mpc`` objects
   reference_mul_degree       ``Jet.mul_degree``, by the same loop on one degree
+  reference_reciprocal       ``Jet.reciprocal``, by the chain of full-order products
+  reference_log              ``Jet.log``, the same
+  reference_substitute       ``Jet.substitute``, the same
+  reference_powers           ``PhaseData.remainder_power``, the same
 Test harness:
   jet_allclose               coefficientwise closeness of two jets
+  jet_bits                   a jet's caps, keys in order and raw coefficient bits
 """
 
 from __future__ import annotations
@@ -27,7 +32,16 @@ from mpmath import mp, mpc, mpf
 from smoothasym.geometry import _is_symmetric
 from smoothasym.localframe import FrameError, hessian_from_jet
 from smoothasym.oracle import OracleError
-from smoothasym.series import GaussRat, Jet, SparsePoly, _merge_caps, coef_to_mpc
+from smoothasym.series import (
+    GaussRat,
+    Jet,
+    NonInvertibleJetError,
+    SeriesError,
+    SparsePoly,
+    _merge_caps,
+    _one_like,
+    coef_to_mpc,
+)
 from smoothasym.stationary import (
     BranchError,
     PhaseData,
@@ -336,3 +350,108 @@ def reference_mul_degree(self, other, m):
             coeffs[b] = coeffs[b] + prod if b in coeffs else prod
     return Jet(self.nvars, self.order, self.center, coeffs,
                caps=_merge_caps(self.caps, other.caps))
+
+
+def jet_bits(jet, window=None):
+    """A jet's caps and its keys in order, each with its coefficient's raw
+    ``mpc`` parts (or the exact value itself); only the keys of degree at
+    most ``window`` when one is given."""
+    return jet.caps, [
+        (b, getattr(v, "_mpc_", v)) for b, v in jet.coeffs.items()
+        if window is None or sum(b) <= window
+    ]
+
+
+# The Horner chains as they ran before each step was cut to the degrees a
+# later step reads: every step a full-order product, kept as they were.  The
+# windowed chains must give the same keys, in the same order, with the same
+# bits.
+
+
+def reference_reciprocal(self):
+    """Jet ``b`` with ``self * b = 1`` through the truncation order."""
+    a0 = self.constant_coefficient()
+    if a0 == 0:
+        raise NonInvertibleJetError("jet has zero constant term")
+    # 1/a = (1/a0) * sum_m u^m with u = 1 - a/a0 (valuation >= 1)
+    u = Jet(
+        self.nvars,
+        self.order,
+        self.center,
+        {b: -(v / a0) for b, v in self.coeffs.items() if sum(b) > 0},
+        caps=self.caps,
+    )
+    one = _one_like(self)
+    acc = Jet.constant(self.nvars, self.order, self.center, one, caps=self.caps)
+    for _ in range(self.order):
+        acc = u * acc
+        acc = acc + Jet.constant(self.nvars, self.order, self.center, one, caps=self.caps)
+    return acc.map_coeffs(lambda v: v / a0)
+
+
+def reference_log(self):
+    """Principal-branch logarithm; constant term is ``Log a(center)``."""
+    a0 = self.constant_coefficient()
+    if a0 == 0:
+        raise NonInvertibleJetError("jet has zero constant term")
+    u = Jet(
+        self.nvars,
+        self.order,
+        self.center,
+        {b: v / a0 for b, v in self.coeffs.items() if sum(b) > 0},
+        caps=self.caps,
+    )
+    if self.order == 0:
+        out = Jet(self.nvars, 0, self.center, {}, caps=self.caps)
+    else:
+        # log(1+u) = u*(1 - u/2 + u^2/3 - ...) via Horner
+        acc = Jet.constant(
+            self.nvars, self.order, self.center,
+            mpc((-1) ** (self.order + 1)) / self.order, caps=self.caps,
+        )
+        for m in range(self.order - 1, 0, -1):
+            acc = u * acc
+            acc = acc + Jet.constant(
+                self.nvars, self.order, self.center,
+                mpc((-1) ** (m + 1)) / m, caps=self.caps,
+            )
+        out = u * acc
+    const = mp.log(mpc(coef_to_mpc(a0)))
+    if const != 0:
+        out = out + Jet.constant(self.nvars, self.order, self.center, const, caps=self.caps)
+    return out
+
+
+def reference_substitute(self, var, series, new_center=None):
+    """Replace the displacement of ``var`` by ``series`` (Horner form)."""
+    if not isinstance(series, Jet) or series.nvars != self.nvars:
+        raise SeriesError("substitution series must match the index space")
+    if series.order != self.order:
+        raise SeriesError("substitution series order mismatch")
+    if series.constant_coefficient() != 0:
+        raise SeriesError("substitution series must have zero constant term")
+    center = tuple(new_center) if new_center is not None else self.center
+    parts = {}
+    top = 0
+    for b, v in self.coeffs.items():
+        k = b[var]
+        nb = list(b)
+        nb[var] = 0
+        parts.setdefault(k, {})[tuple(nb)] = v
+        top = max(top, k)
+    out = Jet(self.nvars, self.order, center, parts.get(top, {}), caps=self.caps)
+    series = Jet(self.nvars, self.order, center, series.coeffs, caps=self.caps)
+    for k in range(top - 1, -1, -1):
+        out = out * series
+        if k in parts:
+            out = out + Jet(self.nvars, self.order, center, parts[k], caps=self.caps)
+    return out
+
+
+def reference_powers(remainder, count):
+    """``remainder**l`` for l < count, each one full-order product from the
+    one below, as ``PhaseData`` built them."""
+    powers = [Jet.constant(remainder.nvars, remainder.order, remainder.center, mpc(1))]
+    while len(powers) < count:
+        powers.append(powers[-1] * remainder)
+    return powers

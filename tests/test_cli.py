@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from smoothasym import cli, geometry
+from smoothasym import Jet, PhaseData, cli, geometry
 from smoothasym.cli import (
     EXIT_DEGENERATE_HIGH_DIM,
     EXIT_MINIMALITY_UNKNOWN,
@@ -20,6 +21,8 @@ from smoothasym.cli import (
     run_oracle,
 )
 from smoothasym.geometry import solve_critical
+
+from oracles import reference_log, reference_powers, reference_reciprocal, reference_substitute
 
 DELANNOY_SPEC = {
     "variables": ["x", "y"],
@@ -419,6 +422,9 @@ class TestMainEntry:
         ("p", True),
         ("precision_bits", 212.5),
         ("n_values", [4, False]),
+        ("n_values", [0, 2]),  # these three failed only after the expansion ran
+        ("n_values", [-2, 4]),
+        ("precision_bits", 20),
     ])
     def test_malformed_spec_field(self, tmp_path, capsys, field, value):
         obj = value if field is None else dict(DELANNOY_SPEC, **{field: value})
@@ -474,3 +480,48 @@ class TestMainEntry:
         assert code == 1
         diagnostic = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert "53 bits" in diagnostic["error"]
+
+
+def _docs_spec(name, **fields):
+    root = Path(__file__).resolve().parents[1] / "docs" / "problems"
+    return dict(json.loads((root / f"{name}.json").read_text()), **fields)
+
+
+def _full_remainder_power(phase, l):
+    full = reference_powers(phase.remainder, l + 1)[l]
+    return full, len(full.coeffs)
+
+
+class TestRoutesMatchFullOrderChains:
+    """The routes no benchmark workload runs, through ``cli.main``: the
+    windowed Horner chains give byte-identical JSON and CSV to the full-order
+    chains of ``oracles`` patched in their place."""
+
+    @pytest.mark.parametrize("command, spec", [
+        ("expand", dict(_docs_spec("delannoy", N=4, n_values=[2, 4]),
+                        overrides={"force_degenerate": True})),  # degenerate even, v = 2
+        ("expand", dict(QWALK_SPEC, overrides={"assume_strictly_minimal": True})),  # odd, v = 3
+        ("expand", dict(univariate_spec("1", "-1", "-1"), p=2)),  # d = 1, p = 2
+        ("expand", _docs_spec("smirnov_words", N=3, n_values=[1, 2])),  # three variables
+        ("expand", _docs_spec("smirnov_snaps", N=2, n_values=[1, 2])),  # p = 2, three variables
+        ("oracle", DELANNOY_SPEC),
+    ])
+    def test_byte_identical(self, tmp_path, capsys, monkeypatch, command, spec):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+
+        def run(tag):
+            out_json, out_csv = tmp_path / f"{tag}.json", tmp_path / f"{tag}.csv"
+            code = main([command, "--input", str(path),
+                         "--out-json", str(out_json), "--out-csv", str(out_csv)])
+            out, err = capsys.readouterr()
+            files = [p.read_text() if p.exists() else None for p in (out_json, out_csv)]
+            return code, out, err, files
+
+        windowed = run("windowed")
+        monkeypatch.setattr(Jet, "reciprocal", reference_reciprocal)
+        monkeypatch.setattr(Jet, "log", reference_log)
+        monkeypatch.setattr(Jet, "substitute", reference_substitute)
+        monkeypatch.setattr(PhaseData, "remainder_power", _full_remainder_power)
+        assert windowed == run("full")
+        assert windowed[0] == 0

@@ -2,24 +2,39 @@
 
 from __future__ import annotations
 
+import itertools
 import json
+import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
 from smoothasym import GaussRat, Jet, SparsePoly, jet_circle_substitute
+from smoothasym import series
 from smoothasym.series import (
     NonInvertibleJetError,
     SeriesError,
     circle_exp_series,
     coef_to_mpc,
+    power_chain,
 )
 
 from conftest import poly
-from oracles import eval_exact, jet_allclose, reference_jet_mul, reference_mul_degree
+from oracles import (
+    eval_exact,
+    jet_allclose,
+    jet_bits,
+    reference_jet_mul,
+    reference_log,
+    reference_mul_degree,
+    reference_powers,
+    reference_reciprocal,
+    reference_substitute,
+)
 
 
 def close(a, b, tol="1e-50"):
@@ -223,12 +238,6 @@ def product_operands(draw):
     return a, b
 
 
-def _bits(jet):
-    """A jet's keys in order, each with its coefficient's raw ``mpc`` parts
-    (or the exact value itself), and its caps."""
-    return jet.caps, [(b, getattr(v, "_mpc_", v)) for b, v in jet.coeffs.items()]
-
-
 class TestProductKernel:
     """``Jet.__mul__`` and ``Jet.mul_degree`` against the loops they replaced
     (``oracles.reference_jet_mul`` and ``reference_mul_degree``): the same
@@ -239,9 +248,184 @@ class TestProductKernel:
     def test_bit_identical_to_reference_loop(self, data):
         with mp.workprec(data.draw(st.sampled_from([212, 100]))):
             a, b = data.draw(product_operands())
-            assert _bits(a * b) == _bits(reference_jet_mul(a, b))
+            assert jet_bits(a * b) == jet_bits(reference_jet_mul(a, b))
             for m in range(a.order + 2):
-                assert _bits(a.mul_degree(b, m)) == _bits(reference_mul_degree(a, b, m))
+                assert jet_bits(a.mul_degree(b, m)) == jet_bits(reference_mul_degree(a, b, m))
+
+
+@st.composite
+def chain_case(draw):
+    """A jet for the Horner chains, with the data they take besides it.
+
+    1-3 variables, order 0-12 (at most 10 in two variables and 7 in three),
+    caps on or off.  Coefficients are small Gaussian integers (every sum is
+    exact, so coefficients of the chains cancel to exact zeros), rationals
+    rounded to the precision, or exact ``Fraction`` values.  The support is
+    up to 12 random indices, or every index of the order; either may be
+    parity-sparse, every exponent even, so the chains never reach an odd
+    degree.  Besides the jet ``a`` the case draws a second jet ``s`` without
+    constant term (the substitution series and power-chain base), a variable,
+    and the first window of a power chain.  Indices and coefficients come
+    from a seeded generator, so dense jets do not exhaust hypothesis's data.
+    """
+    nvars = draw(st.sampled_from([1, 2, 3]))
+    order = draw(st.sampled_from(range({1: 12, 2: 10, 3: 7}[nvars] + 1)))
+    kind = draw(st.sampled_from(["gauss", "rounded", "fraction"]))
+    even, dense = draw(st.sampled_from([False, True])), draw(st.sampled_from([False, True]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    every = [b for b in itertools.product(range(order + 1), repeat=nvars)
+             if sum(b) <= order and not (even and any(e % 2 for e in b))]
+
+    def coef():
+        if kind == "fraction":
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+        re, im = rng.randint(-2, 2), rng.randint(-2, 2)
+        if kind == "gauss":
+            return mpc(re, im)
+        return mpc(mpf(re) / rng.randint(1, 7), mpf(im) / rng.randint(1, 7))
+
+    def jet(low, caps):
+        usable = [b for b in every if sum(b) >= low]
+        if usable and not dense:
+            usable = [rng.choice(usable) for _ in range(rng.randint(1, 12))]
+        return Jet(nvars, order, (0,) * nvars, {b: coef() for b in usable}, caps=caps)
+
+    caps = None
+    if draw(st.booleans()):
+        caps = tuple(draw(st.sampled_from([None, *range(order + 1)])) for _ in range(nvars))
+    a = jet(0, caps)
+    const = coef()
+    if not const:  # the chains need an invertible jet
+        const = Fraction(1) if kind == "fraction" else mpc(1)
+    a.coeffs[(0,) * nvars] = const
+    return a, jet(1, caps), draw(st.integers(0, nvars - 1)), draw(st.integers(0, order))
+
+
+def drops_above_window(run, window):
+    """``(run(), dropped)``: the result of a full-order chain, and whether a
+    product or sum in it dropped a coefficient that summed to an exact zero
+    above the window of its step.  Product i of the chain (from 1), and each
+    sum after it, are step i, which the windowed chain computes through
+    degree ``window(i)``."""
+    step, dropped = [0], [False]
+    product, add = Jet._product, Jet.__add__
+
+    def note(out, reached):
+        gone = {b for b in reached if out._keeps(b)} - set(out.coeffs)
+        dropped[0] |= any(sum(b) > window(step[0]) for b in gone)
+
+    def watched_product(self, other, lo, hi, sizes=None):
+        step[0] += 1
+        out = product(self, other, lo, hi, sizes)
+        note(out, {tuple(map(sum, zip(b1, b2))) for b1 in self.coeffs for b2 in other.coeffs})
+        return out
+
+    def watched_add(self, other):
+        out = add(self, other)
+        note(out, set(self.coeffs) | set(other.coeffs))
+        return out
+
+    with mock.patch.object(Jet, "_product", watched_product), \
+            mock.patch.object(Jet, "__add__", watched_add):
+        return run(), dropped[0]
+
+
+def assert_same_chain(got, reference, window):
+    """``got`` is ``reference()`` bit for bit, keys, key order and caps
+    included, unless the full-order chain dropped an exact zero above a
+    window; then the windowed chain may loop a product over the other
+    operand, and the coefficients agree to rounding."""
+    want, dropped = drops_above_window(reference, window)
+    event(f"exact zero above a window: {dropped}")
+    if dropped:
+        assert jet_allclose(got, want)
+    else:
+        assert jet_bits(got) == jet_bits(want)
+
+
+class TestWindowedChains:
+    """``reciprocal``, ``log``, ``substitute`` and ``power_chain`` compute each
+    Horner step only through the degree a later step reads, against the
+    full-order chains (``oracles.reference_*``)."""
+
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_bit_identical_to_full_order_chains(self, data):
+        with mp.workprec(data.draw(st.sampled_from([212, 100]))):
+            a, s, var, start = data.draw(chain_case())
+            assert_same_chain(a.reciprocal(), lambda: reference_reciprocal(a), lambda i: i)
+            top = max((b[var] for b in a.coeffs), default=0)
+            assert_same_chain(a.substitute(var, s), lambda: reference_substitute(a, var, s),
+                              lambda i: a.order - top + i)
+            if not a.is_exact():
+                assert_same_chain(a.log(), lambda: reference_log(a), lambda i: i)
+            # windows that grow by the valuation of the base, as the phase's do
+            step = min((sum(b) for b in s.coeffs), default=1)
+            window = lambda l: start + step * l  # noqa: E731
+            fulls, dropped = drops_above_window(lambda: reference_powers(s, 4), window)
+            chain = power_chain(s, window)
+            for l, full in enumerate(fulls):
+                power, count = next(chain)
+                assert count >= len(full.coeffs)
+                if not dropped:
+                    assert jet_bits(power) == jet_bits(full, window(l))
+                    assert count == len(full.coeffs)
+
+    def test_accumulator_shrinks_below_u(self):
+        # x^2 and x^5 of the fifth accumulator of 1/a cancel to exact zeros
+        # inside its window, so the full chain's last product loops over the
+        # accumulator (5 keys), not over u (6 keys)
+        a = Jet(1, 6, (0,), {(0,): mpc(-1), (1,): mpc(1), (2,): mpc(-1), (3,): mpc(-1, 1),
+                             (4,): mpc(1), (5,): mpc(-1, -1), (6,): mpc(0, 1)})
+        assert jet_bits(a.reciprocal()) == jet_bits(reference_reciprocal(a))
+
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_circle_substitution(self, data):
+        # the factorial-scaled circle series rounds every product, so no
+        # coefficient sums to an exact zero above a window, and the check is
+        # strict
+        a = data.draw(chain_case())[0].to_float()
+        a = Jet(a.nvars, a.order, (mpc(1, 1) / 3,) * a.nvars, a.coeffs, caps=a.caps)
+        with mock.patch.object(Jet, "substitute", reference_substitute):
+            want = jet_circle_substitute(a)
+        assert jet_bits(jet_circle_substitute(a)) == jet_bits(want)
+
+
+def _count_mul(fn):
+    """The number of ``mpf_mul`` calls the jet products make inside ``fn()``."""
+    calls = [0]
+    mul = series._RAW.mul
+
+    def counting(x, y):
+        calls[0] += 1
+        return mul(x, y)
+
+    with mock.patch.object(series, "_RAW", series._RAW._replace(mul=counting)):
+        fn()
+    return calls[0]
+
+
+class TestWindowCost:
+    """The windows must keep saving: on a dense order-40 jet in one variable
+    a windowed chain makes about a third of the full chain's multiplications
+    (step t runs through degree t, so about t^2/2 pairs against 40^2/2)."""
+
+    def dense(self, center):
+        return Jet(1, 40, (center,), {(k,): mpc(1, k) / (k + 1) for k in range(41)})
+
+    def test_reciprocal(self):
+        a = self.dense(mpc(0))
+        windowed = _count_mul(a.reciprocal)
+        full = _count_mul(lambda: reference_reciprocal(a))
+        assert windowed <= 0.4 * full
+
+    def test_circle_substitute(self):
+        a = self.dense(mpc(1, 1) / 3)
+        windowed = _count_mul(lambda: jet_circle_substitute(a))
+        with mock.patch.object(Jet, "substitute", reference_substitute):
+            full = _count_mul(lambda: jet_circle_substitute(a))
+        assert windowed <= 0.4 * full
 
 
 class TestReciprocal:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from unittest import mock
 
 import mpmath
 import pytest
@@ -27,7 +28,13 @@ from smoothasym.stationary import (
     sign_factor,
 )
 
-from oracles import fourier_laplace_quad, integral_asymptotic_sum
+from oracles import (
+    fourier_laplace_quad,
+    integral_asymptotic_sum,
+    jet_bits,
+    reference_mul_degree,
+    reference_powers,
+)
 
 
 def jet1(coeffs, order=14):
@@ -392,7 +399,7 @@ def nondegenerate_case(draw, n, k):
             A[r, s] = A[s, r] = draw(coefs)
     assume(mp.det(A) != 0)
     g = draw(random_jet(n, order, low=3))  # the remainder; A is the quadratic part
-    return draw(random_jet(n, order)), PhaseData.nondegenerate(g, A), k
+    return draw(random_jet(n, order)), PhaseData.nondegenerate(g, A, k + 1), k
 
 
 @st.composite
@@ -401,21 +408,39 @@ def degenerate_case(draw, v, k):
     order = max(needed, v + 1) + draw(st.integers(0, 2))
     g = draw(random_jet(1, order, low=v + 1))
     g.coeffs[(v,)] = mpc(draw(st.integers(1, 5)), draw(st.integers(-5, 5)))
-    return draw(random_jet(1, order)), PhaseData.degenerate(g, v), k
+    return draw(random_jet(1, order)), PhaseData.degenerate(g, v, k + 1), k
 
 
 def same_as_reference(case):
     """Each rule returns its reference's value bit for bit, or raises the same
-    error; returns the outcome of every rule.  The cached powers are checked
-    against the reference chain of products too, because a rounding change
-    in one summand can vanish in the rounding of the sum."""
+    error; returns the outcome of every rule.  The slices the driver reads,
+    and the cached powers built for the k + 1 terms of the phase, are
+    checked against the reference chain of full-order products too (keys,
+    key order and bits; a power only through its window), because a
+    rounding change in one summand can vanish in the rounding of the sum.
+    A power coefficient above its window that sums to an exact zero could
+    reorder a slice (see ``series``); in these examples none does."""
     u, phase, k = case
-    outcomes = [outcome(rule, u, phase, k) for rule, _ in RULES]
+    slices = []
+    mul_degree = Jet.mul_degree
+
+    def recorded(self, other, m, sizes=None):
+        out = mul_degree(self, other, m, sizes)
+        slices.append((m, jet_bits(out)))
+        return out
+
+    with mock.patch.object(Jet, "mul_degree", recorded):
+        outcomes = [outcome(rule, u, phase, k) for rule, _ in RULES]
     assert outcomes == [outcome(reference, u, phase, k) for _, reference in RULES]
-    gpow = Jet.constant(u.nvars, u.order, u.center, mpc(1))
-    for l in range(2 * k + 1):
-        assert phase.remainder_power(l).coeffs == gpow.coeffs
-        gpow = gpow * phase.remainder
+    fulls = reference_powers(phase.remainder, 2 * k + 1)
+    assert slices == [
+        (m, jet_bits(reference_mul_degree(u, fulls[l], m))) for l, (m, _) in enumerate(slices)
+    ]
+    for l, full in enumerate(fulls):
+        power, count = phase.remainder_power(l)
+        assert jet_bits(power) == jet_bits(full, phase.slice_degree(k, l))
+        # a key above the window that sums to an exact zero is still counted
+        assert count >= len(full.coeffs)
     return outcomes
 
 
@@ -454,6 +479,24 @@ class TestDriverMatchesFullJetOracle:
     def test_odd(self, v, k, data):
         outcomes = same_as_reference(data.draw(degenerate_case(v, k)))
         assert outcomes[0] is ParityError and outcomes[1] is ParityError
+
+    def test_term_beyond_the_phase_terms(self):
+        # the powers of a phase for two terms are too short for term 2
+        phase = PhaseData.degenerate(jet1({4: 1, 5: 1}, order=20), 4, 2)
+        assert outcome(stationary_term_even, jet1({0: 1}, order=20), phase, 2) is OrderBudgetError
+
+    def test_power_losing_a_key_inside_its_window(self):
+        # x^10 of remainder^2 sums to an exact zero (-1/2 + 1 - 1/2), so the
+        # full-order square has 4 keys, one fewer than the sums reach; against
+        # a 5-key u the full product loops over the power, and the three pairs
+        # of the degree-11 slice round differently in the other order
+        phase = PhaseData.degenerate(jet1({3: 1, 4: 1, 5: 1, 6: mpf(-1) / 2}, order=20), 3, 6)
+        u = jet1({0: mpf(1) / 3, 2: mpf(1) / 4, 3: mpf(1) / 5, 7: 1, 13: 1}, order=20)
+        full = reference_powers(phase.remainder, 3)[2]
+        power, count = phase.remainder_power(2)
+        assert count == len(full.coeffs) == 4
+        assert jet_bits(u.mul_degree(power, 11, (len(u.coeffs), count))) == jet_bits(
+            reference_mul_degree(u, full, 11))
 
     @pytest.mark.parametrize(
         "rule, reference, v, needed",
