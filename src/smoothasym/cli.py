@@ -40,7 +40,7 @@ from .localframe import (
     vanishing_order,
 )
 from .oracle import decimal_str, maclaurin_table, rational_str
-from .series import DEFAULT_BITS, SeriesError, SparsePoly, coef_to_mpc, workprec
+from .series import DEFAULT_BITS, SeriesError, SparsePoly, check_precision, coef_to_mpc, workprec
 
 PRECISION_ENV = "SMOOTHASYM_PRECISION"
 
@@ -93,8 +93,7 @@ class ProblemSpec:
             raise SeriesError("N must be a positive integer")
         if any(n < 1 for n in self.n_values):
             raise SeriesError("n_values entries must be positive integers")
-        if self.precision_bits < 53:
-            raise SeriesError("precision_bits must be at least 53 bits")
+        check_precision(self.precision_bits)
         if self.alpha.d != d:
             raise SeriesError("direction length does not match the variable list")
 

@@ -63,10 +63,15 @@ class NonInvertibleJetError(SeriesError):
     """Jet has zero constant term where an invertible one is required."""
 
 
-def workprec(bits):
-    """Context manager running mpmath at the given significand precision."""
+def check_precision(bits):
+    """Reject a significand precision below double precision's 53 bits."""
     if bits < 53:
         raise SeriesError("precision must be at least 53 bits")
+
+
+def workprec(bits):
+    """Context manager running mpmath at the given significand precision."""
+    check_precision(bits)
     return mp.workprec(bits)
 
 
@@ -587,11 +592,11 @@ class Jet:
 
     __rmul__ = scale
 
-    def mul_degree(self, other, m, sizes=None):
+    def mul_degree(self, other, m, sizes):
         """Degree-``m`` homogeneous part of ``self * other``.
 
-        Each coefficient is bit-identical to the one ``__mul__`` returns: both
-        run ``_product``.  ``sizes`` is as there.
+        Each coefficient is bit-identical to the one ``__mul__`` returns for
+        the full-order jets of ``sizes``: both run ``_product``.
         """
         return self._product(other, m, m, sizes)
 

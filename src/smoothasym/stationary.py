@@ -98,25 +98,22 @@ class PhaseData:
     degenerate one-variable case.  ``hessian_inverse`` is set only for the
     nondegenerate case; ``a``, ``v``, ``zeta`` only for the degenerate one.
     ``terms`` is the number N of terms the phase serves; the remainder powers
-    are built through the degree term N - 1 reads, or whole when it is None.
+    are built through the degree term N - 1 reads.
     """
 
     remainder: Jet
+    terms: int
     hessian_inverse: object = None
     a: object = None
     v: int = None
-    terms: int = None
     _powers: list = field(init=False, repr=False, compare=False)
     _chain: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._powers = []
-        self._chain = power_chain(self.remainder, self._power_degree)
-
-    def _power_degree(self, l):
-        if self.terms is None:
-            return self.remainder.order
-        return self.slice_degree(self.terms - 1, l)
+        self._chain = power_chain(
+            self.remainder, lambda l: self.slice_degree(self.terms - 1, l)
+        )
 
     def slice_degree(self, k, l):
         """The degree of ``u * remainder^l`` that term ``k`` reads for ``l``:
@@ -145,14 +142,14 @@ class PhaseData:
         return mp.exp(mpc(0, 1) * mp.pi / (2 * self.v))
 
     @classmethod
-    def nondegenerate(cls, g_jet, hessian, terms=None):
+    def nondegenerate(cls, g_jet, hessian, terms):
         n = g_jet.nvars
         coeffs = {b: v for b, v in g_jet.coeffs.items() if sum(b) > 2}
         remainder = Jet(n, g_jet.order, g_jet.center, coeffs)
-        return cls(remainder=remainder, hessian_inverse=_invert(hessian), terms=terms)
+        return cls(remainder=remainder, terms=terms, hessian_inverse=_invert(hessian))
 
     @classmethod
-    def degenerate(cls, g_jet, v, terms=None):
+    def degenerate(cls, g_jet, v, terms):
         if g_jet.nvars != 1:
             raise ValueError("degenerate phases are handled in one variable only")
         a = g_jet.coefficient((v,))
@@ -160,7 +157,7 @@ class PhaseData:
             raise BranchError("vanishing-order coefficient is zero")
         coeffs = {b: c for b, c in g_jet.coeffs.items() if b[0] > v}
         remainder = Jet(1, g_jet.order, g_jet.center, coeffs)
-        return cls(remainder=remainder, a=a, v=v, terms=terms)
+        return cls(remainder=remainder, terms=terms, a=a, v=v)
 
 
 def _invert(A):
@@ -195,7 +192,7 @@ def _term(u_jet, phase, k, count, summand):
     """Sum over l < count of ``summand(l, w)``, where ``w`` is the
     ``phase.slice_degree(k, l)`` part of ``u * remainder^l`` (the degree
     increases with l, so the last slice sets the order budget)."""
-    if phase.terms is not None and k >= phase.terms:
+    if k >= phase.terms:
         raise OrderBudgetError(f"term {k} is beyond the {phase.terms} terms of the phase")
     needed = phase.slice_degree(k, count - 1)
     if u_jet.order < needed or phase.remainder.order < needed:

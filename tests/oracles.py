@@ -16,6 +16,8 @@ Independent oracles, and what each checks:
   reference_substitute       ``Jet.substitute``, the same
   reference_powers           ``PhaseData.remainder_power``, the same
 Test harness:
+  drops_above_window         whether a full-order chain drops an exact zero
+                             above the window its windowed step computes
   jet_allclose               coefficientwise closeness of two jets
   jet_bits                   a jet's caps, keys in order and raw coefficient bits
 """
@@ -25,6 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 from mpmath import mp, mpc, mpf
@@ -226,11 +229,11 @@ def integral_asymptotic_sum(u_jet, g_jet, omega, N, v=None):
             raise BranchError("phase numerically flat")
     if g_jet.nvars > 1 or v == 2:
         A = hessian_from_jet(g_jet)
-        phase = PhaseData.nondegenerate(g_jet, A)
+        phase = PhaseData.nondegenerate(g_jet, A, N)
         s = sum(omega ** (-k) * stationary_term(u_jet, phase, k) for k in range(N))
         n = g_jet.nvars
         return (omega / (2 * mp.pi)) ** (-mpf(n) / 2) * det_inv_sqrt(A) * s
-    phase = PhaseData.degenerate(g_jet, v)
+    phase = PhaseData.degenerate(g_jet, v, N)
     if v % 2 == 0:
         s = sum(
             omega ** (mpf(-2 * k) / v) * stationary_term_even(u_jet, phase, k)
@@ -360,6 +363,35 @@ def jet_bits(jet, window=None):
         (b, getattr(v, "_mpc_", v)) for b, v in jet.coeffs.items()
         if window is None or sum(b) <= window
     ]
+
+
+def drops_above_window(run, window):
+    """``(run(), dropped)``: the result of a full-order chain, and whether a
+    product or sum in it dropped a coefficient that summed to an exact zero
+    above the window of its step.  Product i of the chain (from 1), and each
+    sum after it, are step i, which the windowed chain computes through
+    degree ``window(i)``."""
+    step, dropped = [0], [False]
+    product, add = Jet._product, Jet.__add__
+
+    def note(out, reached):
+        gone = {b for b in reached if out._keeps(b)} - set(out.coeffs)
+        dropped[0] |= any(sum(b) > window(step[0]) for b in gone)
+
+    def watched_product(self, other, lo, hi, sizes=None):
+        step[0] += 1
+        out = product(self, other, lo, hi, sizes)
+        note(out, {tuple(map(sum, zip(b1, b2))) for b1 in self.coeffs for b2 in other.coeffs})
+        return out
+
+    def watched_add(self, other):
+        out = add(self, other)
+        note(out, set(self.coeffs) | set(other.coeffs))
+        return out
+
+    with mock.patch.object(Jet, "_product", watched_product), \
+            mock.patch.object(Jet, "__add__", watched_add):
+        return run(), dropped[0]
 
 
 # The Horner chains as they ran before each step was cut to the degrees a

@@ -387,7 +387,7 @@ def test_criterion_6_fl_quadrature_slopes():
         omega = mpf(500)
         for N in (1, 2, 3):
             smooth = integral_asymptotic_sum(u, g, omega, N, v=2)
-            phase = PhaseData.degenerate(g, 2)
+            phase = PhaseData.degenerate(g, 2, N)
             even = 2 * branch_root(phase.a, 2) * omega ** mpf("-0.5") / 2 * sum(
                 omega ** (-k) * stationary_term_even(u, phase, k) for k in range(N)
             )
