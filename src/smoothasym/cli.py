@@ -40,7 +40,8 @@ from .localframe import (
     vanishing_order,
 )
 from .oracle import decimal_str, maclaurin_table, rational_str
-from .series import DEFAULT_BITS, SeriesError, SparsePoly, check_precision, coef_to_mpc, workprec
+from .series import (DEFAULT_BITS, SeriesError, SparsePoly, check_precision, coef_to_mpc,
+                     json_int, parse_fraction, workprec)
 
 PRECISION_ENV = "SMOOTHASYM_PRECISION"
 
@@ -105,7 +106,9 @@ class ProblemSpec:
     def from_json(cls, obj):
         if isinstance(obj, str):
             obj = json.loads(obj)
-        variables = list(obj["variables"])
+        variables = obj["variables"]
+        if not isinstance(variables, list):
+            raise SeriesError("variables must be a list of names")
         d = len(variables)
         G = obj["G"]
         if isinstance(G, dict) and "numer" in G:
@@ -129,23 +132,15 @@ class ProblemSpec:
             G_num=G_num,
             G_den=G_den,
             H=H,
-            p=_json_int(obj.get("p", 1), "p"),
-            alpha=Direction(tuple(Fraction(a) for a in obj["alpha"])),
-            N=_json_int(obj.get("N", 2), "N"),
-            n_values=[_json_int(n, "n_values") for n in n_values],
+            p=json_int(obj.get("p", 1), "p"),
+            alpha=Direction(tuple(parse_fraction(a) for a in obj["alpha"])),
+            N=json_int(obj.get("N", 2), "N"),
+            n_values=[json_int(n, "n_values") for n in n_values],
             seeds=seeds,
             assume_strictly_minimal=bool(overrides.get("assume_strictly_minimal", False)),
             force_degenerate=bool(overrides.get("force_degenerate", False)),
-            precision_bits=_json_int(obj.get("precision_bits", _default_bits()), "precision_bits"),
+            precision_bits=json_int(obj.get("precision_bits", _default_bits()), "precision_bits"),
         )
-
-
-def _json_int(value, name):
-    """``int(value)``, refusing a bool or a number with a fractional part,
-    which ``int`` would silently truncate."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise SeriesError(f"{name}: {value!r} is not an integer")
-    return int(value)
 
 
 def _parse_complex(z):
@@ -153,8 +148,8 @@ def _parse_complex(z):
         re, im = z
     else:
         re, im = z, 0
-    re = Fraction(re) if isinstance(re, str) else re
-    im = Fraction(im) if isinstance(im, str) else im
+    re = parse_fraction(re) if isinstance(re, str) else re
+    im = parse_fraction(im) if isinstance(im, str) else im
     return mpc(mpf(re.numerator) / re.denominator if isinstance(re, Fraction) else re,
                mpf(im.numerator) / im.denominator if isinstance(im, Fraction) else im)
 

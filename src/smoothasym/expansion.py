@@ -313,7 +313,7 @@ def expand_degenerate(frame, N, v=None):
     if v is None:
         v = vanishing_order(frame.phase)
     parity = "even" if v % 2 == 0 else "odd"
-    needed = degenerate_phase_order(N, v, parity)
+    needed = degenerate_phase_order(N, v)
     if frame.order < needed:
         raise ExpansionError(
             f"frame order {frame.order} below the {needed} required for N={N}, v={v}"

@@ -35,11 +35,9 @@ def smooth_phase_order(N, d):
     return max(2 * N + 2, 3 * (N + math.ceil((d - 1) / 2)) + 1, 6 * max(N - 1, 0) + 2)
 
 
-def degenerate_phase_order(N, v, parity=None):
+def degenerate_phase_order(N, v):
     """Truncation order for the one-variable degenerate path."""
-    if parity is None:
-        parity = "even" if v % 2 == 0 else "odd"
-    consumed = 2 * (N - 1) * (v + 1) if parity == "even" else (N - 1) * (v + 1)
+    consumed = 2 * (N - 1) * (v + 1) if v % 2 == 0 else (N - 1) * (v + 1)
     return max((v + 1) * (N + 1) + 1, consumed + 2)
 
 

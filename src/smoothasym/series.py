@@ -2,10 +2,10 @@
 
 Polynomials carry exact rational (or Gaussian-rational) coefficients and are
 the only accepted input format.  Jets are truncated Taylor expansions at a
-point, normally with arbitrary-precision complex coefficients (``mpmath``),
-and are the substrate for every derivative computed downstream.  Jet
-coefficients are Taylor coefficients, i.e. the coefficient of ``(x-c)^beta``
-is ``d^beta f(c) / beta!``.
+point with arbitrary-precision complex (``mpc``) coefficients, and are the
+substrate for every derivative computed downstream.  Jet coefficients are
+Taylor coefficients, i.e. the coefficient of ``(x-c)^beta`` is
+``d^beta f(c) / beta!``.
 
 Every jet product runs through one coefficient loop, ``Jet._product``, which
 ``__mul__`` and ``mul_degree`` share.  Its invariants:
@@ -17,37 +17,37 @@ Every jet product runs through one coefficient loop, ``Jet._product``, which
 - Output keys appear in the order in which the loops first reach them.
 - Coefficients that sum to an exact zero are dropped.
 
-The Horner chains (``reciprocal``, ``log``, ``substitute``, and the remainder
-powers of ``stationary``) compute each step only through the highest degree a
-later step reads: ``_product(other, lo, hi)`` drops the pairs outside the
-window, and with the same outer operand every kept coefficient, its key and
-the key order are exactly the full product's restricted to the window.  The
-outer operand is chosen by operand sizes, and a windowed operand is smaller
-than its full-order self, so each windowed product is told the sizes the
-full-order operands have (``sizes``).  ``_Support`` tracks them: a step's own
-keys through its window, and above it the keys the full chain reaches, the
-sums of the operands' keys within the order and caps.  That count is the full
-chain's unless a coefficient above a window sums to an exact zero, which only
-the full chain can see; then a product may loop over the other operand, and
-its coefficients agree with the full chain's to rounding.
+The loop works on the raw ``_mpc_`` pairs with ``mpmath.libmp``: ``mpf_mul``
+without rounding, then ``mpf_sub``/``mpf_add`` at the context's precision and
+rounding, read once per product.  That is exactly what ``mpc.__mul__`` and
+``mpc.__add__`` do, so each coefficient is bit-identical to the one the same
+loop over ``mpc`` objects gives.  ``Jet.__add__`` and the zero filter of
+``Jet.__init__`` work on the same pairs.
 
-When every coefficient of both operands is an ``mpc``, the loop works on the
-raw ``_mpc_`` pairs with ``mpmath.libmp``: ``mpf_mul`` without rounding, then
-``mpf_sub``/``mpf_add`` at the context's precision and rounding, read once per
-product.  That is exactly what ``mpc.__mul__`` and ``mpc.__add__`` do, so each
-coefficient is bit-identical to the one the same loop over ``mpc`` objects
-gives.  Other coefficients (the exact ``Fraction`` and ``GaussRat`` data of
-tests) go through the same loop with Python's operators.  ``Jet.__add__`` and
-the zero filter of ``Jet.__init__`` use the same two kinds of arithmetic.
+The Horner chains (``reciprocal``, ``log``, ``substitute`` and
+``power_chain``) compute each step only through the highest degree a later
+step reads: a product over the window ``0..hi`` drops the pairs outside it,
+and with the same outer operand every kept coefficient, its key and the key
+order are exactly the full product's restricted to the window.  A windowed
+operand has fewer coefficients than its full-order self, so it carries the
+keys its full-order self has above the window (``Jet.above``), and
+``_product`` picks the outer operand by the full-order sizes, in-window plus
+above-window keys.  A windowed product records the sums of its operands'
+full-order keys that land above ``hi`` within the order and caps, and
+``__add__`` unions them; the terms a chain adds lie inside the window.  That
+count is the full chain's unless a coefficient above a window sums to an
+exact zero, which only the full chain can see; then a product may loop over
+the other operand, and its coefficients agree with the full chain's to
+rounding.
 """
 
 from __future__ import annotations
 
 import json
-import operator
 from bisect import bisect_left
-from collections import namedtuple
 from fractions import Fraction
+from itertools import count
+from operator import lshift
 
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import fzero, mpf_add, mpf_mul, mpf_sub
@@ -67,6 +67,22 @@ def check_precision(bits):
     """Reject a significand precision below double precision's 53 bits."""
     if bits < 53:
         raise SeriesError("precision must be at least 53 bits")
+
+
+def json_int(value, name):
+    """``int(value)``, refusing a bool or a number with a fractional part,
+    which ``int`` would silently truncate."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise SeriesError(f"{name}: {value!r} is not an integer")
+    return int(value)
+
+
+def parse_fraction(value):
+    """``Fraction(value)``, reporting a zero denominator as malformed input."""
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise SeriesError(f"zero denominator in {value!r}") from None
 
 
 def workprec(bits):
@@ -174,19 +190,21 @@ def coef_to_mpc(c):
             mpf(c.re.numerator) / mpf(c.re.denominator),
             mpf(c.im.numerator) / mpf(c.im.denominator),
         )
-    if isinstance(c, int):
-        return mpc(c)
     return mpc(c)
 
 
 def parse_coef(obj):
     """Parse a JSON coefficient: "num/den" string, int, or {"re","im"} pair."""
     if isinstance(obj, dict):
-        re = Fraction(obj.get("re", 0))
-        im = Fraction(obj.get("im", 0))
-        return _gauss_or_frac(re, im)
-    if isinstance(obj, (int, str)):
-        return Fraction(obj)
+        return _gauss_or_frac(_parse_rational(obj.get("re", 0)), _parse_rational(obj.get("im", 0)))
+    return _parse_rational(obj)
+
+
+def _parse_rational(obj):
+    if isinstance(obj, str):
+        return parse_fraction(obj)
+    if isinstance(obj, int):
+        return Fraction(json_int(obj, "coefficient"))
     raise SeriesError(f"cannot parse coefficient {obj!r}")
 
 
@@ -249,7 +267,7 @@ class SparsePoly:
             raise SeriesError("polynomial JSON must be a list of terms")
         terms = {}
         for item in obj:
-            exp = tuple(int(e) for e in item["exp"])
+            exp = tuple(json_int(e, "exponent") for e in item["exp"])
             if nvars is None:
                 nvars = len(exp)
             coef = parse_coef(item["coef"])
@@ -390,6 +408,8 @@ class SparsePoly:
 
 # -- jets --------------------------------------------------------------------
 
+_ZERO_PAIR = (fzero, fzero)
+
 
 def _mpc_of(re, im):
     """An ``mpc`` with the given raw parts, as ``mpc`` arithmetic builds one."""
@@ -398,51 +418,49 @@ def _mpc_of(re, im):
     return z
 
 
-# How a coefficient becomes a pair of slots (``split``) and back (``join``),
-# and the slot arithmetic; ``add`` and ``sub`` take the precision and
-# rounding mode that ``mpmath.libmp`` needs.
-_Arithmetic = namedtuple("_Arithmetic", "split join mul add sub zero")
-_RAW = _Arithmetic(operator.attrgetter("_mpc_"), _mpc_of, mpf_mul, mpf_add, mpf_sub, fzero)
-# A value rides beside an exact 0, so the complex product of two pairs
-# reduces to ``v1 * v2`` (less ``0 * 0``) and sums to ``v1 + v2``.
-_EXACT = _Arithmetic(
-    lambda v: (v, 0),
-    lambda re, im: re,
-    operator.mul,
-    lambda x, y, prec, rnd: x + y,
-    lambda x, y, prec, rnd: x - y,
-    0,
-)
+def _layout(jet):
+    """How a multi-index of the jets of ``jet``'s order and nvars packs into
+    one integer key: ``width`` bits per variable at ``shifts``, under the
+    mask, and the total degree from bit ``top`` up.  Keys sort by degree, and
+    no index of total degree <= order has a part above order, so the sum of
+    two keys never carries and is the key of the summed index."""
+    width = jet.order.bit_length() or 1
+    top = width * jet.nvars
+    return range(0, top, width), top, (1 << width) - 1
 
 
-def _arithmetic(*coeff_dicts):
-    """``_RAW`` when every coefficient is an ``mpc``, ``_EXACT`` otherwise."""
-    if all(type(v) is mpc for d in coeff_dicts for v in d.values()):
-        return _RAW
-    return _EXACT
+def _packed(coeffs, shifts, top):
+    """``(degree, index, key, re, im)`` for each coefficient, in order."""
+    return [
+        ((d := sum(b)), b, sum(map(lshift, b, shifts)) + (d << top), *v._mpc_)
+        for b, v in coeffs.items()
+    ]
 
 
 class Jet:
     """Truncated Taylor expansion at ``center``, orders ``<= order``.
 
-    Coefficients are ``mpc`` (or exact rationals when built from exact data).
-    ``caps`` is an optional per-variable degree cap used internally to avoid
-    carrying powers that can never influence the requested coefficients.
+    Coefficients and center coordinates are ``mpc``; other numbers are
+    converted at the working precision.  ``caps`` is an optional per-variable
+    degree cap used internally to avoid carrying powers that can never
+    influence the requested coefficients.
 
     Products keep the invariants the module docstring states: the smaller
     operand (``self`` on a tie) is the outer loop, each coefficient sums its
     pairs in outer-loop order, keys appear in first-reached order, and exact
-    zeros are dropped.  On ``mpc`` coefficients every rounding is the one
-    ``mpc`` arithmetic makes, so results are bit-identical to it.
+    zeros are dropped.  Every rounding is the one ``mpc`` arithmetic makes,
+    so results are bit-identical to it.
 
     The Horner chains compute step ``t`` only through the degree later steps
     read (``t`` for ``reciprocal`` and ``log``, ``order - k`` for the power
-    ``k`` of ``substitute``) and pick each outer operand by the sizes the
-    full-order operands have, so their results are the full chains' bit for
-    bit, unless a coefficient above a window sums to an exact zero.
+    ``k`` of ``substitute``).  Such a window keeps in ``above`` the packed
+    keys (``_layout``) its full-order self has above the window; ``above`` is
+    empty for every other jet.  Products size their operands by coefficients
+    plus ``above``, so the chains' results are the full chains' bit for bit,
+    unless a coefficient above a window sums to an exact zero.
     """
 
-    __slots__ = ("nvars", "order", "center", "coeffs", "caps")
+    __slots__ = ("nvars", "order", "center", "coeffs", "caps", "above")
 
     def __init__(self, nvars, order, center, coeffs=None, caps=None):
         self.nvars = int(nvars)
@@ -451,14 +469,15 @@ class Jet:
             raise SeriesError("jet order must be nonnegative")
         if len(center) != self.nvars:
             raise SeriesError("center length does not match nvars")
-        self.center = tuple(center)
+        self.center = tuple(z if type(z) is mpc else coef_to_mpc(z) for z in center)
         self.caps = tuple(caps) if caps is not None else None
+        self.above = frozenset()
         self.coeffs = {}
         if coeffs:
-            arith = _arithmetic(coeffs)
-            zeros = (arith.zero, arith.zero)
             for beta, c in coeffs.items():
-                if self._keeps(beta) and arith.split(c) != zeros:
+                if type(c) is not mpc:
+                    c = coef_to_mpc(c)
+                if self._keeps(beta) and c._mpc_ != _ZERO_PAIR:
                     self.coeffs[tuple(beta)] = c
 
     def _keeps(self, beta):
@@ -477,26 +496,21 @@ class Jet:
         return cls(nvars, order, center, {(0,) * nvars: value}, caps=caps)
 
     @classmethod
-    def from_poly(cls, poly, center, order, exact=False):
+    def from_poly(cls, poly, center, order):
         """Taylor-shift a polynomial: coefficients of ``P(center + s)``.
 
         Exact for every polynomial whose degree fits the truncation; terms
-        beyond ``order`` are cut.  ``exact=True`` keeps rational arithmetic
-        (requires rational center coordinates).
+        beyond ``order`` are cut.
         """
         if len(center) != poly.nvars:
             raise SeriesError("center length does not match polynomial nvars")
-        if exact:
-            cpoint = tuple(center)
-            one = Fraction(1)
-        else:
-            cpoint = tuple(mpc(z) for z in center)
-            one = mpc(1)
+        cpoint = tuple(mpc(z) for z in center)
+        one = mpc(1)
         out = cls(poly.nvars, order, cpoint, {})
         zero_idx = (0,) * poly.nvars
         for e, c in poly.terms.items():
             # expand prod_j (c_j + s_j)^{e_j} by the binomial theorem
-            parts = {zero_idx: (c if exact else coef_to_mpc(c))}
+            parts = {zero_idx: coef_to_mpc(c)}
             for j, k in enumerate(e):
                 if k == 0:
                     continue
@@ -563,7 +577,6 @@ class Jet:
 
     def __add__(self, other):
         self._compat(other)
-        split, join, _, add, _, _ = _arithmetic(self.coeffs, other.coeffs)
         prec, rnd = mp._prec_rounding
         coeffs = dict(self.coeffs)
         for b, v in other.coeffs.items():
@@ -571,10 +584,12 @@ class Jet:
             if old is None:
                 coeffs[b] = v
             else:
-                (re, im), (re2, im2) = split(old), split(v)
-                coeffs[b] = join(add(re, re2, prec, rnd), add(im, im2, prec, rnd))
+                (re, im), (re2, im2) = old._mpc_, v._mpc_
+                coeffs[b] = _mpc_of(mpf_add(re, re2, prec, rnd), mpf_add(im, im2, prec, rnd))
         caps = _merge_caps(self.caps, other.caps)
-        return Jet(self.nvars, self.order, self.center, coeffs, caps=caps)
+        out = Jet(self.nvars, self.order, self.center, coeffs, caps=caps)
+        out.above = self.above | other.above
+        return out
 
     def __neg__(self):
         return self.map_coeffs(lambda v: -v)
@@ -592,47 +607,42 @@ class Jet:
 
     __rmul__ = scale
 
-    def mul_degree(self, other, m, sizes):
+    def mul_degree(self, other, m):
         """Degree-``m`` homogeneous part of ``self * other``.
 
         Each coefficient is bit-identical to the one ``__mul__`` returns for
-        the full-order jets of ``sizes``: both run ``_product``.
+        the full-order jets ``self`` and ``other`` are windows of: both run
+        ``_product``.
         """
-        return self._product(other, m, m, sizes)
+        return self._product(other, m, m)
 
-    def _product(self, other, lo, hi, sizes=None):
+    def _product(self, other, lo, hi, track=False):
         """The terms of ``self * other`` of total degree ``lo..hi``: the one
         product loop, with the invariants the module docstring states.
 
-        ``sizes`` gives the coefficient counts of the full-order jets that
-        ``self`` and ``other`` are windows of; the outer operand is chosen by
-        them, as the full-order product would choose it.
+        The outer operand is chosen by full-order sizes, coefficients plus
+        ``above``.  With ``track``, as the Horner chains' windows ``0..hi``
+        ask, the result's ``above`` holds the keys the full-order product has
+        above ``hi``: the sums of the operands' full-order keys there, within
+        the order and caps.
         """
         self._compat(other)
         caps = _merge_caps(self.caps, other.caps)
         out = Jet(self.nvars, self.order, self.center, {}, caps=caps)
         hi = min(hi, self.order)
-        n_self, n_other = sizes or (len(self.coeffs), len(other.coeffs))
-        small, big = self.coeffs, other.coeffs
-        if n_other < n_self:
-            small, big = big, small
-        split, join, mul, add, sub, zero = _arithmetic(small, big)
+        small, big = self, other
+        if len(other.coeffs) + len(other.above) < len(self.coeffs) + len(self.above):
+            small, big = other, self
+        mul, add, sub = mpf_mul, mpf_add, mpf_sub
         prec, rnd = mp._prec_rounding
-        # A multi-index packs into one integer, ``width`` bits per variable.
-        # No index of total degree <= order has a part above order, so the
-        # sum of two packed indices never carries.
-        width = self.order.bit_length() or 1
-        shifts = range(0, width * self.nvars, width)
+        shifts, top, mask = _layout(self)
         capped = [(j, cap) for j, cap in enumerate(caps or ()) if cap is not None]
-        inner = [
-            (sum(b), b, sum(e << s for e, s in zip(b, shifts)), *split(v))
-            for b, v in big.items()
-        ]
+        outer = _packed(small.coeffs, shifts, top)
+        inner = _packed(big.coeffs, shifts, top)
         rows = {}  # (outer degree, room under each cap) -> usable inner terms
         acc = {}
         get = acc.get
-        for b1, v1 in small.items():
-            d1 = sum(b1)
+        for d1, b1, k1, a, b in outer:
             room = tuple(cap - b1[j] for j, cap in capped)
             row = rows.get((d1, room))
             if row is None:
@@ -641,8 +651,6 @@ class Jet:
                     if lo <= d1 + d2 <= hi
                     and (not capped or all(b2[j] <= r for (j, _), r in zip(capped, room)))
                 ]
-            k1 = sum(e << s for e, s in zip(b1, shifts))
-            a, b = split(v1)
             for k2, c, d in row:
                 re = sub(mul(a, c), mul(b, d), prec, rnd)
                 im = add(mul(a, d), mul(b, c), prec, rnd)
@@ -652,19 +660,31 @@ class Jet:
                     acc[k] = (re, im)
                 else:
                     acc[k] = (add(old[0], re, prec, rnd), add(old[1], im, prec, rnd))
-        mask = (1 << width) - 1
-        zeros = (zero, zero)
         out.coeffs = {
-            tuple(k >> s & mask for s in shifts): join(*pair)
+            tuple(k >> s & mask for s in shifts): _mpc_of(*pair)
             for k, pair in acc.items()
-            if pair != zeros
+            if pair != _ZERO_PAIR
         }
+        if track and hi < self.order:
+            theirs = sorted(big.above.union(t[2] for t in inner))
+            above = set()
+            for x in small.above.union(t[2] for t in outer):
+                d = x >> top
+                first = bisect_left(theirs, (hi + 1 - d) << top)
+                stop = bisect_left(theirs, (self.order + 1 - d) << top)
+                above.update(map(x.__add__, theirs[first:stop]))
+            if capped:
+                above = {
+                    k for k in above
+                    if all(k >> shifts[j] & mask <= cap for j, cap in capped)
+                }
+            out.above = above
         return out
 
     def pow_int(self, k):
         if not isinstance(k, int) or k < 0:
             raise SeriesError("jet powers must be nonnegative integers")
-        result = Jet.constant(self.nvars, self.order, self.center, _one_like(self), caps=self.caps)
+        result = Jet.constant(self.nvars, self.order, self.center, mpc(1), caps=self.caps)
         base = self
         while k:
             if k & 1:
@@ -673,18 +693,6 @@ class Jet:
             if k:
                 base = base * base
         return result
-
-    def is_exact(self):
-        return all(isinstance(v, (Fraction, GaussRat, int)) for v in self.coeffs.values())
-
-    def to_float(self):
-        return Jet(
-            self.nvars,
-            self.order,
-            tuple(mpc(z) if isinstance(z, (Fraction, int)) else z for z in self.center),
-            {b: coef_to_mpc(v) for b, v in self.coeffs.items()},
-            caps=self.caps,
-        )
 
     # -- series inverses -----------------------------------------------------
 
@@ -701,7 +709,7 @@ class Jet:
             {b: -(v / a0) for b, v in self.coeffs.items() if sum(b) > 0},
             caps=self.caps,
         )
-        acc = u._horner([_one_like(self)] * (self.order + 1))
+        acc = u._horner([mpc(1)] * (self.order + 1))
         return acc.map_coeffs(lambda v: v / a0)
 
     def log(self):
@@ -723,7 +731,7 @@ class Jet:
             out = u._horner(
                 [None] + [mpc((-1) ** (m + 1)) / m for m in range(1, self.order + 1)]
             )
-        const = mp.log(mpc(coef_to_mpc(a0)))
+        const = mp.log(a0)
         if const != 0:
             out = out + Jet.constant(self.nvars, self.order, self.center, const, caps=self.caps)
         return out
@@ -738,17 +746,13 @@ class Jet:
         ``t`` and the last step, ``t = len(coeffs) - 1 = order``, is whole.
         """
         top = len(coeffs) - 1
-        support = _Support(self)
-        mine = support.keys(self.coeffs)
-        reached = {0}  # the keys of the full-order accumulator
         acc = Jet.constant(self.nvars, self.order, self.center, coeffs[top], caps=self.caps)
         for t in range(1, top + 1):
-            acc = self._product(acc, 0, t, (len(self.coeffs), len(reached)))
+            acc = self._product(acc, 0, t, track=True)
             if coeffs[top - t] is not None:
                 acc = acc + Jet.constant(
                     self.nvars, self.order, self.center, coeffs[top - t], caps=self.caps
                 )
-            reached = support.product(mine, reached, t + 1) | support.keys(acc.coeffs)
         return acc
 
     # -- calculus ------------------------------------------------------------
@@ -773,8 +777,7 @@ class Jet:
             raise SeriesError("displacement length mismatch")
         dt = [mpc(z) for z in displacement]
         total = mpc(0)
-        for b, v in self.coeffs.items():
-            term = coef_to_mpc(v)
+        for b, term in self.coeffs.items():
             for j, k in enumerate(b):
                 for _ in range(k):
                     term *= dt[j]
@@ -805,20 +808,12 @@ class Jet:
             top = max(top, k)
         out = Jet(self.nvars, self.order, center, parts.get(top, {}), caps=self.caps)
         series = Jet(self.nvars, self.order, center, series.coeffs, caps=self.caps)
-        support = _Support(out)
-        theirs = support.keys(series.coeffs)
-        reached = support.keys(out.coeffs)  # the keys of the full-order ``out``
         for k in range(top - 1, -1, -1):
             # ``series`` has valuation >= 1, so the result reads the step for
-            # ``k`` only through degree ``order - k``
-            hi = self.order - k
-            out = out._product(series, 0, hi, (len(reached), len(series.coeffs)))
-            above = support.product(reached, theirs, hi + 1)
+            # ``k`` only through degree ``order - k``, which bounds ``parts[k]``
+            out = out._product(series, 0, self.order - k, track=True)
             if k in parts:
-                above |= support.keys(parts[k], hi + 1)
-                low = {b: v for b, v in parts[k].items() if sum(b) <= hi}
-                out = out + Jet(self.nvars, self.order, center, low, caps=self.caps)
-            reached = above | support.keys(out.coeffs)
+                out = out + Jet(self.nvars, self.order, center, parts[k], caps=self.caps)
         return out
 
     def __repr__(self):
@@ -830,84 +825,25 @@ class Jet:
         return {
             "nvars": self.nvars,
             "order": self.order,
-            "center": [complex_to_json(coef_to_mpc(z)) for z in self.center],
+            "center": [complex_to_json(z) for z in self.center],
             "coeffs": [
-                {"beta": list(b), "coef": complex_to_json(coef_to_mpc(v))}
+                {"beta": list(b), "coef": complex_to_json(v)}
                 for b, v in sorted(self.coeffs.items())
             ],
         }
 
 
-class _Support:
-    """Key sets of the full-order jets of a windowed chain, on packed integers.
-
-    Through its window a step holds exactly the full-order step's keys; above
-    it, the set holds every key the full-order loops reach there, the sums of
-    the operands' keys within the order and caps.  Its size is the full-order
-    jet's unless a coefficient above the window summed to an exact zero,
-    which only the full-order computation can see.
-
-    A key packs a multi-index ``width`` bits per variable, with its total
-    degree in the field above, so keys sort by degree and the sum of two keys
-    is the key of the summed index.
-    """
-
-    def __init__(self, jet):
-        self.order = jet.order
-        width = jet.order.bit_length() or 1
-        self.shifts = range(0, width * jet.nvars, width)
-        self.top = width * jet.nvars
-        self.mask = (1 << width) - 1
-        self.caps = [(s, cap) for s, cap in zip(self.shifts, jet.caps or ()) if cap is not None]
-
-    def keys(self, coeffs, low=0):
-        """The packed keys of degree at least ``low`` of a coefficient dict."""
-        shifts, top = self.shifts, self.top
-        return {
-            sum(map(operator.lshift, b, shifts)) + (d << top)
-            for b in coeffs
-            if (d := sum(b)) >= low
-        }
-
-    def product(self, a, b, low):
-        """The keys of degree at least ``low`` that a product of jets with
-        keys ``a`` and ``b`` reaches: the sums within the order and caps."""
-        b = sorted(b)
-        out = set()
-        for x in a:
-            d = x >> self.top
-            lo = bisect_left(b, (low - d) << self.top)
-            hi = bisect_left(b, (self.order + 1 - d) << self.top)
-            out.update(map(x.__add__, b[lo:hi]))
-        if self.caps:
-            mask = self.mask
-            out = {k for k in out if all(k >> s & mask <= cap for s, cap in self.caps)}
-        return out
-
-
 def power_chain(base, window):
-    """Yield ``(base**l, count)`` for ``l = 0, 1, ...``, each power one
-    product from the one below and computed only through degree
-    ``window(l)``; ``count`` is the number of coefficients the full-order
-    power has (the ``sizes`` entry of a product with it).
+    """Yield ``base**l`` for ``l = 0, 1, ...``, each power one product from
+    the one below and computed only through degree ``window(l)``.
 
     ``window(l)`` must cover what power ``l + 1`` reads, which holds when
     ``window(l + 1) - window(l)`` is at most the valuation of ``base``.
     """
-    support = _Support(base)
-    theirs = support.keys(base.coeffs)
-    reached = {0}
     power = Jet.constant(base.nvars, base.order, base.center, mpc(1))
-    l = 0
-    while True:
-        yield power, len(reached)
-        l += 1
-        power = power._product(base, 0, window(l), (len(reached), len(base.coeffs)))
-        reached = support.product(reached, theirs, window(l) + 1) | support.keys(power.coeffs)
-
-
-def _one_like(jet):
-    return Fraction(1) if jet.is_exact() and jet.coeffs else mpc(1)
+    for l in count(1):
+        yield power
+        power = power._product(base, 0, window(l), track=True)
 
 
 def _merge_caps(a, b):
@@ -941,7 +877,7 @@ def jet_circle_substitute(a, order=None):
     order = a.order if order is None else order
     if order > a.order:
         raise SeriesError("cannot extend a jet beyond its truncation order")
-    out = a.to_float().truncate(order)
+    out = a.truncate(order)
     radii = out.center
     zero_center = (mpc(0),) * a.nvars
     for m in range(a.nvars):

@@ -17,10 +17,11 @@ because the Hessian-inverse operator ``Hop`` lowers degree by exactly two.
 The slice is computed with the pair order of the full jet product, and the
 powers ``remainder^l`` are built once per phase, through the degree the terms
 read: with N terms, the degree ``m(l)`` of term ``k = N - 1``.  Each power is
-a window of the full-order power, and each product with it loops over the
-operand the full-order product would have picked (``series.power_chain``),
-so every term equals, bit for bit, the one the full-jet computation gives,
-unless a coefficient of a power above its window sums to an exact zero.
+a window of the full-order power (``series.power_chain``) that carries the
+keys the full-order power has above the window, so ``series`` picks the outer
+operand of a product with it as the full-order product would, and every term
+equals, bit for bit, the one the full-jet computation gives, unless a
+coefficient of a power above its window sums to an exact zero.
 
 Branch convention throughout: ``z**(-1/v) = |z|**(-1/v) exp(-i arg(z)/v)``
 with ``arg z`` in [-pi/2, pi/2].
@@ -126,11 +127,9 @@ class PhaseData:
         return (2 * k if self.v % 2 == 0 else k) + self.v * l
 
     def remainder_power(self, l):
-        """``(remainder**l, count)``: the power through the degree the terms
-        read, and the number of coefficients the full-order power has, which
-        picks the outer operand of a product with it.  Each power is one
-        product from the one below, built once per phase at the precision in
-        effect when first asked for."""
+        """``remainder**l`` through the degree the terms read.  Each power is
+        one product from the one below, built once per phase at the precision
+        in effect when first asked for."""
         while len(self._powers) <= l:
             self._powers.append(next(self._chain))
         return self._powers[l]
@@ -188,23 +187,22 @@ def _hessian_inverse_op(jet, inv):
     return out
 
 
-def _term(u_jet, phase, k, count, summand):
-    """Sum over l < count of ``summand(l, w)``, where ``w`` is the
+def _term(u_jet, phase, k, stop, summand):
+    """Sum over l < stop of ``summand(l, w)``, where ``w`` is the
     ``phase.slice_degree(k, l)`` part of ``u * remainder^l`` (the degree
     increases with l, so the last slice sets the order budget)."""
     if k >= phase.terms:
         raise OrderBudgetError(f"term {k} is beyond the {phase.terms} terms of the phase")
-    needed = phase.slice_degree(k, count - 1)
+    needed = phase.slice_degree(k, stop - 1)
     if u_jet.order < needed or phase.remainder.order < needed:
         raise OrderBudgetError(
             f"term {k} needs jets of order {needed}, have "
             f"{min(u_jet.order, phase.remainder.order)}"
         )
     total = mpc(0)
-    for l in range(count):
-        power, count_l = phase.remainder_power(l)
+    for l in range(stop):
         m = phase.slice_degree(k, l)
-        total += summand(l, u_jet.mul_degree(power, m, (len(u_jet.coeffs), count_l)))
+        total += summand(l, u_jet.mul_degree(phase.remainder_power(l), m))
     return total
 
 

@@ -42,7 +42,6 @@ from smoothasym.series import (
     SeriesError,
     SparsePoly,
     _merge_caps,
-    _one_like,
     coef_to_mpc,
 )
 from smoothasym.stationary import (
@@ -357,10 +356,10 @@ def reference_mul_degree(self, other, m):
 
 def jet_bits(jet, window=None):
     """A jet's caps and its keys in order, each with its coefficient's raw
-    ``mpc`` parts (or the exact value itself); only the keys of degree at
-    most ``window`` when one is given."""
+    ``mpc`` parts; only the keys of degree at most ``window`` when one is
+    given."""
     return jet.caps, [
-        (b, getattr(v, "_mpc_", v)) for b, v in jet.coeffs.items()
+        (b, v._mpc_) for b, v in jet.coeffs.items()
         if window is None or sum(b) <= window
     ]
 
@@ -378,9 +377,9 @@ def drops_above_window(run, window):
         gone = {b for b in reached if out._keeps(b)} - set(out.coeffs)
         dropped[0] |= any(sum(b) > window(step[0]) for b in gone)
 
-    def watched_product(self, other, lo, hi, sizes=None):
+    def watched_product(self, other, lo, hi, track=False):
         step[0] += 1
-        out = product(self, other, lo, hi, sizes)
+        out = product(self, other, lo, hi, track)
         note(out, {tuple(map(sum, zip(b1, b2))) for b1 in self.coeffs for b2 in other.coeffs})
         return out
 
@@ -413,7 +412,7 @@ def reference_reciprocal(self):
         {b: -(v / a0) for b, v in self.coeffs.items() if sum(b) > 0},
         caps=self.caps,
     )
-    one = _one_like(self)
+    one = mpc(1)
     acc = Jet.constant(self.nvars, self.order, self.center, one, caps=self.caps)
     for _ in range(self.order):
         acc = u * acc

@@ -39,6 +39,11 @@ DELANNOY_SPEC = {
     "n_values": [1, 2, 4],
 }
 
+def _with_term(terms, i, **fields):
+    """A copy of the polynomial ``terms`` with term ``i`` changed."""
+    return [dict(t, **fields) if j == i else t for j, t in enumerate(terms)]
+
+
 QWALK_SPEC = {
     "variables": ["x", "y"],
     "G": [{"exp": [0, 0], "coef": "1"}, {"exp": [1, 0], "coef": "-1/2"}],
@@ -425,6 +430,14 @@ class TestMainEntry:
         ("n_values", [0, 2]),  # these three failed only after the expansion ran
         ("n_values", [-2, 4]),
         ("precision_bits", 20),
+        ("alpha", ["1/0", "2"]),  # these four raised ZeroDivisionError
+        ("H", _with_term(DELANNOY_SPEC["H"], 1, coef="1/0")),
+        ("G", [{"exp": [0, 0], "coef": {"re": "1", "im": "1/0"}}]),
+        ("seeds", [[["1/0", "0"], ["1/2", "0"]]]),
+        ("H", _with_term(DELANNOY_SPEC["H"], 1, exp=[1.5, 0])),  # read as x
+        ("H", _with_term(DELANNOY_SPEC["H"], 1, exp=[True, 0])),  # read as x
+        ("H", _with_term(DELANNOY_SPEC["H"], 1, coef=True)),  # read as 1
+        ("variables", "xy"),  # split into letters
     ])
     def test_malformed_spec_field(self, tmp_path, capsys, field, value):
         obj = value if field is None else dict(DELANNOY_SPEC, **{field: value})
@@ -432,6 +445,7 @@ class TestMainEntry:
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
+        assert "Traceback" not in captured.err
         assert json.loads(captured.err)["error"].startswith("malformed spec: ")
 
     def test_critical_command(self, tmp_path, capsys):
@@ -488,8 +502,7 @@ def _docs_spec(name, **fields):
 
 
 def _full_remainder_power(phase, l):
-    full = reference_powers(phase.remainder, l + 1)[l]
-    return full, len(full.coeffs)
+    return reference_powers(phase.remainder, l + 1)[l]
 
 
 class TestRoutesMatchFullOrderChains:

@@ -109,15 +109,17 @@ class TestGaussRat:
 
 
 class TestJetFromPoly:
+    # small Gaussian integers and halves are exact at the working precision,
+    # so these jets compare exactly
     def test_linear_shift(self):
         P = poly(2, {(0, 0): 1, (1, 0): -1, (0, 1): -1})
-        j = Jet.from_poly(P, (Fraction(1, 2), Fraction(1, 2)), 2, exact=True)
-        assert j.coeffs == {(1, 0): Fraction(-1), (0, 1): Fraction(-1)}
+        j = Jet.from_poly(P, (mpc(1, 2) / 2, mpc(1, -2) / 2), 2)
+        assert j.coeffs == {(1, 0): mpc(-1), (0, 1): mpc(-1)}
 
     def test_binomial_shift(self):
         P = poly(1, {(2,): 1})
-        j = Jet.from_poly(P, (1,), 2, exact=True)
-        assert j.coeffs == {(0,): 1, (1,): 2, (2,): 1}
+        j = Jet.from_poly(P, (mpc(1, 1),), 2)
+        assert j.coeffs == {(0,): mpc(0, 2), (1,): mpc(2, 2), (2,): mpc(1)}
 
     def test_delannoy_point_on_variety(self, delannoy, delannoy_point):
         _, H, _ = delannoy
@@ -146,9 +148,10 @@ class TestJetFromPoly:
 
 class TestJetArithmetic:
     def test_truncated_product(self):
-        a = Jet.from_poly(poly(1, {(0,): 1, (1,): 1}), (0,), 2, exact=True)
-        b = Jet.from_poly(poly(1, {(0,): 1, (1,): -1}), (0,), 2, exact=True)
-        assert (a * b).coeffs == {(0,): Fraction(1), (2,): Fraction(-1)}
+        # the x coefficient sums to an exact zero and is dropped
+        a = Jet.from_poly(poly(1, {(0,): 1, (1,): 1}), (0,), 2)
+        b = Jet.from_poly(poly(1, {(0,): 1, (1,): -1}), (0,), 2)
+        assert (a * b).coeffs == {(0,): mpc(1), (2,): mpc(-1)}
 
     def test_unit_identity(self, rng):
         a = _random_jet(rng, nvars=2, order=4)
@@ -171,9 +174,9 @@ class TestJetArithmetic:
 
     def test_ring_axioms_exact(self, rng):
         for _ in range(6):
-            a = _random_exact_jet(rng, 2, 5)
-            b = _random_exact_jet(rng, 2, 5)
-            c = _random_exact_jet(rng, 2, 5)
+            a = _random_gauss_jet(rng, 2, 5)
+            b = _random_gauss_jet(rng, 2, 5)
+            c = _random_gauss_jet(rng, 2, 5)
             assert ((a * b) * c).coeffs == (a * (b * c)).coeffs
             assert (a * b).coeffs == (b * a).coeffs
             assert (a * (b + c)).coeffs == ((a * b) + (a * c)).coeffs
@@ -194,19 +197,17 @@ def product_operands(draw):
     current precision.
 
     ``kind`` picks the coefficients: small Gaussian integers (every sum is
-    exact, so cancellations give exact zeros), rationals rounded to the
-    precision (sums round), or exact ``Fraction`` values.  The second jet is
-    independent of the first, or the first at ``-x`` (the same keys, so the
-    sizes tie and every odd-degree sum cancels), or the first's keys in
-    reverse order with new coefficients (the sizes tie again).
+    exact, so cancellations give exact zeros) or rationals rounded to the
+    precision (sums round).  The second jet is independent of the first, or
+    the first at ``-x`` (the same keys, so the sizes tie and every odd-degree
+    sum cancels), or the first's keys in reverse order with new coefficients
+    (the sizes tie again).
     """
     nvars = draw(st.integers(1, 3))
     order = draw(st.integers(0, 8))
-    kind = draw(st.sampled_from(["gauss", "rounded", "fraction"]))
+    kind = draw(st.sampled_from(["gauss", "rounded"]))
 
     def coef():
-        if kind == "fraction":
-            return Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 7)))
         re, im = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
         if kind == "gauss":
             return mpc(re, im)
@@ -250,9 +251,8 @@ class TestProductKernel:
         with mp.workprec(data.draw(st.sampled_from([212, 100]))):
             a, b = data.draw(product_operands())
             assert jet_bits(a * b) == jet_bits(reference_jet_mul(a, b))
-            sizes = (len(a.coeffs), len(b.coeffs))
             for m in range(a.order + 2):
-                assert jet_bits(a.mul_degree(b, m, sizes)) == jet_bits(
+                assert jet_bits(a.mul_degree(b, m)) == jet_bits(
                     reference_mul_degree(a, b, m))
 
 
@@ -262,26 +262,23 @@ def chain_case(draw):
 
     1-3 variables, order 0-12 (at most 10 in two variables and 7 in three),
     caps on or off.  Coefficients are small Gaussian integers (every sum is
-    exact, so coefficients of the chains cancel to exact zeros), rationals
-    rounded to the precision, or exact ``Fraction`` values.  The support is
-    up to 12 random indices, or every index of the order; either may be
-    parity-sparse, every exponent even, so the chains never reach an odd
-    degree.  Besides the jet ``a`` the case draws a second jet ``s`` without
+    exact, so coefficients of the chains cancel to exact zeros) or rationals
+    rounded to the precision.  The support is up to 12 random indices, or
+    every index of the order; either may be parity-sparse, every exponent
+    even, so the chains never reach an odd degree.  Besides the jet ``a`` the case draws a second jet ``s`` without
     constant term (the substitution series and power-chain base), a variable,
     and the first window of a power chain.  Indices and coefficients come
     from a seeded generator, so dense jets do not exhaust hypothesis's data.
     """
     nvars = draw(st.sampled_from([1, 2, 3]))
     order = draw(st.sampled_from(range({1: 12, 2: 10, 3: 7}[nvars] + 1)))
-    kind = draw(st.sampled_from(["gauss", "rounded", "fraction"]))
+    kind = draw(st.sampled_from(["gauss", "rounded"]))
     even, dense = draw(st.sampled_from([False, True])), draw(st.sampled_from([False, True]))
     rng = random.Random(draw(st.integers(0, 2**32)))
     every = [b for b in itertools.product(range(order + 1), repeat=nvars)
              if sum(b) <= order and not (even and any(e % 2 for e in b))]
 
     def coef():
-        if kind == "fraction":
-            return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
         re, im = rng.randint(-2, 2), rng.randint(-2, 2)
         if kind == "gauss":
             return mpc(re, im)
@@ -299,7 +296,7 @@ def chain_case(draw):
     a = jet(0, caps)
     const = coef()
     if not const:  # the chains need an invertible jet
-        const = Fraction(1) if kind == "fraction" else mpc(1)
+        const = mpc(1)
     a.coeffs[(0,) * nvars] = const
     return a, jet(1, caps), draw(st.integers(0, nvars - 1)), draw(st.integers(0, order))
 
@@ -331,15 +328,15 @@ class TestWindowedChains:
             top = max((b[var] for b in a.coeffs), default=0)
             assert_same_chain(a.substitute(var, s), lambda: reference_substitute(a, var, s),
                               lambda i: a.order - top + i)
-            if not a.is_exact():
-                assert_same_chain(a.log(), lambda: reference_log(a), lambda i: i)
+            assert_same_chain(a.log(), lambda: reference_log(a), lambda i: i)
             # windows that grow by the valuation of the base, as the phase's do
             step = min((sum(b) for b in s.coeffs), default=1)
             window = lambda l: start + step * l  # noqa: E731
             fulls, dropped = drops_above_window(lambda: reference_powers(s, 4), window)
             chain = power_chain(s, window)
             for l, full in enumerate(fulls):
-                power, count = next(chain)
+                power = next(chain)
+                count = len(power.coeffs) + len(power.above)
                 assert count >= len(full.coeffs)
                 if not dropped:
                     assert jet_bits(power) == jet_bits(full, window(l))
@@ -359,23 +356,75 @@ class TestWindowedChains:
         # the factorial-scaled circle series rounds every product, so no
         # coefficient sums to an exact zero above a window, and the check is
         # strict
-        a = data.draw(chain_case())[0].to_float()
+        a = data.draw(chain_case())[0]
         a = Jet(a.nvars, a.order, (mpc(1, 1) / 3,) * a.nvars, a.coeffs, caps=a.caps)
         with mock.patch.object(Jet, "substitute", reference_substitute):
             want = jet_circle_substitute(a)
         assert jet_bits(jet_circle_substitute(a)) == jet_bits(want)
 
 
+def _product_sizes(run):
+    """For every product ``run()`` makes, the coefficients plus ``above`` keys
+    of both operands and of the result."""
+    sizes, product = [], Jet._product
+
+    def recorded(self, other, lo, hi, track=False):
+        out = product(self, other, lo, hi, track)
+        sizes.append(tuple(len(j.coeffs) + len(j.above) for j in (self, other, out)))
+        return out
+
+    with mock.patch.object(Jet, "_product", recorded):
+        run()
+    return sizes
+
+
+def _keyed_jets(shape):
+    """A jet ``a`` and a series ``s`` whose rounded coefficients never sum to
+    an exact zero: dense in two variables, or sparse with a cap, where the
+    keys above a window come from the operands' keys above theirs."""
+    if shape == "dense":
+        keys, order, caps = [b for b in itertools.product(range(7), repeat=2) if sum(b) <= 6], 6, None
+    else:
+        keys, order, caps = [(0, 0), (3, 0), (0, 5), (2, 2), (1, 4)], 12, (None, 9)
+    a = Jet(2, order, (0, 0), {b: mpc(1, b[0] - b[1]) / (b[0] + 3 * b[1] + 7) for b in keys},
+            caps=caps)
+    return a, Jet(2, order, (0, 0), {b: v for b, v in a.coeffs.items() if any(b)}, caps=caps)
+
+
+class TestWindowKeys:
+    """A windowed step's coefficients plus its ``above`` keys are as many as
+    the full-order step's coefficients, for every operand and result of every
+    product of a chain."""
+
+    @pytest.mark.parametrize("shape", ["dense", "sparse"])
+    @pytest.mark.parametrize("chain", ["reciprocal", "substitute", "power"])
+    def test_full_order_key_count(self, chain, shape):
+        a, s = _keyed_jets(shape)
+        top = max(b[0] for b in a.coeffs)
+        step = min(sum(b) for b in s.coeffs)
+        windowed, reference, window = {
+            "reciprocal": (a.reciprocal, lambda: reference_reciprocal(a), lambda i: i),
+            "substitute": (lambda: a.substitute(0, s), lambda: reference_substitute(a, 0, s),
+                           lambda i: a.order - top + i),
+            "power": (lambda: list(itertools.islice(power_chain(s, lambda l: step * l), 5)),
+                      lambda: reference_powers(s, 5), lambda l: step * l),
+        }[chain]
+        assert not drops_above_window(reference, window)[1]
+        want = _product_sizes(reference)
+        assert _product_sizes(windowed) == want
+        assert len(want) >= 3
+
+
 def _count_mul(fn):
     """The number of ``mpf_mul`` calls the jet products make inside ``fn()``."""
     calls = [0]
-    mul = series._RAW.mul
+    mul = series.mpf_mul
 
     def counting(x, y):
         calls[0] += 1
         return mul(x, y)
 
-    with mock.patch.object(series, "_RAW", series._RAW._replace(mul=counting)):
+    with mock.patch.object(series, "mpf_mul", counting):
         fn()
     return calls[0]
 
@@ -404,13 +453,8 @@ class TestWindowCost:
 
 class TestReciprocal:
     def test_geometric_series(self):
-        a = Jet.from_poly(poly(1, {(0,): 1, (1,): -1}), (0,), 3, exact=True)
-        assert a.reciprocal().coeffs == {
-            (0,): Fraction(1),
-            (1,): Fraction(1),
-            (2,): Fraction(1),
-            (3,): Fraction(1),
-        }
+        a = Jet.from_poly(poly(1, {(0,): 1, (1,): -1}), (0,), 3)
+        assert a.reciprocal().coeffs == {(k,): mpc(1) for k in range(4)}
 
     def test_involution(self, rng):
         for _ in range(5):
@@ -430,7 +474,7 @@ class TestReciprocal:
 
 class TestLog:
     def test_log1p_series(self):
-        a = Jet.from_poly(poly(1, {(0,): 1, (1,): 1}), (0,), 3).to_float()
+        a = Jet.from_poly(poly(1, {(0,): 1, (1,): 1}), (0,), 3)
         out = a.log()
         assert close(out.coefficient((1,)), 1)
         assert close(out.coefficient((2,)), mpf(-1) / 2)
@@ -510,11 +554,13 @@ def _random_jet(rng, nvars, order, unit_constant=False, center=None):
     return Jet(nvars, order, center, coeffs)
 
 
-def _random_exact_jet(rng, nvars, order):
+def _random_gauss_jet(rng, nvars, order):
+    """A jet with small Gaussian-integer coefficients: sums and products of a
+    few of them are exact at the working precision."""
     coeffs = {}
     for _ in range(8):
         beta = [0] * nvars
         for _ in range(rng.randint(0, order)):
             beta[rng.randrange(nvars)] += 1
-        coeffs[tuple(beta)] = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-    return Jet(nvars, order, (Fraction(0),) * nvars, coeffs)
+        coeffs[tuple(beta)] = mpc(rng.randint(-9, 9), rng.randint(-9, 9))
+    return Jet(nvars, order, (mpc(0),) * nvars, coeffs)
