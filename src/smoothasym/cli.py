@@ -133,14 +133,29 @@ class ProblemSpec:
             G_den=G_den,
             H=H,
             p=json_int(obj.get("p", 1), "p"),
-            alpha=Direction(tuple(parse_fraction(a) for a in obj["alpha"])),
+            alpha=Direction(tuple(parse_fraction(_not_bool(a, "alpha")) for a in obj["alpha"])),
             N=json_int(obj.get("N", 2), "N"),
             n_values=[json_int(n, "n_values") for n in n_values],
             seeds=seeds,
-            assume_strictly_minimal=bool(overrides.get("assume_strictly_minimal", False)),
-            force_degenerate=bool(overrides.get("force_degenerate", False)),
+            assume_strictly_minimal=_json_bool(overrides, "assume_strictly_minimal"),
+            force_degenerate=_json_bool(overrides, "force_degenerate"),
             precision_bits=json_int(obj.get("precision_bits", _default_bits()), "precision_bits"),
         )
+
+
+def _json_bool(overrides, name):
+    """The override ``name``, false when absent; only a JSON boolean is one."""
+    value = overrides.get(name, False)
+    if not isinstance(value, bool):
+        raise SeriesError(f"overrides.{name}: {value!r} is not a boolean")
+    return value
+
+
+def _not_bool(value, name):
+    """``value``, refusing a boolean, which would read as 0 or 1."""
+    if isinstance(value, bool):
+        raise SeriesError(f"{name}: {value!r} is not a number")
+    return value
 
 
 def _parse_complex(z):
@@ -148,6 +163,7 @@ def _parse_complex(z):
         re, im = z
     else:
         re, im = z, 0
+    re, im = _not_bool(re, "seeds"), _not_bool(im, "seeds")
     re = parse_fraction(re) if isinstance(re, str) else re
     im = parse_fraction(im) if isinstance(im, str) else im
     return mpc(mpf(re.numerator) / re.denominator if isinstance(re, Fraction) else re,

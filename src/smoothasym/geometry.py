@@ -103,9 +103,6 @@ class MinimalityVerdict:
     companions: list = field(default_factory=list)
     witness: tuple = None
 
-    def implies_minimal(self):
-        return self.kind in ("strictly-minimal", "finitely-minimal", "minimal")
-
 
 @dataclass
 class CriticalPointReport:
@@ -117,9 +114,6 @@ class CriticalPointReport:
     residual_H: object
     residual_critical: object
     isolated: str = "yes"  # yes | isolated-unverified
-
-    def is_valid(self):
-        return self.residual_H < RESIDUAL_TOL and self.residual_critical < RESIDUAL_TOL
 
     def to_json(self):
         return {

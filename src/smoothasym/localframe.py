@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from mpmath import mp, mpc, mpf
 
 from .geometry import Direction
-from .series import Jet, complex_to_json, jet_circle_substitute
+from .series import Jet, jet_circle_substitute
 
 VANISHING_TOL = mpf("1e-12")  # negligible phase coefficient, relative to the largest
 FRAME_TOL = mpf("1e-10")  # relative tolerance of the ``validate_frame`` identities
@@ -278,23 +278,6 @@ class LocalFrame:
 
     def hessian_det(self):
         return mp.det(self.hessian) if self.d > 1 else mpc(1)
-
-    def to_json(self):
-        n = self.d - 1
-        return {
-            "point": [complex_to_json(z) for z in self.point],
-            "alpha": [str(a) for a in self.direction.alpha],
-            "p": self.p,
-            "order": self.order,
-            "reordering": list(self.reordering),
-            "implicit_jet": self.h_jet.to_json(),
-            "phase_jet": self.phase.to_json(),
-            "amplitude_jets": [u.to_json() for u in self.amplitudes],
-            "hessian": [
-                [complex_to_json(self.hessian[i, j]) for j in range(n)]
-                for i in range(n)
-            ],
-        }
 
 
 def build_frame(G_num, H, p, direction, point, order, G_den=None, reordering=None):

@@ -24,6 +24,23 @@ rounding, read once per product.  That is exactly what ``mpc.__mul__`` and
 loop over ``mpc`` objects gives.  ``Jet.__add__`` and the zero filter of
 ``Jet.__init__`` work on the same pairs.
 
+A pair of pure coefficients, each real (imaginary part ``fzero``) or
+imaginary (real part ``fzero``), takes one rounded ``mpf_mul`` of its two
+nonzero parts, negated exactly by ``mpf_neg`` for imaginary times imaginary,
+and adds it into the one accumulator part it lands in; a pair with a complex
+coefficient takes the four-multiply formula.  At a positive real point, as
+in the combinatorial case, the jets are real and the circle substitution
+makes every degree-``m`` coefficient ``i^m`` times a real, so nearly every
+pair is pure.  For finite values the shortcut is bit-identical, by three
+identities of mpmath's ``libmpf``:
+
+- ``mpf_sub(mpf_mul(x, y), fzero, prec, rnd)`` and ``mpf_add(fzero,
+  mpf_mul(x, y), prec, rnd)`` are ``mpf_mul(x, y, prec, rnd)``, up to the
+  sign: each is one ``normalize1`` of the same exact product;
+- ``mpf_add(fzero, fzero)`` and ``mpf_sub(fzero, fzero)`` are ``fzero``;
+- ``mpf_add(s, fzero, prec, rnd)`` is ``s`` for an ``s`` already rounded to
+  ``prec``, as every accumulated part is.
+
 The Horner chains (``reciprocal``, ``log``, ``substitute`` and
 ``power_chain``) compute each step only through the highest degree a later
 step reads: a product over the window ``0..hi`` drops the pairs outside it,
@@ -50,7 +67,7 @@ from itertools import count
 from operator import lshift
 
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import fzero, mpf_add, mpf_mul, mpf_sub
+from mpmath.libmp import fzero, mpf_add, mpf_mul, mpf_neg, mpf_sub
 
 DEFAULT_BITS = 212
 
@@ -163,9 +180,6 @@ class GaussRat:
 
     def __rtruediv__(self, other):
         return _as_gauss(other) / self
-
-    def conjugate(self):
-        return GaussRat(self.re, -self.im)
 
 
 def _as_gauss(x):
@@ -409,6 +423,7 @@ class SparsePoly:
 # -- jets --------------------------------------------------------------------
 
 _ZERO_PAIR = (fzero, fzero)
+_ZERO_CELL = [fzero, fzero]
 
 
 def _mpc_of(re, im):
@@ -437,6 +452,29 @@ def _packed(coeffs, shifts, top):
     ]
 
 
+def _pure(re, im):
+    """``(0, re)`` for a real coefficient, ``(1, im)`` for an imaginary one
+    and ``(None, None)`` for one with two nonzero parts."""
+    if im == fzero:
+        return 0, re
+    if re == fzero:
+        return 1, im
+    return None, None
+
+
+def _pair(part, k2, c, d):
+    """The row entry ``(key, slot, y)`` of the inner coefficient ``c + d i``
+    against an outer coefficient whose only nonzero part is ``part`` (0 real,
+    1 imaginary, ``None`` for both).  For two pure coefficients the product's
+    one nonzero part is ``x * y`` for the outer part ``x``, landing in
+    ``slot`` (0 real, 1 imaginary), with ``y`` negated for ``i * i = -1``;
+    otherwise ``slot`` is ``None`` and ``y`` is ``(c, d)``."""
+    other, y = _pure(c, d)
+    if part is None or other is None:
+        return k2, None, (c, d)
+    return k2, part ^ other, mpf_neg(y) if part & other else y
+
+
 class Jet:
     """Truncated Taylor expansion at ``center``, orders ``<= order``.
 
@@ -449,7 +487,10 @@ class Jet:
     operand (``self`` on a tie) is the outer loop, each coefficient sums its
     pairs in outer-loop order, keys appear in first-reached order, and exact
     zeros are dropped.  Every rounding is the one ``mpc`` arithmetic makes,
-    so results are bit-identical to it.
+    so results are bit-identical to it.  A pair of real or imaginary
+    coefficients takes one rounded multiply into the one part of the sum it
+    lands in, which the three ``libmpf`` identities of the module docstring
+    make the same bits as the full complex product.
 
     The Horner chains compute step ``t`` only through the degree later steps
     read (``t`` for ``reciprocal`` and ``log``, ``order - k`` for the power
@@ -639,31 +680,46 @@ class Jet:
         capped = [(j, cap) for j, cap in enumerate(caps or ()) if cap is not None]
         outer = _packed(small.coeffs, shifts, top)
         inner = _packed(big.coeffs, shifts, top)
-        rows = {}  # (outer degree, room under each cap) -> usable inner terms
-        acc = {}
+        entries = {}  # outer part -> (degree, index, row entry) of each inner term
+        rows = {}  # (outer degree, room under each cap, outer part) -> usable entries
+        acc = {}  # key -> [re, im], updated in place
         get = acc.get
         for d1, b1, k1, a, b in outer:
+            part, x = _pure(a, b)
             room = tuple(cap - b1[j] for j, cap in capped)
-            row = rows.get((d1, room))
+            row = rows.get((d1, room, part))
             if row is None:
-                row = rows[d1, room] = [
-                    (k2, c, d) for d2, b2, k2, c, d in inner
+                if part not in entries:
+                    entries[part] = [(d2, b2, _pair(part, k2, c, d))
+                                     for d2, b2, k2, c, d in inner]
+                row = rows[d1, room, part] = [
+                    e for d2, b2, e in entries[part]
                     if lo <= d1 + d2 <= hi
                     and (not capped or all(b2[j] <= r for (j, _), r in zip(capped, room)))
                 ]
-            for k2, c, d in row:
-                re = sub(mul(a, c), mul(b, d), prec, rnd)
-                im = add(mul(a, d), mul(b, c), prec, rnd)
+            for k2, slot, y in row:
                 k = k1 + k2
-                old = get(k)
-                if old is None:
-                    acc[k] = (re, im)
+                cell = get(k)
+                if slot is None:
+                    c, d = y
+                    re = sub(mul(a, c), mul(b, d), prec, rnd)
+                    im = add(mul(a, d), mul(b, c), prec, rnd)
+                    if cell is None:
+                        acc[k] = [re, im]
+                    else:
+                        cell[0] = add(cell[0], re, prec, rnd)
+                        cell[1] = add(cell[1], im, prec, rnd)
                 else:
-                    acc[k] = (add(old[0], re, prec, rnd), add(old[1], im, prec, rnd))
+                    t = mul(x, y, prec, rnd)
+                    if cell is None:
+                        cell = acc[k] = [fzero, fzero]
+                        cell[slot] = t
+                    else:
+                        cell[slot] = add(cell[slot], t, prec, rnd)
         out.coeffs = {
-            tuple(k >> s & mask for s in shifts): _mpc_of(*pair)
-            for k, pair in acc.items()
-            if pair != _ZERO_PAIR
+            tuple(k >> s & mask for s in shifts): _mpc_of(*cell)
+            for k, cell in acc.items()
+            if cell != _ZERO_CELL
         }
         if track and hi < self.order:
             theirs = sorted(big.above.union(t[2] for t in inner))
@@ -819,18 +875,6 @@ class Jet:
     def __repr__(self):
         items = ", ".join(f"{b}: {v}" for b, v in sorted(self.coeffs.items()))
         return f"Jet(nvars={self.nvars}, order={self.order}, {{{items}}})"
-
-    def to_json(self):
-        """Full-precision decimal serialization for debugging and golden tests."""
-        return {
-            "nvars": self.nvars,
-            "order": self.order,
-            "center": [complex_to_json(z) for z in self.center],
-            "coeffs": [
-                {"beta": list(b), "coef": complex_to_json(v)}
-                for b, v in sorted(self.coeffs.items())
-            ],
-        }
 
 
 def power_chain(base, window):

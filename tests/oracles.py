@@ -18,6 +18,8 @@ Independent oracles, and what each checks:
 Test harness:
   drops_above_window         whether a full-order chain drops an exact zero
                              above the window its windowed step computes
+  frame_to_json              a local frame as JSON, jets and Hessian in decimals
+  jet_to_json                a jet as JSON, for ``frame_to_json``
   jet_allclose               coefficientwise closeness of two jets
   jet_bits                   a jet's caps, keys in order and raw coefficient bits
 """
@@ -43,6 +45,7 @@ from smoothasym.series import (
     SparsePoly,
     _merge_caps,
     coef_to_mpc,
+    complex_to_json,
 )
 from smoothasym.stationary import (
     BranchError,
@@ -352,6 +355,39 @@ def reference_mul_degree(self, other, m):
             coeffs[b] = coeffs[b] + prod if b in coeffs else prod
     return Jet(self.nvars, self.order, self.center, coeffs,
                caps=_merge_caps(self.caps, other.caps))
+
+
+def jet_to_json(jet):
+    """A jet as JSON: center and coefficients as full-precision decimals."""
+    return {
+        "nvars": jet.nvars,
+        "order": jet.order,
+        "center": [complex_to_json(z) for z in jet.center],
+        "coeffs": [
+            {"beta": list(b), "coef": complex_to_json(v)}
+            for b, v in sorted(jet.coeffs.items())
+        ],
+    }
+
+
+def frame_to_json(frame):
+    """A ``LocalFrame`` as JSON: its point, direction and jets, and the
+    closed-form Hessian, with the digits the working precision carries."""
+    n = frame.d - 1
+    return {
+        "point": [complex_to_json(z) for z in frame.point],
+        "alpha": [str(a) for a in frame.direction.alpha],
+        "p": frame.p,
+        "order": frame.order,
+        "reordering": list(frame.reordering),
+        "implicit_jet": jet_to_json(frame.h_jet),
+        "phase_jet": jet_to_json(frame.phase),
+        "amplitude_jets": [jet_to_json(u) for u in frame.amplitudes],
+        "hessian": [
+            [complex_to_json(frame.hessian[i, j]) for j in range(n)]
+            for i in range(n)
+        ],
+    }
 
 
 def jet_bits(jet, window=None):

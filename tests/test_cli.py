@@ -438,6 +438,10 @@ class TestMainEntry:
         ("H", _with_term(DELANNOY_SPEC["H"], 1, exp=[True, 0])),  # read as x
         ("H", _with_term(DELANNOY_SPEC["H"], 1, coef=True)),  # read as 1
         ("variables", "xy"),  # split into letters
+        ("overrides", {"assume_strictly_minimal": "false"}),  # read as true
+        ("overrides", {"force_degenerate": 0}),  # read as false
+        ("alpha", [True, "1"]),  # read as 1
+        ("seeds", [[[True, "0"], ["1/2", "0"]]]),  # read as 1
     ])
     def test_malformed_spec_field(self, tmp_path, capsys, field, value):
         obj = value if field is None else dict(DELANNOY_SPEC, **{field: value})

@@ -409,7 +409,7 @@ class TestMinimality:
     def test_verdict_monotonicity(self, delannoy, delannoy_point):
         _, H, _ = delannoy
         verdict = check_minimality(H, delannoy_point)
-        assert verdict.implies_minimal()
+        assert verdict.kind in ("strictly-minimal", "finitely-minimal", "minimal")
 
 
 class TestReports:
@@ -424,7 +424,8 @@ class TestReports:
         kinds = sorted(r.minimality.kind for r in reports)
         assert kinds == ["not-minimal", "strictly-minimal"]
         for r in reports:
-            assert r.smooth and r.is_valid()
+            assert r.smooth
+            assert r.residual_H < RESIDUAL_TOL and r.residual_critical < RESIDUAL_TOL
             js = r.to_json()
             assert set(js) >= {"point", "smooth", "minimality", "residual_H"}
 

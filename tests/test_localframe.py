@@ -28,7 +28,7 @@ from smoothasym.localframe import (
 )
 
 from conftest import poly, random_critical_instance
-from oracles import phase_hessian_symmetric_q
+from oracles import frame_to_json, phase_hessian_symmetric_q
 
 
 def close(a, b, tol="1e-45"):
@@ -255,7 +255,7 @@ class TestBuildFrame:
 
         G, H, alpha = delannoy
         frame = build_frame(G, H, 1, alpha, delannoy_point, 8)
-        blob = json.dumps(frame.to_json())
+        blob = json.dumps(frame_to_json(frame))
         data = json.loads(blob)
         assert data["p"] == 1 and data["reordering"] == [0, 1]
         assert mpf(data["hessian"][0][0]["re"]) > 0

@@ -101,7 +101,7 @@ class TestGaussRat:
         assert i * i == Fraction(-1)
         z = GaussRat(Fraction(1, 2), Fraction(3, 4))
         assert z * (Fraction(1) / z) == Fraction(1)
-        assert (z + z.conjugate()) == Fraction(1)
+        assert (z + GaussRat(z.re, -z.im)) == Fraction(1)
 
     def test_collapses_to_fraction(self):
         z = GaussRat(2, 1) * GaussRat(2, -1)
@@ -191,27 +191,50 @@ class TestJetArithmetic:
             assert jet_allclose(a * (b + c), a * b + a * c, rel=tol)
 
 
+def _draw_coef(kind, integer):
+    """A coefficient of degree ``m`` drawn by ``kind``, from ``integer(lo,
+    hi)`` draws: small Gaussian integers (``"gauss"``), rationals rounded to
+    the precision (``"rounded"``), reals that are either (``"real"``), the
+    real times ``i^m`` the circle substitution makes at a real point
+    (``"twisted"``), or each coefficient real, imaginary or complex
+    (``"mixed"``).  The last three use small integers or rounded rationals
+    throughout, by one draw."""
+    small = kind == "gauss" if kind in ("gauss", "rounded") else bool(integer(0, 1))
+
+    def part():
+        value = mpf(integer(-2, 2))
+        return value if small else value / integer(1, 7)
+
+    def coef(m):
+        if kind in ("gauss", "rounded"):
+            return mpc(part(), part())
+        if kind == "mixed":
+            m = integer(0, 2)
+            if m == 2:
+                return mpc(part(), part())
+        elif kind == "real":
+            m = 0
+        value = part()
+        return mpc(*[(value, 0), (0, value), (-value, 0), (0, -value)][m % 4])
+
+    return coef
+
+
 @st.composite
 def product_operands(draw):
     """Two jets for the product kernel, with coefficients built at the
     current precision.
 
-    ``kind`` picks the coefficients: small Gaussian integers (every sum is
-    exact, so cancellations give exact zeros) or rationals rounded to the
-    precision (sums round).  The second jet is independent of the first, or
-    the first at ``-x`` (the same keys, so the sizes tie and every odd-degree
-    sum cancels), or the first's keys in reverse order with new coefficients
-    (the sizes tie again).
+    Each jet draws its own ``kind`` (``_draw_coef``), so pure operands meet
+    complex ones; small integers make every sum exact, so cancellations give
+    exact zeros, and rationals rounded to the precision make sums round.  The
+    second jet is independent of the first, or the first at ``-x`` (the same
+    keys, so the sizes tie and every odd-degree sum cancels), or the first's
+    keys in reverse order with new coefficients (the sizes tie again).
     """
     nvars = draw(st.integers(1, 3))
     order = draw(st.integers(0, 8))
-    kind = draw(st.sampled_from(["gauss", "rounded"]))
-
-    def coef():
-        re, im = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
-        if kind == "gauss":
-            return mpc(re, im)
-        return mpc(mpf(re) / draw(st.integers(1, 7)), mpf(im) / draw(st.integers(1, 7)))
+    kinds = st.sampled_from(["gauss", "rounded", "real", "twisted", "mixed"])
 
     def index():
         room, beta = order, []
@@ -226,7 +249,8 @@ def product_operands(draw):
         return tuple(draw(st.none() | st.integers(0, order)) for _ in range(nvars))
 
     def jet(keys):
-        return Jet(nvars, order, (0,) * nvars, {b: coef() for b in keys}, caps=caps())
+        coef = _draw_coef(draw(kinds), lambda lo, hi: draw(st.integers(lo, hi)))
+        return Jet(nvars, order, (0,) * nvars, {b: coef(sum(b)) for b in keys}, caps=caps())
 
     a = jet([index() for _ in range(draw(st.integers(0, 12)))])
     shape = draw(st.sampled_from(["independent", "mirror", "reversed"]))
@@ -261,40 +285,37 @@ def chain_case(draw):
     """A jet for the Horner chains, with the data they take besides it.
 
     1-3 variables, order 0-12 (at most 10 in two variables and 7 in three),
-    caps on or off.  Coefficients are small Gaussian integers (every sum is
-    exact, so coefficients of the chains cancel to exact zeros) or rationals
-    rounded to the precision.  The support is up to 12 random indices, or
-    every index of the order; either may be parity-sparse, every exponent
-    even, so the chains never reach an odd degree.  Besides the jet ``a`` the case draws a second jet ``s`` without
-    constant term (the substitution series and power-chain base), a variable,
-    and the first window of a power chain.  Indices and coefficients come
-    from a seeded generator, so dense jets do not exhaust hypothesis's data.
+    caps on or off.  Coefficients are drawn by a ``kind`` of ``_draw_coef``:
+    small integers make every sum exact, so coefficients of the chains cancel
+    to exact zeros, and rationals rounded to the precision make sums round;
+    real and twisted jets keep every chain pure.  The support is up to 12
+    random indices, or every index of the order; either may be parity-sparse,
+    every exponent even, so the chains never reach an odd degree.  Besides
+    the jet ``a`` the case draws a second jet ``s`` without constant term
+    (the substitution series and power-chain base), a variable, and the first
+    window of a power chain.  Indices and coefficients come from a seeded
+    generator, so dense jets do not exhaust hypothesis's data.
     """
     nvars = draw(st.sampled_from([1, 2, 3]))
     order = draw(st.sampled_from(range({1: 12, 2: 10, 3: 7}[nvars] + 1)))
-    kind = draw(st.sampled_from(["gauss", "rounded"]))
+    kind = draw(st.sampled_from(["gauss", "rounded", "real", "twisted", "mixed"]))
     even, dense = draw(st.sampled_from([False, True])), draw(st.sampled_from([False, True]))
     rng = random.Random(draw(st.integers(0, 2**32)))
     every = [b for b in itertools.product(range(order + 1), repeat=nvars)
              if sum(b) <= order and not (even and any(e % 2 for e in b))]
-
-    def coef():
-        re, im = rng.randint(-2, 2), rng.randint(-2, 2)
-        if kind == "gauss":
-            return mpc(re, im)
-        return mpc(mpf(re) / rng.randint(1, 7), mpf(im) / rng.randint(1, 7))
+    coef = _draw_coef(kind, rng.randint)
 
     def jet(low, caps):
         usable = [b for b in every if sum(b) >= low]
         if usable and not dense:
             usable = [rng.choice(usable) for _ in range(rng.randint(1, 12))]
-        return Jet(nvars, order, (0,) * nvars, {b: coef() for b in usable}, caps=caps)
+        return Jet(nvars, order, (0,) * nvars, {b: coef(sum(b)) for b in usable}, caps=caps)
 
     caps = None
     if draw(st.booleans()):
         caps = tuple(draw(st.sampled_from([None, *range(order + 1)])) for _ in range(nvars))
     a = jet(0, caps)
-    const = coef()
+    const = coef(0)
     if not const:  # the chains need an invertible jet
         const = mpc(1)
     a.coeffs[(0,) * nvars] = const
@@ -355,9 +376,11 @@ class TestWindowedChains:
     def test_circle_substitution(self, data):
         # the factorial-scaled circle series rounds every product, so no
         # coefficient sums to an exact zero above a window, and the check is
-        # strict
+        # strict; at a real center a real jet's products stay pure, as at a
+        # combinatorial point
         a = data.draw(chain_case())[0]
-        a = Jet(a.nvars, a.order, (mpc(1, 1) / 3,) * a.nvars, a.coeffs, caps=a.caps)
+        center = data.draw(st.sampled_from([mpc(1, 1) / 3, mpc(1) / 3]))
+        a = Jet(a.nvars, a.order, (center,) * a.nvars, a.coeffs, caps=a.caps)
         with mock.patch.object(Jet, "substitute", reference_substitute):
             want = jet_circle_substitute(a)
         assert jet_bits(jet_circle_substitute(a)) == jet_bits(want)
@@ -416,13 +439,14 @@ class TestWindowKeys:
 
 
 def _count_mul(fn):
-    """The number of ``mpf_mul`` calls the jet products make inside ``fn()``."""
+    """The number of ``mpf_mul`` calls the jet products make inside ``fn()``,
+    rounded (``prec, rnd`` given) or not."""
     calls = [0]
     mul = series.mpf_mul
 
-    def counting(x, y):
+    def counting(x, y, *rounding):
         calls[0] += 1
-        return mul(x, y)
+        return mul(x, y, *rounding)
 
     with mock.patch.object(series, "mpf_mul", counting):
         fn()
@@ -449,6 +473,32 @@ class TestWindowCost:
         with mock.patch.object(Jet, "substitute", reference_substitute):
             full = _count_mul(lambda: jet_circle_substitute(a))
         assert windowed <= 0.4 * full
+
+
+class TestPureProducts:
+    """A pair of real or imaginary coefficients takes one multiply, where a
+    pair of complex ones takes four; a kernel that falls back to the complex
+    formula fails this, though its bits are the same."""
+
+    @staticmethod
+    def jets(parts):
+        """Dense order-8 jets in two variables on one support, each
+        coefficient made by ``parts(value, degree)``."""
+        keys = [b for b in itertools.product(range(9), repeat=2) if sum(b) <= 8]
+        return [Jet(2, 8, (0, 0), {b: mpc(*parts(mpf(b[0] + s) / (b[1] + 3), sum(b)))
+                                   for b in keys}) for s in (1, 2)]
+
+    @pytest.mark.parametrize("kind", ["real", "twisted"])
+    def test_quarter_of_the_complex_multiplies(self, kind):
+        pure = self.jets({
+            "real": lambda v, m: (v, 0),
+            "twisted": lambda v, m: [(v, 0), (0, v), (-v, 0), (0, -v)][m % 4],
+        }[kind])
+        full = self.jets(lambda v, m: (v, 1 + v))
+        count = _count_mul(lambda: pure[0] * pure[1])
+        # one per pair of indices: C(12, 4) pairs of total degree <= 8
+        assert count == 495
+        assert 4 * count == _count_mul(lambda: full[0] * full[1])
 
 
 class TestReciprocal:
