@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,9 +40,7 @@ from .localframe import (
 )
 from .oracle import decimal_str, maclaurin_table, rational_str
 from .series import (DEFAULT_BITS, SeriesError, SparsePoly, check_precision, coef_to_mpc,
-                     json_int, parse_fraction, workprec)
-
-PRECISION_ENV = "SMOOTHASYM_PRECISION"
+                     json_int, parse_fraction, parse_rational, workprec)
 
 EXIT_NO_CRITICAL = 2
 EXIT_MINIMALITY_UNKNOWN = 3
@@ -133,13 +130,13 @@ class ProblemSpec:
             G_den=G_den,
             H=H,
             p=json_int(obj.get("p", 1), "p"),
-            alpha=Direction(tuple(parse_fraction(_not_bool(a, "alpha")) for a in obj["alpha"])),
+            alpha=Direction(tuple(parse_rational(a, "alpha") for a in obj["alpha"])),
             N=json_int(obj.get("N", 2), "N"),
             n_values=[json_int(n, "n_values") for n in n_values],
             seeds=seeds,
             assume_strictly_minimal=_json_bool(overrides, "assume_strictly_minimal"),
             force_degenerate=_json_bool(overrides, "force_degenerate"),
-            precision_bits=json_int(obj.get("precision_bits", _default_bits()), "precision_bits"),
+            precision_bits=json_int(obj.get("precision_bits", DEFAULT_BITS), "precision_bits"),
         )
 
 
@@ -168,11 +165,6 @@ def _parse_complex(z):
     im = parse_fraction(im) if isinstance(im, str) else im
     return mpc(mpf(re.numerator) / re.denominator if isinstance(re, Fraction) else re,
                mpf(im.numerator) / im.denominator if isinstance(im, Fraction) else im)
-
-
-def _default_bits():
-    env = os.environ.get(PRECISION_ENV)
-    return int(env) if env else DEFAULT_BITS
 
 
 def provenance(spec):
@@ -263,7 +255,7 @@ def _expand_at_point(spec, report):
                 spec.G_num, spec.H, spec.p, report.point, G_den=spec.G_den,
                 direction=spec.alpha,
             )
-        except (ExpansionError, SeriesError) as exc:
+        except (ExpansionError, FrameError, SeriesError) as exc:
             raise PipelineExit(EXIT_NO_CRITICAL, f"univariate expansion failed: {exc}")
 
     def frame_of_order(order):

@@ -15,7 +15,7 @@ from fractions import Fraction
 from mpmath import mp, mpc, mpf
 
 from .geometry import Direction
-from .localframe import degenerate_phase_order, vanishing_order
+from .localframe import amplitude_jets, degenerate_phase_order, vanishing_order
 from .series import Jet, coef_to_mpc, complex_to_json
 from .stationary import (
     PhaseData,
@@ -353,20 +353,15 @@ def expand_univariate(G_num, H, p, point, G_den=None, direction=None):
     scale = max(H.coeff_bound(), mpf(1))
     if abs(H.eval((c,))) > mpf("1e-10") * scale:
         raise ExpansionError("point is not on the variety")
-    order = p + 2
-    H_jet = Jet.from_poly(H, (c,), order + 1)
-    # divide off the simple zero: H(x) = (x - c) H1(x)
-    if abs(H_jet.coefficient((1,))) <= mpf("1e-12") * scale:
+    if abs(H.partial(0).eval((c,))) <= mpf("1e-12") * scale:
         raise ExpansionError("point is not a smooth (simple) zero")
-    H1 = Jet(1, order, (c,), {(k,): H_jet.coefficient((k + 1,)) for k in range(order + 1)})
-    K = Jet.from_poly(G_num, (c,), order) * H1.pow_int(p).reciprocal()
-    if G_den is not None:
-        K = K * Jet.from_poly(G_den, (c,), order).reciprocal()
+    # the residue at x = c is the frame with no torus variables
+    amps, _ = amplitude_jets(G_num, H, p, (c,), Jet(0, p, (), {(): c}), 1, G_den=G_den)
     records = [
         {
             "j": j,
             "k": 0,
-            "term": (-c) ** (-p + j) * mpf(math.factorial(j)) * K.coefficient((j,)),
+            "term": amps[j].constant_coefficient(),
             "weight": mpf(1) / (math.factorial(p - 1 - j) * math.factorial(j)),
             "rising": p - 1 - j,
             "y_exponent": Fraction(0),

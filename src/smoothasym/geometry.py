@@ -304,7 +304,7 @@ _SINGULAR_LU = (ZeroDivisionError, TypeError)
 def newton_polish(polys, point):
     """Damped Newton iteration on a square polynomial system, at working prec.
 
-    Returns (point, converged, jacobian_singular).
+    Returns (point, converged); a singular Jacobian ends the iteration.
     """
     d = len(point)
     jac = [[P.partial(j) for j in range(d)] for P in polys]
@@ -316,7 +316,6 @@ def newton_polish(polys, point):
         return vals, max(abs(v) for v in vals)
 
     vals, err = resid(x)
-    singular = False
     for _ in range(NEWTON_MAX_ITER):
         if err < target:
             break
@@ -327,7 +326,6 @@ def newton_polish(polys, point):
         try:
             step = mp.lu_solve(J, mp.matrix([-v for v in vals]))
         except _SINGULAR_LU:
-            singular = True
             break
         lam = mpf(1)
         improved = False
@@ -341,7 +339,7 @@ def newton_polish(polys, point):
             lam /= 2
         if not improved:
             break
-    return x, err < RESIDUAL_TOL, singular
+    return x, err < RESIDUAL_TOL
 
 
 def _jacobian_singular(polys, point):
@@ -466,7 +464,7 @@ def solve_critical(H, direction, seeds=None):
     points = []
     residuals = []
     for cand in candidates:
-        x, ok, _ = newton_polish(polys, cand)
+        x, ok = newton_polish(polys, cand)
         if not ok:
             continue
         res_h, res_c = system_residual(polys, x)

@@ -182,6 +182,12 @@ def amplitude_jets(G_num, H, p, point, h_jet, order, G_den=None):
     ``(y - h)^p F = G / Q^p`` as a jet in (w displacement, y - h(w)), reads
     off the normalized y-derivatives at the pole, and restricts to the torus.
     Returns (list of torus amplitude jets, Q jet in the shifted coordinates).
+
+    The pole-coordinate jets have order ``order + p - 1``, so ``Q`` lacks its
+    coefficients of that total degree and amplitude ``p - 1`` can be wrong at
+    w-degree ``order``: the amplitudes are exact through ``order - 1``.  With
+    no torus variables (``H`` in one variable, ``h_jet`` a constant jet in
+    none) this is the univariate residue.
     """
     d = H.nvars
     c = tuple(mpc(z) for z in point)
@@ -192,18 +198,20 @@ def amplitude_jets(G_num, H, p, point, h_jet, order, G_den=None):
             f"amplitudes to order {order} at pole order {p} need the implicit "
             f"jet to order {work_order}, have {h_jet.order}"
         )
-    H_jet = Jet.from_poly(H, c, work_order)
-
-    # substitute y = h(w) + v; the v^0 slice vanishes identically
-    h_shift = Jet(
+    # substitute y = h(w) + v
+    y_shift = Jet(
         d,
         work_order,
         c,
         {b + (0,): v for b, v in h_jet.coeffs.items() if 0 < sum(b) <= work_order},
-    )
-    v_mono = Jet(d, work_order, c, {(0,) * (d - 1) + (1,): mpc(1)})
-    H_sv = H_jet.substitute(d - 1, h_shift + v_mono)
+    ) + Jet(d, work_order, c, {(0,) * (d - 1) + (1,): mpc(1)})
 
+    def at_pole(P, caps=None):
+        shifted = Jet.from_poly(P, c, work_order).substitute(d - 1, y_shift)
+        return Jet(d, work_order, c, shifted.coeffs, caps=caps)
+
+    H_sv = at_pole(H)
+    # the v^0 slice vanishes identically
     zero_slice = max(
         (abs(v) for b, v in H_sv.coeffs.items() if b[d - 1] == 0), default=mpf(0)
     )
@@ -222,13 +230,9 @@ def amplitude_jets(G_num, H, p, point, h_jet, order, G_den=None):
     if Q_sv.constant_coefficient() == 0:
         raise FrameError("Q has zero constant term; the point cannot be smooth")
 
-    num_jet = Jet.from_poly(G_num, c, work_order).substitute(d - 1, h_shift + v_mono)
-    num_jet = Jet(d, work_order, c, num_jet.coeffs, caps=caps)
-    K = num_jet * Q_sv.pow_int(p).reciprocal()
+    K = at_pole(G_num, caps) * Q_sv.pow_int(p).reciprocal()
     if G_den is not None:
-        den_jet = Jet.from_poly(G_den, c, work_order).substitute(d - 1, h_shift + v_mono)
-        den_jet = Jet(d, work_order, c, den_jet.coeffs, caps=caps)
-        K = K * den_jet.reciprocal()
+        K = K * at_pole(G_den, caps).reciprocal()
 
     neg_h = -h_jet
     inv_neg_h = neg_h.reciprocal()
@@ -260,7 +264,12 @@ def vanishing_order(g_jet):
 
 @dataclass
 class LocalFrame:
-    """All point-local data at a smooth critical point (reordered coords)."""
+    """All point-local data at a smooth critical point (reordered coords).
+
+    The amplitude jets have order ``order`` but are exact only through
+    ``order - 1`` (see ``amplitude_jets``); ``smooth_phase_order`` and
+    ``degenerate_phase_order`` keep every degree the terms read below that.
+    """
 
     point: tuple  # reordered so the distinguished coordinate is last
     direction: Direction  # reordered to match

@@ -18,7 +18,6 @@ geometric-series expansion and against the exact residual of the recurrence.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,22 +50,11 @@ class CoeffTable:
             b < 0 or b > m for b, m in zip(beta, self.bounds)
         ):
             raise OracleError(f"index {beta} outside the computed box {self.bounds}")
-        return self._cell(beta)
-
-    def _cell(self, beta):
         num = self.numerators[beta]
         if not num:
             return Fraction(0)
         den = self.qpow[sum(beta) + 1]
         return num / den if isinstance(num, GaussRat) else Fraction(num) / den
-
-    @functools.cached_property
-    def values(self):
-        """Exponent tuple -> Fraction | GaussRat, for every nonzero cell."""
-        return {
-            tuple(int(i) for i in beta): self._cell(beta)
-            for beta in zip(*np.nonzero(self.numerators))
-        }
 
 
 def rational_str(v):

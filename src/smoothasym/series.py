@@ -63,7 +63,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import count
+from itertools import count, islice
 from operator import lshift
 
 from mpmath import mp, mpc, mpf
@@ -210,22 +210,18 @@ def coef_to_mpc(c):
 def parse_coef(obj):
     """Parse a JSON coefficient: "num/den" string, int, or {"re","im"} pair."""
     if isinstance(obj, dict):
-        return _gauss_or_frac(_parse_rational(obj.get("re", 0)), _parse_rational(obj.get("im", 0)))
-    return _parse_rational(obj)
+        return _gauss_or_frac(parse_rational(obj.get("re", 0)), parse_rational(obj.get("im", 0)))
+    return parse_rational(obj)
 
 
-def _parse_rational(obj):
+def parse_rational(obj, name="coefficient"):
+    """A JSON integer or ``"num/den"`` string as a ``Fraction``; a float or a
+    boolean is malformed."""
     if isinstance(obj, str):
         return parse_fraction(obj)
     if isinstance(obj, int):
-        return Fraction(json_int(obj, "coefficient"))
-    raise SeriesError(f"cannot parse coefficient {obj!r}")
-
-
-def format_coef(c):
-    if isinstance(c, GaussRat):
-        return {"re": str(c.re), "im": str(c.im)}
-    return str(c)
+        return Fraction(json_int(obj, name))
+    raise SeriesError(f"cannot parse {name} {obj!r}")
 
 
 def complex_to_json(z):
@@ -289,12 +285,6 @@ class SparsePoly:
         if nvars is None:
             raise SeriesError("empty polynomial JSON needs an explicit nvars")
         return cls(nvars, terms)
-
-    def to_json(self):
-        return [
-            {"exp": list(e), "coef": format_coef(c)}
-            for e, c in sorted(self.terms.items())
-        ]
 
     # -- ring operations ----------------------------------------------------
 
@@ -400,9 +390,6 @@ class SparsePoly:
         for e, c in self.terms.items():
             terms[tuple(e[p] for p in perm)] = c
         return SparsePoly(self.nvars, terms)
-
-    def degree(self):
-        return max((sum(e) for e in self.terms), default=-1)
 
     def max_degree(self, j):
         return max((e[j] for e in self.terms), default=-1)
@@ -738,38 +725,15 @@ class Jet:
         return out
 
     def pow_int(self, k):
+        """``self**k``, the k-th power of ``power_chain`` at full order."""
         if not isinstance(k, int) or k < 0:
             raise SeriesError("jet powers must be nonnegative integers")
-        result = Jet.constant(self.nvars, self.order, self.center, mpc(1), caps=self.caps)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        return next(islice(power_chain(self, lambda l: self.order), k, None))
 
     # -- series inverses -----------------------------------------------------
 
-    def reciprocal(self):
-        """Jet ``b`` with ``self * b = 1`` through the truncation order."""
-        a0 = self.constant_coefficient()
-        if a0 == 0:
-            raise NonInvertibleJetError("jet has zero constant term")
-        # 1/a = (1/a0) * sum_m u^m with u = 1 - a/a0 (valuation >= 1)
-        u = Jet(
-            self.nvars,
-            self.order,
-            self.center,
-            {b: -(v / a0) for b, v in self.coeffs.items() if sum(b) > 0},
-            caps=self.caps,
-        )
-        acc = u._horner([mpc(1)] * (self.order + 1))
-        return acc.map_coeffs(lambda v: v / a0)
-
-    def log(self):
-        """Principal-branch logarithm; constant term is ``Log a(center)``."""
+    def _unit_part(self):
+        """``(a0, u)`` with ``a0`` the constant term and ``u = (self - a0)/a0``."""
         a0 = self.constant_coefficient()
         if a0 == 0:
             raise NonInvertibleJetError("jet has zero constant term")
@@ -780,6 +744,18 @@ class Jet:
             {b: v / a0 for b, v in self.coeffs.items() if sum(b) > 0},
             caps=self.caps,
         )
+        return a0, u
+
+    def reciprocal(self):
+        """Jet ``b`` with ``self * b = 1`` through the truncation order."""
+        a0, u = self._unit_part()
+        # 1/a = (1/a0) * sum_m (-u)^m; u has valuation >= 1
+        acc = (-u)._horner([mpc(1)] * (self.order + 1))
+        return acc.map_coeffs(lambda v: v / a0)
+
+    def log(self):
+        """Principal-branch logarithm; constant term is ``Log a(center)``."""
+        a0, u = self._unit_part()
         if self.order == 0:
             out = Jet(self.nvars, 0, self.center, {}, caps=self.caps)
         else:
@@ -827,20 +803,7 @@ class Jet:
                 coeffs[tuple(nb)] = v * b[r]
         return Jet(self.nvars, self.order - 1, self.center, coeffs, caps=self.caps)
 
-    def eval(self, displacement):
-        """Evaluate the truncated series at center + displacement."""
-        if len(displacement) != self.nvars:
-            raise SeriesError("displacement length mismatch")
-        dt = [mpc(z) for z in displacement]
-        total = mpc(0)
-        for b, term in self.coeffs.items():
-            for j, k in enumerate(b):
-                for _ in range(k):
-                    term *= dt[j]
-            total += term
-        return total
-
-    def substitute(self, var, series, new_center=None):
+    def substitute(self, var, series):
         """Replace the displacement of ``var`` by ``series`` (Horner form).
 
         ``series`` must live in the same index space, have the same truncation
@@ -853,7 +816,6 @@ class Jet:
             raise SeriesError("substitution series order mismatch")
         if series.constant_coefficient() != 0:
             raise SeriesError("substitution series must have zero constant term")
-        center = tuple(new_center) if new_center is not None else self.center
         parts = {}
         top = 0
         for b, v in self.coeffs.items():
@@ -862,14 +824,14 @@ class Jet:
             nb[var] = 0
             parts.setdefault(k, {})[tuple(nb)] = v
             top = max(top, k)
-        out = Jet(self.nvars, self.order, center, parts.get(top, {}), caps=self.caps)
-        series = Jet(self.nvars, self.order, center, series.coeffs, caps=self.caps)
+        out = Jet(self.nvars, self.order, self.center, parts.get(top, {}), caps=self.caps)
+        series = Jet(self.nvars, self.order, self.center, series.coeffs, caps=self.caps)
         for k in range(top - 1, -1, -1):
             # ``series`` has valuation >= 1, so the result reads the step for
             # ``k`` only through degree ``order - k``, which bounds ``parts[k]``
             out = out._product(series, 0, self.order - k, track=True)
             if k in parts:
-                out = out + Jet(self.nvars, self.order, center, parts[k], caps=self.caps)
+                out = out + Jet(self.nvars, self.order, self.center, parts[k], caps=self.caps)
         return out
 
     def __repr__(self):
@@ -921,12 +883,9 @@ def jet_circle_substitute(a, order=None):
     order = a.order if order is None else order
     if order > a.order:
         raise SeriesError("cannot extend a jet beyond its truncation order")
-    out = a.truncate(order)
-    radii = out.center
-    zero_center = (mpc(0),) * a.nvars
-    for m in range(a.nvars):
-        if radii[m] == 0:
+    out = Jet(a.nvars, order, (mpc(0),) * a.nvars, a.coeffs, caps=a.caps)
+    for m, radius in enumerate(a.center):
+        if radius == 0:
             raise SeriesError("circle substitution requires nonzero center")
-        s = circle_exp_series(a.nvars, order, m, radii[m])
-        out = out.substitute(m, s, new_center=zero_center)
-    return Jet(out.nvars, out.order, zero_center, out.coeffs, caps=out.caps)
+        out = out.substitute(m, circle_exp_series(a.nvars, order, m, radius))
+    return out

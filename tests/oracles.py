@@ -16,6 +16,10 @@ Independent oracles, and what each checks:
   reference_substitute       ``Jet.substitute``, the same
   reference_powers           ``PhaseData.remainder_power``, the same
 Test harness:
+  jet_eval                   a jet's truncated series at a displacement
+  table_values               a coefficient table's nonzero cells as a dict
+  poly_to_json               a polynomial in the spec's JSON term format
+  poly_degree                a polynomial's total degree
   drops_above_window         whether a full-order chain drops an exact zero
                              above the window its windowed step computes
   frame_to_json              a local frame as JSON, jets and Hessian in decimals
@@ -63,6 +67,7 @@ def recurrence_residual(table, G_num, H, p, G_den=None):
     D = H**p
     if G_den is not None:
         D = D * G_den
+    values = table_values(table)
     worst = Fraction(0)
     for beta in itertools.product(*(range(b + 1) for b in table.bounds)):
         acc = -G_num.terms.get(beta, Fraction(0))
@@ -70,7 +75,7 @@ def recurrence_residual(table, G_num, H, p, G_den=None):
             prev = tuple(b - g for b, g in zip(beta, e))
             if any(x < 0 for x in prev):
                 continue
-            acc = acc + c * table.values.get(prev, Fraction(0))
+            acc = acc + c * values.get(prev, Fraction(0))
         mag = acc.re * acc.re + acc.im * acc.im if isinstance(acc, GaussRat) else acc * acc
         if mag > worst:
             worst = mag
@@ -287,6 +292,40 @@ def evaluate_structured(expansion, n):
     return base * total
 
 
+def jet_eval(jet, displacement):
+    """The truncated series of ``jet`` at ``center + displacement``."""
+    total = mpc(0)
+    for b, term in jet.coeffs.items():
+        for j, k in enumerate(b):
+            term *= mpc(displacement[j]) ** k
+        total += term
+    return total
+
+
+def table_values(table):
+    """Exponent tuple -> Fraction | GaussRat, for every nonzero cell of a
+    ``CoeffTable``."""
+    return {
+        beta: table.coeff_at(beta)
+        for beta in itertools.product(*(range(b + 1) for b in table.bounds))
+        if table.numerators[beta]
+    }
+
+
+def poly_to_json(P):
+    """A ``SparsePoly`` as the spec's ``[{"exp", "coef"}, ...]`` terms."""
+    return [
+        {"exp": list(e), "coef": {"re": str(c.re), "im": str(c.im)}
+         if isinstance(c, GaussRat) else str(c)}
+        for e, c in sorted(P.terms.items())
+    ]
+
+
+def poly_degree(P):
+    """Total degree of a ``SparsePoly``; -1 for the zero polynomial."""
+    return max((sum(e) for e in P.terms), default=-1)
+
+
 def jet_allclose(a, b, rel=None):
     """Coefficientwise closeness, relative to the largest magnitude present."""
     scale = mpf(0)
@@ -489,7 +528,7 @@ def reference_log(self):
     return out
 
 
-def reference_substitute(self, var, series, new_center=None):
+def reference_substitute(self, var, series):
     """Replace the displacement of ``var`` by ``series`` (Horner form)."""
     if not isinstance(series, Jet) or series.nvars != self.nvars:
         raise SeriesError("substitution series must match the index space")
@@ -497,7 +536,6 @@ def reference_substitute(self, var, series, new_center=None):
         raise SeriesError("substitution series order mismatch")
     if series.constant_coefficient() != 0:
         raise SeriesError("substitution series must have zero constant term")
-    center = tuple(new_center) if new_center is not None else self.center
     parts = {}
     top = 0
     for b, v in self.coeffs.items():
@@ -506,12 +544,12 @@ def reference_substitute(self, var, series, new_center=None):
         nb[var] = 0
         parts.setdefault(k, {})[tuple(nb)] = v
         top = max(top, k)
-    out = Jet(self.nvars, self.order, center, parts.get(top, {}), caps=self.caps)
-    series = Jet(self.nvars, self.order, center, series.coeffs, caps=self.caps)
+    out = Jet(self.nvars, self.order, self.center, parts.get(top, {}), caps=self.caps)
+    series = Jet(self.nvars, self.order, self.center, series.coeffs, caps=self.caps)
     for k in range(top - 1, -1, -1):
         out = out * series
         if k in parts:
-            out = out + Jet(self.nvars, self.order, center, parts[k], caps=self.caps)
+            out = out + Jet(self.nvars, self.order, self.center, parts[k], caps=self.caps)
     return out
 
 

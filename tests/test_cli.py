@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from mpmath import mpc, mpf
 
-from smoothasym import Jet, PhaseData, cli, geometry
+from smoothasym import Jet, PhaseData, cli, expansion, geometry, localframe, series
 from smoothasym.cli import (
     EXIT_DEGENERATE_HIGH_DIM,
     EXIT_MINIMALITY_UNKNOWN,
@@ -95,11 +98,6 @@ class TestSpecParsing:
         }
         spec = ProblemSpec.from_json(obj)
         assert spec.G_den is not None
-
-    def test_env_var_precision(self, monkeypatch):
-        monkeypatch.setenv("SMOOTHASYM_PRECISION", "128")
-        spec = ProblemSpec.from_json(DELANNOY_SPEC)
-        assert spec.precision_bits == 128
 
     def test_seeds(self):
         obj = dict(QWALK_SPEC)
@@ -197,6 +195,15 @@ class TestRunExpand:
             cells = row.split(",")
             assert abs(float(cells[1]) - 2 ** int(cells[0])) < 1e-9
             assert abs(float(cells[5])) < 1e-40
+
+    def test_univariate_frame_error_exits_2(self):
+        # within the on-variety gate, but off the variety at working
+        # precision: the residue's pole division refuses the point
+        spec = ProblemSpec.from_json(univariate_spec("1", "-1"))
+        with pytest.raises(PipelineExit) as err:
+            cli._expand_at_point(spec, SimpleNamespace(point=(mpc(1) + mpf("1e-20"),)))
+        assert err.value.code == EXIT_NO_CRITICAL
+        assert "pole division failed" in err.value.diagnostic["error"]
 
 
 class TestRunCriticalAndOracle:
@@ -442,6 +449,8 @@ class TestMainEntry:
         ("overrides", {"force_degenerate": 0}),  # read as false
         ("alpha", [True, "1"]),  # read as 1
         ("seeds", [[[True, "0"], ["1/2", "0"]]]),  # read as 1
+        ("alpha", [0.1, 1]),  # read as its binary expansion
+        ("alpha", [1.5, "1"]),  # read as 3/2
     ])
     def test_malformed_spec_field(self, tmp_path, capsys, field, value):
         obj = value if field is None else dict(DELANNOY_SPEC, **{field: value})
@@ -542,3 +551,42 @@ class TestRoutesMatchFullOrderChains:
         monkeypatch.setattr(PhaseData, "remainder_power", _full_remainder_power)
         assert windowed == run("full")
         assert windowed[0] == 0
+
+
+def _perfbench_spans():
+    """``perfbench/spans.py``, imported by path: the benchmark's tracer."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_trace_points_resolve(tmp_path, capsys):
+    # the benchmark's tracer wraps program functions by name; a rename breaks
+    # ``perfbench/run.py --trace 1``
+    spans = _perfbench_spans()
+    points = spans.trace_points((cli, geometry, localframe, expansion, series))
+
+    def attributes():
+        return [owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
+                for owner, attr, *_ in points]
+
+    originals = attributes()
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(dict(DELANNOY_SPEC, N=1)))
+
+    def run():
+        code = cli.main(["expand", "--input", str(path)])
+        return code, capsys.readouterr()
+
+    untraced = run()
+    tracer = spans.Tracer()
+    tracer.install(points)
+    try:
+        traced = run()
+    finally:
+        tracer.uninstall()
+    assert all(now is was for now, was in zip(attributes(), originals))
+    assert traced == untraced and traced[0] == 0
+    assert {"cli.main", "cli.build_frame", "Jet.pow_int"} <= {rec[0] for rec in tracer.spans}

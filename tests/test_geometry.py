@@ -199,7 +199,7 @@ def reference_solve_critical_2d(H, direction):
 
     points = []
     for cand in candidates:
-        x, ok, _ = newton_polish(polys, cand)
+        x, ok = newton_polish(polys, cand)
         if not ok:
             continue
         res_h, res_c = system_residual(polys, x)

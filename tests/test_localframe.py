@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from mpmath import mpc, mpf
+from mpmath import mp, mpc, mpf
 
 from smoothasym import (
     Direction,
@@ -25,6 +26,12 @@ from smoothasym.localframe import (
     hessian_from_jet,
     smooth_phase_order,
     validate_frame,
+)
+from smoothasym.stationary import (
+    PhaseData,
+    stationary_term,
+    stationary_term_even,
+    stationary_term_odd,
 )
 
 from conftest import poly, random_critical_instance
@@ -211,6 +218,64 @@ class TestAmplitudes:
         amps, _ = amplitude_jets(G_num, H, 1, c, h, 6, G_den=G_den)
         # u_0 = (1/(1+x)) / (-h * dH/dy) = (2/3) * 2
         assert close(amps[0].constant_coefficient(), mpf(4) / 3, "1e-40")
+
+
+class TestAmplitudeTopDegree:
+    """The pole-coordinate jets stop at ``order + p - 1``, so the amplitudes
+    are exact only through ``order - 1`` (``amplitude_jets``); no term may
+    read degree ``order``."""
+
+    # along y = h(x), dH/dy = -1 - 3xy^2 and d^2H/dy^2 = -6xy have terms of
+    # every degree, so amplitude p - 1 is inexact at degree ``order`` for p <= 2
+    H = poly(2, {(0, 0): 1, (1, 0): -1, (0, 1): -1, (1, 3): -1})
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_exact_through_order_minus_one(self, p):
+        G = SparsePoly.constant(2, 1)
+        points, _ = solve_critical(self.H, Direction((1, 1)))
+        pt = next(q for q in points if q[0].real > 0 and abs(q[0].imag) < mpf("1e-30"))
+
+        def amplitudes(order):
+            h = implicit_root_jet(self.H, pt, order + p - 1)
+            return amplitude_jets(G, self.H, p, pt, h, order)[0]
+
+        order = 6
+        for lo, hi in zip(amplitudes(order), amplitudes(order + 4)):
+            scale = max(abs(v) for v in hi.coeffs.values())
+            for m in range(order):
+                err = abs(lo.coefficient((m,)) - hi.coefficient((m,)))
+                assert err <= mpf(2) ** (30 - mp.prec) * scale, (p, m)
+
+    @pytest.mark.parametrize("N", range(1, 9))
+    def test_terms_read_below_order(self, N):
+        # the highest degree the terms and the remainder powers read, on
+        # frames of the order each route builds
+        reads = []
+        slice_degree = PhaseData.slice_degree
+
+        def recording(phase, k, l):
+            reads.append(slice_degree(phase, k, l))
+            return reads[-1]
+
+        def highest(phase, term, order):
+            n = phase.remainder.nvars
+            u = Jet(n, order, (0,) * n, {})
+            reads.clear()
+            with mock.patch.object(PhaseData, "slice_degree", recording):
+                for k in range(N):
+                    term(u, phase, k)
+            return max(reads)
+
+        for d in (2, 3):
+            order = smooth_phase_order(N, d)
+            phase = PhaseData(Jet(d - 1, order, (0,) * (d - 1), {}), N,
+                              hessian_inverse=mp.eye(d - 1))
+            assert highest(phase, stationary_term, order) <= order - 1
+        for v in range(2, 7):
+            order = degenerate_phase_order(N, v)
+            phase = PhaseData(Jet(1, order, (0,), {}), N, a=mpc(1), v=v)
+            term = stationary_term_even if v % 2 == 0 else stationary_term_odd
+            assert highest(phase, term, order) <= order - 1
 
 
 class TestVanishingOrder:
