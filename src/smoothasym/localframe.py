@@ -41,11 +41,18 @@ def degenerate_phase_order(N, v):
     return max((v + 1) * (N + 1) + 1, consumed + 2)
 
 
+def _bits(jet):
+    """A jet's keys in order, each with its coefficient's raw parts."""
+    return [(b, v._mpc_) for b, v in jet.coeffs.items()]
+
+
 def implicit_root_jet(H, point, order):
     """Jet of the holomorphic ``h`` with ``H(w, h(w)) = 0`` and ``h(c^) = c_d``.
 
-    Solved by Newton iteration on jets; the composite residual vanishes
-    through the truncation order (checked).
+    Solved by Newton iteration on jets, ``ceil(log2(order + 1)) + 1`` steps
+    or fewer: the loop stops at the first step that returns its input bit for
+    bit, since every later step would return it too.  The composite residual
+    vanishes through the truncation order (checked).
     """
     d = H.nvars
     if d < 2:
@@ -62,21 +69,26 @@ def implicit_root_jet(H, point, order):
     dH_jet = Jet.from_poly(H.partial(d - 1), c, order)
     w_center = c[: d - 1]
     # eta(s) = h(c^ + s) - c_d, solved to increasing accuracy; each Newton
-    # step doubles the correct valuation.
+    # step doubles the correct valuation.  A step reads only eta (its keys in
+    # order and its bits; it has no caps and no ``above``), so once a step
+    # returns eta unchanged every later step would too.
     eta = Jet(d, order, c, {})
     steps = max(1, math.ceil(math.log2(order + 1))) + 1
     for _ in range(steps):
         num = H_jet.substitute(d - 1, eta)
         den = dH_jet.substitute(d - 1, eta)
-        eta = eta - num * den.reciprocal()
+        new = eta - num * den.reciprocal()
         # the solution depends on w alone and vanishes at the base point;
         # drop the z-slots and the constant, which carry only Newton noise
-        eta = Jet(
+        new = Jet(
             d,
             order,
             c,
-            {b: v for b, v in eta.coeffs.items() if b[d - 1] == 0 and any(b)},
+            {b: v for b, v in new.coeffs.items() if b[d - 1] == 0 and any(b)},
         )
+        if _bits(new) == _bits(eta):
+            break
+        eta = new
     residual = H_jet.substitute(d - 1, eta)
     res = max((abs(v) for v in residual.coeffs.values()), default=mpf(0))
     if res > scale * mpf(2) ** (-(mp.prec // 2)):

@@ -25,21 +25,24 @@ loop over ``mpc`` objects gives.  ``Jet.__add__`` and the zero filter of
 ``Jet.__init__`` work on the same pairs.
 
 A pair of pure coefficients, each real (imaginary part ``fzero``) or
-imaginary (real part ``fzero``), takes one rounded ``mpf_mul`` of its two
-nonzero parts, negated exactly by ``mpf_neg`` for imaginary times imaginary,
-and adds it into the one accumulator part it lands in; a pair with a complex
-coefficient takes the four-multiply formula.  At a positive real point, as
-in the combinatorial case, the jets are real and the circle substitution
-makes every degree-``m`` coefficient ``i^m`` times a real, so nearly every
-pair is pure.  For finite values the shortcut is bit-identical, by three
-identities of mpmath's ``libmpf``:
+imaginary (real part ``fzero``), finite and nonzero, lands in one part of its
+cell, negated exactly by ``mpf_neg`` for imaginary times imaginary; a pair
+with any other coefficient takes the four-multiply formula.  At a positive
+real point, as in the combinatorial case, the jets are real and the circle
+substitution makes every degree-``m`` coefficient ``i^m`` times a real, so
+nearly every pair is pure.  The shortcut keeps ``mpc``'s bits: there the
+pair's zero parts contribute ``fzero``, which leaves a rounded sum as it is,
+and its nonzero part is one rounding of the same exact product.
 
-- ``mpf_sub(mpf_mul(x, y), fzero, prec, rnd)`` and ``mpf_add(fzero,
-  mpf_mul(x, y), prec, rnd)`` are ``mpf_mul(x, y, prec, rnd)``, up to the
-  sign: each is one ``normalize1`` of the same exact product;
-- ``mpf_add(fzero, fzero)`` and ``mpf_sub(fzero, fzero)`` are ``fzero``;
-- ``mpf_add(s, fzero, prec, rnd)`` is ``s`` for an ``s`` already rounded to
-  ``prec``, as every accumulated part is.
+A pure pair takes one call of ``_mul_add(s, x, y, prec)``, a new cell
+starting from ``fzero``.  It returns ``mpf_add(s, mpf_mul(x, y, prec, rnd),
+prec, rnd)`` bit for bit on plain Python ints: the branches of ``libmpf``'s
+``mpf_mul`` and ``mpf_add`` for regular numbers, each rounded by
+``normalize1``'s round-half-even test and trailing-zero strip.  It hands the
+sum back to ``mpf_add`` where that takes another branch: an exponent gap over
+100 bits, and an accumulator that is special (a zero mantissa that is not
+``fzero``).  It assumes round-to-nearest, the only mode of mpmath's ``mp``
+context.
 
 The Horner chains (``reciprocal``, ``log``, ``substitute`` and
 ``power_chain``) compute each step only through the highest degree a later
@@ -67,7 +70,7 @@ from itertools import count, islice
 from operator import lshift
 
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import fzero, mpf_add, mpf_mul, mpf_neg, mpf_sub
+from mpmath.libmp import fzero, mpf_add, mpf_mul, mpf_neg, mpf_sub, round_nearest
 
 DEFAULT_BITS = 212
 
@@ -441,12 +444,84 @@ def _packed(coeffs, shifts, top):
 
 def _pure(re, im):
     """``(0, re)`` for a real coefficient, ``(1, im)`` for an imaginary one
-    and ``(None, None)`` for one with two nonzero parts."""
-    if im == fzero:
+    and ``(None, None)`` for any other, which includes a coefficient with an
+    infinite or nan part (a zero mantissa that is not ``fzero``)."""
+    if im == fzero and re[1]:
         return 0, re
-    if re == fzero:
+    if re == fzero and im[1]:
         return 1, im
     return None, None
+
+
+def _mul_add(s, x, y, prec):
+    """``mpf_add(s, mpf_mul(x, y, prec, rnd), prec, rnd)`` for finite nonzero
+    raw parts ``x`` and ``y``, rounding to nearest (``rnd = round_nearest``,
+    the only mode of mpmath's ``mp`` context), with the same bits.
+
+    The product takes one mantissa multiply, with ``int.bit_length`` for the
+    bit counts, and ``libmpf.normalize1``'s round-half-even test and
+    trailing-zero strip; the sum aligns the exponents, adds or subtracts the
+    signed mantissas and rounds the same way.  Where ``mpf_add`` takes
+    another branch the sum is handed back to it: an exponent gap over 100
+    bits, where it may only perturb the larger operand, and an ``s`` that is
+    special (a zero mantissa that is not ``fzero``).
+    """
+    sign, man, exp, _ = x
+    ysign, yman, yexp, _ = y
+    sign ^= ysign
+    man *= yman
+    exp += yexp
+    bc = man.bit_length()
+    if bc > prec:
+        n = bc - prec
+        t = man >> (n - 1)
+        if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1)):
+            man = (t >> 1) + 1
+        else:
+            man = t >> 1
+        exp += n
+        if not man & 1:
+            n = (man & -man).bit_length() - 1
+            man >>= n
+            exp += n
+        bc = man.bit_length()
+    ssign, sman, sexp, _ = s
+    if not sman:
+        if s == fzero:
+            return sign, man, exp, bc
+        return mpf_add(s, (sign, man, exp, bc), prec, round_nearest)
+    offset = sexp - exp
+    if offset > 100 or offset < -100:
+        return mpf_add(s, (sign, man, exp, bc), prec, round_nearest)
+    if sign:
+        man = -man
+    if ssign:
+        sman = -sman
+    if offset >= 0:
+        man += sman << offset
+    else:
+        man = sman + (man << -offset)
+        exp = sexp
+    if man < 0:
+        sign, man = 1, -man
+    elif man:
+        sign = 0
+    else:
+        return fzero
+    bc = man.bit_length()
+    if bc > prec:
+        n = bc - prec
+        t = man >> (n - 1)
+        if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1)):
+            man = (t >> 1) + 1
+        else:
+            man = t >> 1
+        exp += n
+    if not man & 1:
+        n = (man & -man).bit_length() - 1
+        man >>= n
+        exp += n
+    return sign, man, exp, man.bit_length()
 
 
 def _pair(part, k2, c, d):
@@ -475,9 +550,10 @@ class Jet:
     pairs in outer-loop order, keys appear in first-reached order, and exact
     zeros are dropped.  Every rounding is the one ``mpc`` arithmetic makes,
     so results are bit-identical to it.  A pair of real or imaginary
-    coefficients takes one rounded multiply into the one part of the sum it
-    lands in, which the three ``libmpf`` identities of the module docstring
-    make the same bits as the full complex product.
+    coefficients takes one ``_mul_add`` into the one part of the sum it lands
+    in: ``libmpf``'s rounded multiply and add on plain ints, handing exponent
+    gaps over 100 bits and special accumulators back to ``mpf_add``, rounding
+    to nearest as ``mp`` always does.
 
     The Horner chains compute step ``t`` only through the degree later steps
     read (``t`` for ``reciprocal`` and ``log``, ``order - k`` for the power
@@ -661,7 +737,7 @@ class Jet:
         small, big = self, other
         if len(other.coeffs) + len(other.above) < len(self.coeffs) + len(self.above):
             small, big = other, self
-        mul, add, sub = mpf_mul, mpf_add, mpf_sub
+        mul, add, sub, mul_add = mpf_mul, mpf_add, mpf_sub, _mul_add
         prec, rnd = mp._prec_rounding
         shifts, top, mask = _layout(self)
         capped = [(j, cap) for j, cap in enumerate(caps or ()) if cap is not None]
@@ -697,12 +773,9 @@ class Jet:
                         cell[0] = add(cell[0], re, prec, rnd)
                         cell[1] = add(cell[1], im, prec, rnd)
                 else:
-                    t = mul(x, y, prec, rnd)
                     if cell is None:
                         cell = acc[k] = [fzero, fzero]
-                        cell[slot] = t
-                    else:
-                        cell[slot] = add(cell[slot], t, prec, rnd)
+                    cell[slot] = mul_add(cell[slot], x, y, prec)
         out.coeffs = {
             tuple(k >> s & mask for s in shifts): _mpc_of(*cell)
             for k, cell in acc.items()

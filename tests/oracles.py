@@ -15,6 +15,7 @@ Independent oracles, and what each checks:
   reference_log              ``Jet.log``, the same
   reference_substitute       ``Jet.substitute``, the same
   reference_powers           ``PhaseData.remainder_power``, the same
+  reference_implicit_root    ``implicit_root_jet``, by a fixed count of Newton steps
 Test harness:
   jet_eval                   a jet's truncated series at a displacement
   table_values               a coefficient table's nonzero cells as a dict
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 from unittest import mock
 
@@ -560,3 +562,24 @@ def reference_powers(remainder, count):
     while len(powers) < count:
         powers.append(powers[-1] * remainder)
     return powers
+
+
+def reference_implicit_root(H, point, order):
+    """The jet of ``implicit_root_jet``, by the Newton loop as it ran before it
+    stopped at the first repeat: ``ceil(log2(order + 1)) + 1`` steps always,
+    without the input and residual checks."""
+    d = H.nvars
+    c = tuple(mpc(z) for z in point)
+    H_jet = Jet.from_poly(H, c, order)
+    dH_jet = Jet.from_poly(H.partial(d - 1), c, order)
+    eta = Jet(d, order, c, {})
+    for _ in range(max(1, math.ceil(math.log2(order + 1))) + 1):
+        num = H_jet.substitute(d - 1, eta)
+        den = dH_jet.substitute(d - 1, eta)
+        eta = eta - num * den.reciprocal()
+        eta = Jet(d, order, c,
+                  {b: v for b, v in eta.coeffs.items() if b[d - 1] == 0 and any(b)})
+    coeffs = {b[: d - 1]: v for b, v in eta.coeffs.items()}
+    zero = (0,) * (d - 1)
+    coeffs[zero] = coeffs.get(zero, mpc(0)) + c[d - 1]
+    return Jet(d - 1, order, c[: d - 1], coeffs)

@@ -35,7 +35,12 @@ from smoothasym.stationary import (
 )
 
 from conftest import poly, random_critical_instance
-from oracles import frame_to_json, phase_hessian_symmetric_q
+from oracles import (
+    frame_to_json,
+    jet_bits,
+    phase_hessian_symmetric_q,
+    reference_implicit_root,
+)
 
 
 def close(a, b, tol="1e-45"):
@@ -83,6 +88,53 @@ class TestImplicitJet:
         H = poly(2, {(0, 0): 1, (1, 0): -1, (0, 1): -1})
         with pytest.raises(FrameError):
             implicit_root_jet(H, (mpf(1), mpf(1)), 4)
+
+
+def _newton_cases(delannoy, delannoy_point, quantum_walk):
+    """``(name, H, point, order)`` at the docs points, each at the implicit
+    order of its high-N frame, and on ``TestAmplitudeTopDegree.H``."""
+    smirnov = poly(3, {(0, 0, 0): 1, (1, 0, 0): -1, (0, 1, 0): -1, (0, 0, 1): -1})
+    third = (mpf(1) / 3,) * 3
+    H = TestAmplitudeTopDegree.H
+    points, _ = solve_critical(H, Direction((1, 1)))
+    pt = next(q for q in points if q[0].real > 0 and abs(q[0].imag) < mpf("1e-30"))
+    return [
+        ("delannoy", delannoy[1], delannoy_point, 44),
+        ("quantum_walk", quantum_walk[1], (mpc(1), mpc(1)), 44),
+        ("smirnov_snaps", smirnov, third, 15),
+        ("smirnov_words", smirnov, third, 20),
+        ("top_degree", H, pt, 12),
+    ]
+
+
+class TestImplicitNewtonStop:
+    """The Newton loop of ``implicit_root_jet`` stops at the first step that
+    returns its input bit for bit, with the fixed-count loop's result."""
+
+    def test_same_bits_as_fixed_count(self, delannoy, delannoy_point, quantum_walk):
+        for name, H, pt, order in _newton_cases(delannoy, delannoy_point, quantum_walk):
+            got = implicit_root_jet(H, pt, order)
+            assert jet_bits(got) == jet_bits(reference_implicit_root(H, pt, order)), name
+
+    def test_steps(self, delannoy, delannoy_point, quantum_walk):
+        # the quantum walk's point is (1, 1) and the Smirnov point 1/3, and H
+        # is linear in the distinguished variable, so one step is the
+        # solution to the last bit and the second repeats it; Delannoy's
+        # irrational point leaves rounding noise that never settles, so it
+        # takes all ceil(log2(45)) + 1 = 7 steps
+        want = {"delannoy": 7, "quantum_walk": 2, "smirnov_snaps": 2, "smirnov_words": 2}
+        reciprocal = Jet.reciprocal
+        for name, H, pt, order in _newton_cases(delannoy, delannoy_point, quantum_walk):
+            calls = []
+
+            def counting(self):
+                calls.append(1)
+                return reciprocal(self)
+
+            with mock.patch.object(Jet, "reciprocal", counting):
+                implicit_root_jet(H, pt, order)
+            if name in want:
+                assert len(calls) == want[name], name
 
 
 class TestPhaseJet:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import random
@@ -12,6 +13,9 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import (
+    finf, fnan, fninf, from_man_exp, fzero, mpf_add, mpf_mul, mpf_sub, round_nearest,
+)
 
 from smoothasym import GaussRat, Jet, SparsePoly, jet_circle_substitute
 from smoothasym import series
@@ -199,8 +203,11 @@ def _draw_coef(kind, integer):
     hi)`` draws: small Gaussian integers (``"gauss"``), rationals rounded to
     the precision (``"rounded"``), reals that are either (``"real"``), the
     real times ``i^m`` the circle substitution makes at a real point
-    (``"twisted"``), or each coefficient real, imaginary or complex
-    (``"mixed"``).  The last three use small integers or rounded rationals
+    (``"twisted"``), that times ``2^k`` for a ``k`` drawn per coefficient
+    from ``-160, -120, ..., 160`` (``"scaled"``), so sums meet exponent gaps
+    on both sides of the 100 bits where ``_mul_add`` hands back to
+    ``mpf_add``, or each coefficient real, imaginary or complex
+    (``"mixed"``).  The last four use small integers or rounded rationals
     throughout, by one draw."""
     small = kind == "gauss" if kind in ("gauss", "rounded") else bool(integer(0, 1))
 
@@ -218,6 +225,8 @@ def _draw_coef(kind, integer):
         elif kind == "real":
             m = 0
         value = part()
+        if kind == "scaled":
+            value = mp.ldexp(value, 40 * integer(-4, 4))
         return mpc(*[(value, 0), (0, value), (-value, 0), (0, -value)][m % 4])
 
     return coef
@@ -237,7 +246,7 @@ def product_operands(draw):
     """
     nvars = draw(st.integers(1, 3))
     order = draw(st.integers(0, 8))
-    kinds = st.sampled_from(["gauss", "rounded", "real", "twisted", "mixed"])
+    kinds = st.sampled_from(["gauss", "rounded", "real", "twisted", "scaled", "mixed"])
 
     def index():
         room, beta = order, []
@@ -275,12 +284,24 @@ class TestProductKernel:
     @settings(max_examples=300)
     @given(data=st.data())
     def test_bit_identical_to_reference_loop(self, data):
-        with mp.workprec(data.draw(st.sampled_from([212, 100]))):
+        with mp.workprec(data.draw(st.sampled_from([212, 100, 53]))):
             a, b = data.draw(product_operands())
             assert jet_bits(a * b) == jet_bits(reference_jet_mul(a, b))
             for m in range(a.order + 2):
                 assert jet_bits(a.mul_degree(b, m)) == jet_bits(
                     reference_mul_degree(a, b, m))
+
+    def test_exponent_gaps(self):
+        # twisted coefficients 2^(40 j) apart: the sums of pure pairs meet
+        # gaps both sides of 100 bits, and ``_mul_add`` hands the wide ones
+        # back to ``mpf_add``, the only ``mpf_add`` calls a pure product makes
+        a, b = [Jet(1, 12, (0,), {
+            (m,): mpc(*[(v, 0), (0, v), (-v, 0), (0, -v)][m % 4])
+            for m in range(13)
+            for v in [mp.ldexp(mpf(m + s) / (m + 2 * s + 1), 40 * ((s * m) % 9 - 4))]})
+            for s in (1, 2)]
+        assert _count_mul(lambda: a * b, names=("mpf_add",)) > 0
+        assert jet_bits(a * b) == jet_bits(reference_jet_mul(a, b))
 
 
 @st.composite
@@ -291,9 +312,10 @@ def chain_case(draw):
     caps on or off.  Coefficients are drawn by a ``kind`` of ``_draw_coef``:
     small integers make every sum exact, so coefficients of the chains cancel
     to exact zeros, and rationals rounded to the precision make sums round;
-    real and twisted jets keep every chain pure.  The support is up to 12
-    random indices, or every index of the order; either may be parity-sparse,
-    every exponent even, so the chains never reach an odd degree.  Besides
+    real, twisted and scaled jets keep every chain pure.  The support is up
+    to 12 random indices, or every index of the order; either may be
+    parity-sparse, every exponent even, so the chains never reach an odd
+    degree.  Besides
     the jet ``a`` the case draws a second jet ``s`` without constant term
     (the substitution series and power-chain base), a variable, and the first
     window of a power chain.  Indices and coefficients come from a seeded
@@ -301,7 +323,7 @@ def chain_case(draw):
     """
     nvars = draw(st.sampled_from([1, 2, 3]))
     order = draw(st.sampled_from(range({1: 12, 2: 10, 3: 7}[nvars] + 1)))
-    kind = draw(st.sampled_from(["gauss", "rounded", "real", "twisted", "mixed"]))
+    kind = draw(st.sampled_from(["gauss", "rounded", "real", "twisted", "scaled", "mixed"]))
     even, dense = draw(st.sampled_from([False, True])), draw(st.sampled_from([False, True]))
     rng = random.Random(draw(st.integers(0, 2**32)))
     every = [b for b in itertools.product(range(order + 1), repeat=nvars)
@@ -346,7 +368,7 @@ class TestWindowedChains:
     @settings(max_examples=200)
     @given(data=st.data())
     def test_bit_identical_to_full_order_chains(self, data):
-        with mp.workprec(data.draw(st.sampled_from([212, 100]))):
+        with mp.workprec(data.draw(st.sampled_from([212, 100, 53]))):
             a, s, var, start = data.draw(chain_case())
             assert_same_chain(a.reciprocal(), lambda: reference_reciprocal(a), lambda i: i)
             top = max((b[var] for b in a.coeffs), default=0)
@@ -441,17 +463,22 @@ class TestWindowKeys:
         assert len(want) >= 3
 
 
-def _count_mul(fn):
-    """The number of ``mpf_mul`` calls the jet products make inside ``fn()``,
-    rounded (``prec, rnd`` given) or not."""
+def _count_mul(fn, names=("_mul_add", "mpf_mul")):
+    """The number of multiplies the jet products make inside ``fn()``: calls
+    of ``series._mul_add``, one per pair of real or imaginary coefficients,
+    plus calls of ``series.mpf_mul``, four per other pair; ``names`` picks
+    which of the two are counted."""
     calls = [0]
-    mul = series.mpf_mul
 
-    def counting(x, y, *rounding):
-        calls[0] += 1
-        return mul(x, y, *rounding)
+    def counting(f):
+        def counted(*args):
+            calls[0] += 1
+            return f(*args)
+        return counted
 
-    with mock.patch.object(series, "mpf_mul", counting):
+    with contextlib.ExitStack() as stack:
+        for name in names:
+            stack.enter_context(mock.patch.object(series, name, counting(getattr(series, name))))
         fn()
     return calls[0]
 
@@ -481,7 +508,8 @@ class TestWindowCost:
 class TestPureProducts:
     """A pair of real or imaginary coefficients takes one multiply, where a
     pair of complex ones takes four; a kernel that falls back to the complex
-    formula fails this, though its bits are the same."""
+    formula, or sends pure pairs to ``mpf_mul``, fails this, though its bits
+    are the same."""
 
     @staticmethod
     def jets(parts):
@@ -502,6 +530,108 @@ class TestPureProducts:
         # one per pair of indices: C(12, 4) pairs of total degree <= 8
         assert count == 495
         assert 4 * count == _count_mul(lambda: full[0] * full[1])
+        # and none of them goes back to mpmath's multiply
+        assert _count_mul(lambda: pure[0] * pure[1], names=("mpf_mul",)) == 0
+
+
+def _raw(rng, bits, exp, sign, shape="random"):
+    """A normalized raw mpf: an odd mantissa of ``bits`` bits, random or all
+    ones, times ``2^exp``."""
+    man = (1 << bits) - 1 if shape == "ones" else rng.getrandbits(bits) | 1 | 1 << (bits - 1)
+    return sign, man, exp, bits
+
+
+def _mul_add_case(rng):
+    """``(kind, s, x, y, prec)``: factors of 1-400 bits, random or all ones,
+    times an accumulator ``s`` of one of these kinds, each relative to the
+    product ``p`` rounded to ``prec``:
+
+    - ``fzero``, or ``-p`` (exact cancellation);
+    - ``gap``: random, of up to ``prec + 100`` bits, its exponent up to
+      ``prec + 160`` bits either side of ``p``'s, past the 100 bits where
+      ``mpf_add`` may only perturb;
+    - ``tie``: the exact sum lies halfway between two ``prec``-bit values;
+    - ``carry``: the exact sum has all ones past ``prec`` bits, so it rounds
+      up to a power of two;
+    - ``special``: infinite or nan.
+    """
+    prec = rng.choice([53, 100, 212, 300])
+    shapes = ["random", "random", "ones"]
+    x = _raw(rng, rng.randint(1, 400), rng.randint(-400, 400), rng.randint(0, 1),
+             rng.choice(shapes))
+    y = _raw(rng, rng.choice([1, rng.randint(1, 400)]), rng.randint(-400, 400),
+             rng.randint(0, 1), rng.choice(shapes))
+    p = mpf_mul(x, y, prec, round_nearest)
+    kind = rng.choice(["fzero", "cancel", "gap", "gap", "tie", "carry", "special"])
+    if kind == "fzero":
+        return kind, fzero, x, y, prec
+    if kind == "cancel":
+        return kind, (1 - p[0], *p[1:]), x, y, prec
+    if kind == "special":
+        return kind, rng.choice([finf, fninf, fnan]), x, y, prec
+    if kind == "gap":
+        exp = p[2] + rng.randint(-prec - 160, prec + 160)
+        return kind, _raw(rng, rng.randint(1, prec + 100), exp, rng.randint(0, 1)), x, y, prec
+    # the exact sum T = s + p, T's mantissa prec + n bits long with the n
+    # dropped bits a tie (100...0) or all ones; then s = T - p exactly
+    n = rng.randint(1, 40)
+    if kind == "tie":
+        man = (rng.getrandbits(prec) | 1 << (prec - 1)) << n | 1 << (n - 1)
+    else:
+        man = (1 << (prec + n)) - 1
+    total = from_man_exp(-man if rng.randint(0, 1) else man, p[2] + rng.randint(-20, 20))
+    return kind, mpf_sub(total, p), x, y, prec
+
+
+class TestMulAdd:
+    """``series._mul_add`` is ``mpf_add(s, mpf_mul(x, y, prec, 'n'), prec,
+    'n')`` bit for bit."""
+
+    def test_matches_mpmath(self):
+        rng = random.Random(20261019)
+        seen = set()
+        for _ in range(100_000):
+            kind, s, x, y, prec = _mul_add_case(rng)
+            p = mpf_mul(x, y, prec, round_nearest)
+            want = mpf_add(s, p, prec, round_nearest)
+            assert series._mul_add(s, x, y, prec) == want, (kind, s, x, y, prec)
+            if kind == "gap":
+                gap = abs(s[2] - p[2])
+                big, small = (s, p) if s[2] > p[2] else (p, s)
+                perturb = big[3] + big[2] - small[3] - small[2] > prec + 4
+                kind = ("gap", gap > 100, perturb)
+            seen.add((kind, (s[0], x[0], y[0])))
+        # every kind with every sign, and gaps past 100 bits with and without
+        # libmpf's perturbation
+        kinds = {k for k, _ in seen}
+        assert {("gap", True, True), ("gap", True, False), ("gap", False, False)} <= kinds
+        assert {"fzero", "cancel", "tie", "carry", "special"} <= kinds
+        for kind in kinds - {"fzero", "cancel"}:
+            assert {signs for k, signs in seen if k == kind} == set(
+                itertools.product((0, 1), repeat=3)), kind
+
+    @pytest.mark.parametrize("prec", [53, 100, 212, 300])
+    def test_crafted(self, prec):
+        rng = random.Random(prec)
+        ones = _raw(rng, prec + 1, 0, 0, "ones")  # rounds up to 2^(prec + 1)
+        for signs in itertools.product((0, 1), repeat=3):
+            for x, y in [(ones, (0, 1, 5, 1)), (ones, ones),
+                         (_raw(rng, prec, -7, 0), _raw(rng, 2, 3, 0)),
+                         ((0, 1, 0, 1), (0, 1, 0, 1))]:
+                x, y = (signs[1], *x[1:]), (signs[2], *y[1:])
+                p = mpf_mul(x, y, prec, round_nearest)
+                for s in [fzero, (1 - p[0], *p[1:]), p, finf, fnan,
+                          *[(signs[0], 3, p[2] + gap, 2) for gap in (-101, -100, 99, 100, 101)]]:
+                    want = mpf_add(s, p, prec, round_nearest)
+                    assert series._mul_add(s, x, y, prec) == want, (s, x, y)
+
+    def test_context_rounds_to_nearest(self):
+        # the helper assumes round-to-nearest; ``mp`` runs no other mode and
+        # has no rounding setter
+        assert mp._prec_rounding[1] == round_nearest
+        with mp.workprec(53):
+            assert mp._prec_rounding[1] == round_nearest
+        assert not hasattr(mp, "rounding")
 
 
 class TestReciprocal:
