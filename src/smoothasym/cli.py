@@ -260,7 +260,7 @@ def _expand_at_point(spec, report):
 
     def frame_of_order(order):
         return build_frame(
-            spec.G_num, spec.H, spec.p, spec.alpha, report.point, order,
+            spec.G_num, spec.H, spec.p, spec.alpha, report.point, order, spec.N,
             G_den=spec.G_den, reordering=report.reordering,
         )
 

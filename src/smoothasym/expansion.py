@@ -18,6 +18,7 @@ from .geometry import Direction
 from .localframe import amplitude_jets, degenerate_phase_order, vanishing_order
 from .series import Jet, coef_to_mpc, complex_to_json
 from .stationary import (
+    OrderBudgetError,
     PhaseData,
     branch_root,
     det_inv_sqrt,
@@ -274,10 +275,21 @@ def _assemble(frame, kind, N, term, phase, pref, y_exponent, error_exponent, met
     )
 
 
-def expand_smooth(frame, N):
-    """Nondegenerate expansion at a smooth minimal critical point, N terms."""
+def _check_terms(frame, N):
+    """N must be at least 1 and at most the terms the amplitudes were built
+    for: a term beyond them would read coefficients the frame does not
+    hold."""
     if N < 1:
         raise ExpansionError("need at least one term")
+    if N > frame.terms:
+        raise OrderBudgetError(
+            f"{N} terms asked of a frame whose amplitudes serve {frame.terms}"
+        )
+
+
+def expand_smooth(frame, N):
+    """Nondegenerate expansion at a smooth minimal critical point, N terms."""
+    _check_terms(frame, N)
     d = frame.d
     if d < 2:
         raise ExpansionError("use the univariate path for one variable")
@@ -306,8 +318,7 @@ def expand_smooth(frame, N):
 
 def expand_degenerate(frame, N, v=None):
     """Degenerate (two-variable) expansion with vanishing order v, N terms."""
-    if N < 1:
-        raise ExpansionError("need at least one term")
+    _check_terms(frame, N)
     if frame.d != 2:
         raise ExpansionError("degenerate expansions require exactly two variables")
     if v is None:
@@ -356,7 +367,7 @@ def expand_univariate(G_num, H, p, point, G_den=None, direction=None):
     if abs(H.partial(0).eval((c,))) <= mpf("1e-12") * scale:
         raise ExpansionError("point is not a smooth (simple) zero")
     # the residue at x = c is the frame with no torus variables
-    amps, _ = amplitude_jets(G_num, H, p, (c,), Jet(0, p, (), {(): c}), 1, G_den=G_den)
+    amps, _ = amplitude_jets(G_num, H, p, (c,), Jet(0, p, (), {(): c}), 1, 1, G_den=G_den)
     records = [
         {
             "j": j,

@@ -21,6 +21,8 @@ from .series import GaussRat, SparsePoly, coef_to_mpc, complex_to_json
 
 RESIDUAL_TOL = mpf("1e-10")
 NEWTON_MAX_ITER = 200
+DEDUPE_TOL = mpf("1e-12")  # two solutions closer than this (relative) are one
+KNOWN_TOL = mpf("1e-24")  # a Newton run this close to a known solution stops
 POSITIVE_REAL_TOL = mpf("1e-12")  # imaginary part allowed, relative to |z|
 SLICE_GRID = (24, 96)  # radii x angles of the two-variable minimality scan
 TORUS_SAMPLES = 400  # witness search in more than two variables, fixed seed
@@ -301,10 +303,13 @@ def _dense_roots_double(coeffs):
 _SINGULAR_LU = (ZeroDivisionError, TypeError)
 
 
-def newton_polish(polys, point):
+def newton_polish(polys, point, known=()):
     """Damped Newton iteration on a square polynomial system, at working prec.
 
-    Returns (point, converged); a singular Jacobian ends the iteration.
+    Returns (point, converged); a singular Jacobian ends the iteration.  A
+    run whose iterate comes within ``KNOWN_TOL`` (relative) of one of the
+    ``known`` points, solutions already polished, returns that point as
+    converged: it would only polish it again.
     """
     d = len(point)
     jac = [[P.partial(j) for j in range(d)] for P in polys]
@@ -319,6 +324,9 @@ def newton_polish(polys, point):
     for _ in range(NEWTON_MAX_ITER):
         if err < target:
             break
+        near = _near(x, known, KNOWN_TOL)
+        if near is not None:
+            return list(near), True
         J = mp.matrix(d, d)
         for i in range(d):
             for j in range(d):
@@ -356,18 +364,12 @@ def _jacobian_singular(polys, point):
     return abs(det) < mpf("1e-10") * scale**d
 
 
-def _dedupe(points):
-    """Indices of the points kept: each one not within 1e-12 (relative) of
-    an earlier kept point."""
-    tol = mpf("1e-12")
-    keep = []
-    for i, p in enumerate(points):
-        scale = max(max(abs(z) for z in p), mpf(1))
-        if not any(
-            max(abs(a - b) for a, b in zip(p, points[k])) < tol * scale for k in keep
-        ):
-            keep.append(i)
-    return keep
+def _near(p, points, tol):
+    """The first of ``points`` within ``tol`` of ``p``, relative to ``p``'s
+    largest coordinate (at least 1), or ``None``."""
+    scale = max(max(abs(z) for z in p), mpf(1))
+    return next((q for q in points if max(abs(a - b) for a, b in zip(p, q)) < tol * scale),
+                None)
 
 
 def _paired_y_roots(P, x, ys):
@@ -461,27 +463,24 @@ def solve_critical(H, direction, seeds=None):
     for seed in seeds or []:
         candidates.append(tuple(mpc(z) for z in seed))
 
+    # each converged point is kept unless it lies within ``DEDUPE_TOL`` of a
+    # point kept before it; a run that reaches a kept point stops there
     points = []
     residuals = []
     for cand in candidates:
-        x, ok = newton_polish(polys, cand)
-        if not ok:
+        x, ok = newton_polish(polys, cand, points)
+        if not ok or _near(x, points, DEDUPE_TOL) is not None:
             continue
         res_h, res_c = system_residual(polys, x)
         if res_h > RESIDUAL_TOL or res_c > RESIDUAL_TOL:
             continue
         points.append(tuple(x))
         residuals.append((res_h, res_c))
-    keep = _dedupe(points)
-    unique = [points[i] for i in keep]
     checks = [
-        PointCheck(
-            "isolated-unverified" if _jacobian_singular(polys, points[i]) else "yes",
-            *residuals[i],
-        )
-        for i in keep
+        PointCheck("isolated-unverified" if _jacobian_singular(polys, x) else "yes", *res)
+        for x, res in zip(points, residuals)
     ]
-    return unique, checks
+    return points, checks
 
 
 def _is_symmetric(H):

@@ -187,7 +187,7 @@ def phase_hessian(H, point):
     return A
 
 
-def amplitude_jets(G_num, H, p, point, h_jet, order, G_den=None):
+def amplitude_jets(G_num, H, p, point, h_jet, order, terms, G_den=None):
     """Torus jets of the amplitudes weighting each residue term, j < p.
 
     Writes ``H(w, y) = (y - h(w)) Q(w, y)`` on the jet level, forms
@@ -197,9 +197,20 @@ def amplitude_jets(G_num, H, p, point, h_jet, order, G_den=None):
 
     The pole-coordinate jets have order ``order + p - 1``, so ``Q`` lacks its
     coefficients of that total degree and amplitude ``p - 1`` can be wrong at
-    w-degree ``order``: the amplitudes are exact through ``order - 1``.  With
-    no torus variables (``H`` in one variable, ``h_jet`` a constant jet in
-    none) this is the univariate residue.
+    w-degree ``order``: the amplitudes are exact only through ``order - 1``.
+    With no torus variables (``H`` in one variable, ``h_jet`` a constant jet
+    in none) this is the univariate residue.
+
+    ``terms`` terms read the amplitudes through degree ``wu = 2(terms - 1)``
+    (at most ``2k`` derivatives land on u in term k), so each jet is built
+    only as a window of its full-order self, with the keys that self has
+    above the window in ``Jet.above``: the amplitudes through ``wu``, the
+    pole-coordinate chain (``G``'s pole jet, ``Q``, ``Q^p``, its reciprocal)
+    through ``wu + p - 1`` and ``H``'s pole jet through ``wu + p``.  Every
+    coefficient a term reads is the full-order chain's, bit for bit, and a
+    window at or above the order is the whole jet.  The check that ``H``'s
+    v^0 slice vanishes covers its window; ``implicit_root_jet`` checks the
+    same residual at full order.
     """
     d = H.nvars
     c = tuple(mpc(z) for z in point)
@@ -210,6 +221,8 @@ def amplitude_jets(G_num, H, p, point, h_jet, order, G_den=None):
             f"amplitudes to order {order} at pole order {p} need the implicit "
             f"jet to order {work_order}, have {h_jet.order}"
         )
+    wu = min(2 * (terms - 1), order)  # the amplitudes' window
+    wk = wu + p - 1  # the pole-coordinate chain's
     # substitute y = h(w) + v
     y_shift = Jet(
         d,
@@ -218,11 +231,11 @@ def amplitude_jets(G_num, H, p, point, h_jet, order, G_den=None):
         {b + (0,): v for b, v in h_jet.coeffs.items() if 0 < sum(b) <= work_order},
     ) + Jet(d, work_order, c, {(0,) * (d - 1) + (1,): mpc(1)})
 
-    def at_pole(P, caps=None):
-        shifted = Jet.from_poly(P, c, work_order).substitute(d - 1, y_shift)
-        return Jet(d, work_order, c, shifted.coeffs, caps=caps)
+    def at_pole(P, window, caps=None):
+        shifted = Jet.from_poly(P, c, work_order).substitute(d - 1, y_shift, window)
+        return Jet(d, work_order, c, shifted.coeffs, caps=caps).carry_above(shifted)
 
-    H_sv = at_pole(H)
+    H_sv = at_pole(H, wk + 1)
     # the v^0 slice vanishes identically
     zero_slice = max(
         (abs(v) for b, v in H_sv.coeffs.items() if b[d - 1] == 0), default=mpf(0)
@@ -232,32 +245,30 @@ def amplitude_jets(G_num, H, p, point, h_jet, order, G_den=None):
         raise FrameError("pole division failed: H(w, h(w)) does not vanish on jets")
 
     # Q = H / (y - h): divide by v by shifting the v-exponent down
-    Q_coeffs = {}
-    for b, v in H_sv.coeffs.items():
-        if b[d - 1] == 0:
-            continue
-        nb = b[: d - 1] + (b[d - 1] - 1,)
-        Q_coeffs[nb] = v
-    Q_sv = Jet(d, work_order, c, Q_coeffs, caps=caps)
+    def divide_by_v(b):
+        return b[: d - 1] + (b[d - 1] - 1,) if b[d - 1] else None
+
+    Q_coeffs = {divide_by_v(b): v for b, v in H_sv.coeffs.items() if b[d - 1]}
+    Q_sv = Jet(d, work_order, c, Q_coeffs, caps=caps).carry_above(H_sv, divide_by_v)
     if Q_sv.constant_coefficient() == 0:
         raise FrameError("Q has zero constant term; the point cannot be smooth")
 
-    K = at_pole(G_num, caps) * Q_sv.pow_int(p).reciprocal()
+    K = at_pole(G_num, wk, caps).mul_through(Q_sv.pow_int(p, wk).reciprocal(wk), wk)
     if G_den is not None:
-        K = K * at_pole(G_den, caps).reciprocal()
+        K = K.mul_through(at_pole(G_den, wk, caps).reciprocal(wk), wk)
 
-    neg_h = -h_jet
-    inv_neg_h = neg_h.reciprocal()
+    inv_neg_h = (-h_jet).reciprocal(wu).truncate(order)
     out = []
     for j in range(p):
         # j-th y-derivative of G/Q^p at the pole, as a jet in w
-        slice_coeffs = {}
-        for b, v in K.coeffs.items():
-            if b[d - 1] == j and sum(b[: d - 1]) <= order:
-                slice_coeffs[b[: d - 1]] = v
-        dj = Jet(d - 1, order, c[: d - 1], slice_coeffs).scale(mpf(math.factorial(j)))
-        u = dj * inv_neg_h.truncate(order).pow_int(p - j)
-        out.append(jet_circle_substitute(u, order))
+        def v_slice(b):
+            return b[: d - 1] if b[d - 1] == j else None
+
+        dj = Jet(d - 1, order, c[: d - 1],
+                 {v_slice(b): v for b, v in K.coeffs.items() if b[d - 1] == j})
+        dj = dj.carry_above(K, v_slice).through(wu).scale(mpf(math.factorial(j)))
+        u = dj.mul_through(inv_neg_h.pow_int(p - j, wu), wu)
+        out.append(jet_circle_substitute(u, order, wu))
     return out, Q_sv
 
 
@@ -281,6 +292,10 @@ class LocalFrame:
     The amplitude jets have order ``order`` but are exact only through
     ``order - 1`` (see ``amplitude_jets``); ``smooth_phase_order`` and
     ``degenerate_phase_order`` keep every degree the terms read below that.
+    They are built for ``terms`` terms: each holds its coefficients through
+    degree ``2(terms - 1)``, the most any of those terms reads, and keeps
+    the keys its full-order self has above that in ``Jet.above``.  An
+    expansion asks for at most ``terms`` terms.
     """
 
     point: tuple  # reordered so the distinguished coordinate is last
@@ -292,6 +307,7 @@ class LocalFrame:
     hessian: object  # closed-form (d-1)x(d-1) matrix
     reordering: tuple
     order: int
+    terms: int
 
     @property
     def d(self):
@@ -301,11 +317,13 @@ class LocalFrame:
         return mp.det(self.hessian) if self.d > 1 else mpc(1)
 
 
-def build_frame(G_num, H, p, direction, point, order, G_den=None, reordering=None):
+def build_frame(G_num, H, p, direction, point, order, terms, G_den=None, reordering=None):
     """Construct and validate the local frame at a solved critical point.
 
-    The reordering (from the smoothness check) is applied to everything
-    first; pass ``reordering`` explicitly to reuse a previously chosen frame.
+    The jets have order ``order``; the amplitudes are built for ``terms``
+    terms of an expansion (``LocalFrame``).  The reordering (from the
+    smoothness check) is applied to everything first; pass ``reordering``
+    explicitly to reuse a previously chosen frame.
     """
     from .geometry import check_smooth
 
@@ -325,7 +343,7 @@ def build_frame(G_num, H, p, direction, point, order, G_den=None, reordering=Non
 
     h_jet = implicit_root_jet(Hp, cp, order + p - 1)
     g_jet = phase_jet(h_jet, dirp, order)
-    amps, _ = amplitude_jets(Gp, Hp, p, cp, h_jet, order, G_den=Gdp)
+    amps, _ = amplitude_jets(Gp, Hp, p, cp, h_jet, order, terms, G_den=Gdp)
     hess = phase_hessian(Hp, cp)
 
     frame = LocalFrame(
@@ -338,6 +356,7 @@ def build_frame(G_num, H, p, direction, point, order, G_den=None, reordering=Non
         hessian=hess,
         reordering=perm,
         order=order,
+        terms=terms,
     )
     validate_frame(frame)
     return frame

@@ -59,6 +59,15 @@ count is the full chain's unless a coefficient above a window sums to an
 exact zero, which only the full chain can see; then a product may loop over
 the other operand, and its coefficients agree with the full chain's to
 rounding.
+
+A chain's result can itself be a window: ``reciprocal``, ``pow_int``,
+``substitute``, ``mul_through`` and ``jet_circle_substitute`` take the
+degree through which it is wanted, and accept windowed inputs exact at
+least that far.  ``through`` cuts a jet to a window, and every re-wrap
+(``map_coeffs``, ``truncate``, the slices and shifts of a caller) hands the
+above-window keys on with ``carry_above``, re-packed when the order or the
+number of variables changes.  ``coefficient`` refuses an index a window
+lacks but its full-order self holds.
 """
 
 from __future__ import annotations
@@ -434,6 +443,11 @@ def _layout(jet):
     return range(0, top, width), top, (1 << width) - 1
 
 
+def _key(beta, shifts, top):
+    """The packed key of the multi-index ``beta`` (``_layout``)."""
+    return sum(map(lshift, beta, shifts)) + (sum(beta) << top)
+
+
 def _packed(coeffs, shifts, top):
     """``(degree, index, key, re, im)`` for each coefficient, in order."""
     return [
@@ -557,11 +571,13 @@ class Jet:
 
     The Horner chains compute step ``t`` only through the degree later steps
     read (``t`` for ``reciprocal`` and ``log``, ``order - k`` for the power
-    ``k`` of ``substitute``).  Such a window keeps in ``above`` the packed
-    keys (``_layout``) its full-order self has above the window; ``above`` is
-    empty for every other jet.  Products size their operands by coefficients
-    plus ``above``, so the chains' results are the full chains' bit for bit,
-    unless a coefficient above a window sums to an exact zero.
+    ``k`` of ``substitute``, less where the result itself is wanted only
+    through a lower degree).  Such a window keeps the full ``order`` and
+    holds in ``above`` the packed keys (``_layout``) its full-order self has
+    above the window; ``above`` is empty for a whole jet.  Products size
+    their operands by coefficients plus ``above``, so the chains' results
+    are the full chains' bit for bit, unless a coefficient above a window
+    sums to an exact zero.
     """
 
     __slots__ = ("nvars", "order", "center", "coeffs", "caps", "above")
@@ -653,14 +669,55 @@ class Jet:
         beta = tuple(beta)
         if sum(beta) > self.order:
             raise SeriesError(f"index {beta} beyond truncation order {self.order}")
+        if self.above:
+            shifts, top, _ = _layout(self)
+            if _key(beta, shifts, top) in self.above:
+                raise SeriesError(f"index {beta} is above the window this jet holds")
         return self.coeffs.get(beta, mpc(0))
 
     def constant_coefficient(self):
         return self.coeffs.get((0,) * self.nvars, mpc(0))
 
     def truncate(self, order):
-        return Jet(self.nvars, min(order, self.order), self.center, self.coeffs,
-                   caps=self.caps)
+        out = Jet(self.nvars, min(order, self.order), self.center, self.coeffs, caps=self.caps)
+        return out.carry_above(self)
+
+    def through(self, hi):
+        """This jet's window through degree ``hi``: its coefficients above
+        ``hi`` become ``above`` keys."""
+        if hi >= self.order:
+            return self
+        shifts, top, _ = _layout(self)
+        out = Jet(self.nvars, self.order, self.center, caps=self.caps)
+        out.coeffs = {b: v for b, v in self.coeffs.items() if sum(b) <= hi}
+        out.above = self.above.union(
+            _key(b, shifts, top) for b in self.coeffs if sum(b) > hi
+        )
+        return out
+
+    def carry_above(self, source, index=None):
+        """``self``, built from ``source``'s coefficients, given the keys
+        ``source`` has above its window: each multi-index of ``source.above``
+        mapped by ``index`` into this jet's index space (``None`` drops it),
+        kept where this jet's order and caps keep it, and packed by this
+        jet's layout.  Returns ``self``."""
+        if not source.above:
+            return self
+        if (index is None and (self.nvars, self.order) == (source.nvars, source.order)
+                and self.caps in (None, source.caps)):
+            self.above = source.above
+            return self
+        shifts, _, mask = _layout(source)
+        mine, top, _ = _layout(self)
+        above = set()
+        for k in source.above:
+            b = tuple(k >> s & mask for s in shifts)
+            if index is not None:
+                b = index(b)
+            if b is not None and self._keeps(b):
+                above.add(_key(b, mine, top))
+        self.above = above
+        return self
 
     def _compat(self, other):
         if not isinstance(other, Jet):
@@ -677,7 +734,7 @@ class Jet:
             self.center,
             {b: f(v) for b, v in self.coeffs.items()},
             caps=self.caps,
-        )
+        ).carry_above(self)
 
     def __add__(self, other):
         self._compat(other)
@@ -707,9 +764,15 @@ class Jet:
     def __mul__(self, other):
         if not isinstance(other, Jet):
             return self.scale(other)
-        return self._product(other, 0, self.order)
+        return self.mul_through(other, self.order)
 
     __rmul__ = scale
+
+    def mul_through(self, other, hi):
+        """``self * other`` through degree ``hi``: the window of the full
+        product, with the keys the full product has above ``hi`` in
+        ``above``.  Exact where both operands are exact through ``hi``."""
+        return self._product(other, 0, hi, track=True)
 
     def mul_degree(self, other, m):
         """Degree-``m`` homogeneous part of ``self * other``.
@@ -797,11 +860,13 @@ class Jet:
             out.above = above
         return out
 
-    def pow_int(self, k):
-        """``self**k``, the k-th power of ``power_chain`` at full order."""
+    def pow_int(self, k, window=None):
+        """``self**k``, the k-th power of ``power_chain``, each power through
+        degree ``window`` (the order by default)."""
         if not isinstance(k, int) or k < 0:
             raise SeriesError("jet powers must be nonnegative integers")
-        return next(islice(power_chain(self, lambda l: self.order), k, None))
+        hi = self.order if window is None else window
+        return next(islice(power_chain(self, lambda l: hi), k, None))
 
     # -- series inverses -----------------------------------------------------
 
@@ -816,14 +881,15 @@ class Jet:
             self.center,
             {b: v / a0 for b, v in self.coeffs.items() if sum(b) > 0},
             caps=self.caps,
-        )
+        ).carry_above(self)
         return a0, u
 
-    def reciprocal(self):
-        """Jet ``b`` with ``self * b = 1`` through the truncation order."""
+    def reciprocal(self, window=None):
+        """Jet ``b`` with ``self * b = 1`` through the truncation order, or
+        through degree ``window``."""
         a0, u = self._unit_part()
         # 1/a = (1/a0) * sum_m (-u)^m; u has valuation >= 1
-        acc = (-u)._horner([mpc(1)] * (self.order + 1))
+        acc = (-u)._horner([mpc(1)] * (self.order + 1), window)
         return acc.map_coeffs(lambda v: v / a0)
 
     def log(self):
@@ -841,19 +907,21 @@ class Jet:
             out = out + Jet.constant(self.nvars, self.order, self.center, const, caps=self.caps)
         return out
 
-    def _horner(self, coeffs):
+    def _horner(self, coeffs, window=None):
         """``sum_m coeffs[m] * self**m`` for a jet without constant term, by
         the chain ``acc = self * acc + coeffs[m]`` from the top ``m`` down;
         ``coeffs[0]`` may be ``None``, which adds nothing.
 
-        Step ``t`` of the chain runs only through degree ``t``: ``self`` has
-        valuation >= 1, so step ``t + 1`` reads step ``t`` through degree
-        ``t`` and the last step, ``t = len(coeffs) - 1 = order``, is whole.
+        The last step, ``t = len(coeffs) - 1``, runs through degree
+        ``window`` (the order by default) and each step before it one degree
+        less, down to 0: ``self`` has valuation >= 1, so step ``t + 1`` reads
+        step ``t`` one degree below its own window.
         """
         top = len(coeffs) - 1
+        lag = top - (self.order if window is None else window)
         acc = Jet.constant(self.nvars, self.order, self.center, coeffs[top], caps=self.caps)
         for t in range(1, top + 1):
-            acc = self._product(acc, 0, t, track=True)
+            acc = self._product(acc, 0, max(0, t - lag), track=True)
             if coeffs[top - t] is not None:
                 acc = acc + Jet.constant(
                     self.nvars, self.order, self.center, coeffs[top - t], caps=self.caps
@@ -876,12 +944,14 @@ class Jet:
                 coeffs[tuple(nb)] = v * b[r]
         return Jet(self.nvars, self.order - 1, self.center, coeffs, caps=self.caps)
 
-    def substitute(self, var, series):
-        """Replace the displacement of ``var`` by ``series`` (Horner form).
+    def substitute(self, var, series, window=None):
+        """Replace the displacement of ``var`` by ``series`` (Horner form),
+        through degree ``window`` (the order by default).
 
         ``series`` must live in the same index space, have the same truncation
         order and a vanishing constant term, so truncation commutes with the
-        substitution.
+        substitution.  ``self`` and ``series`` may be windows through
+        ``window`` or beyond.
         """
         if not isinstance(series, Jet) or series.nvars != self.nvars:
             raise SeriesError("substitution series must match the index space")
@@ -889,22 +959,36 @@ class Jet:
             raise SeriesError("substitution series order mismatch")
         if series.constant_coefficient() != 0:
             raise SeriesError("substitution series must have zero constant term")
+        hi = self.order if window is None else window
         parts = {}
-        top = 0
         for b, v in self.coeffs.items():
             k = b[var]
             nb = list(b)
             nb[var] = 0
             parts.setdefault(k, {})[tuple(nb)] = v
-            top = max(top, k)
-        out = Jet(self.nvars, self.order, self.center, parts.get(top, {}), caps=self.caps)
-        series = Jet(self.nvars, self.order, self.center, series.coeffs, caps=self.caps)
-        for k in range(top - 1, -1, -1):
+        # the keys above self's window split the same way; they are part of
+        # the full chain's parts, its length and its operand sizes
+        shifts, top_bit, mask = _layout(self)
+        above = {}
+        for key in self.above:
+            k = key >> shifts[var] & mask
+            above.setdefault(k, set()).add(key - (k << shifts[var]) - (k << top_bit))
+        top = max([*parts, *above], default=0)
+
+        def part(k):
             # ``series`` has valuation >= 1, so the result reads the step for
-            # ``k`` only through degree ``order - k``, which bounds ``parts[k]``
-            out = out._product(series, 0, self.order - k, track=True)
-            if k in parts:
-                out = out + Jet(self.nvars, self.order, self.center, parts[k], caps=self.caps)
+            # ``k`` only through degree ``hi - k``
+            out = Jet(self.nvars, self.order, self.center, parts.get(k), caps=self.caps)
+            out.above = above.get(k, out.above)
+            return out.through(max(0, hi - k))
+
+        out = part(top)
+        series = Jet(self.nvars, self.order, self.center, series.coeffs,
+                     caps=self.caps).carry_above(series)
+        for k in range(top - 1, -1, -1):
+            out = out._product(series, 0, max(0, hi - k), track=True)
+            if k in parts or k in above:
+                out = out + part(k)
         return out
 
     def __repr__(self):
@@ -947,18 +1031,19 @@ def circle_exp_series(nvars, order, var, radius):
     return Jet(nvars, order, (mpc(0),) * nvars, coeffs)
 
 
-def jet_circle_substitute(a, order=None):
+def jet_circle_substitute(a, order=None, window=None):
     """Restrict a jet to the torus through its center: ``w_m = c_m e^{i t_m}``.
 
     Substitutes the truncated series ``c_m (e^{i t_m} - 1)`` for each
-    displacement ``w_m - c_m``; the result is a jet in ``t`` at 0.
+    displacement ``w_m - c_m``; the result is a jet in ``t`` at 0, through
+    degree ``window`` (the order by default).
     """
     order = a.order if order is None else order
     if order > a.order:
         raise SeriesError("cannot extend a jet beyond its truncation order")
-    out = Jet(a.nvars, order, (mpc(0),) * a.nvars, a.coeffs, caps=a.caps)
+    out = Jet(a.nvars, order, (mpc(0),) * a.nvars, a.coeffs, caps=a.caps).carry_above(a)
     for m, radius in enumerate(a.center):
         if radius == 0:
             raise SeriesError("circle substitution requires nonzero center")
-        out = out.substitute(m, circle_exp_series(a.nvars, order, m, radius))
+        out = out.substitute(m, circle_exp_series(a.nvars, order, m, radius), window)
     return out

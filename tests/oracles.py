@@ -27,6 +27,7 @@ Test harness:
   jet_to_json                a jet as JSON, for ``frame_to_json``
   jet_allclose               coefficientwise closeness of two jets
   jet_bits                   a jet's caps, keys in order and raw coefficient bits
+  above_indices              the multi-indices a windowed jet holds above its window
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from smoothasym.series import (
     NonInvertibleJetError,
     SeriesError,
     SparsePoly,
+    _layout,
     _merge_caps,
     coef_to_mpc,
     complex_to_json,
@@ -441,6 +443,12 @@ def jet_bits(jet, window=None):
     ]
 
 
+def above_indices(jet):
+    """The multi-indices of ``jet.above``, unpacked by the jet's layout."""
+    shifts, _, mask = _layout(jet)
+    return {tuple(k >> s & mask for s in shifts) for k in jet.above}
+
+
 def drops_above_window(run, window):
     """``(run(), dropped)``: the result of a full-order chain, and whether a
     product or sum in it dropped a coefficient that summed to an exact zero
@@ -473,10 +481,11 @@ def drops_above_window(run, window):
 # The Horner chains as they ran before each step was cut to the degrees a
 # later step reads: every step a full-order product, kept as they were.  The
 # windowed chains must give the same keys, in the same order, with the same
-# bits.
+# bits.  Each takes the ``window`` its chain takes and ignores it: patched in
+# for the chain, it computes the whole jet.
 
 
-def reference_reciprocal(self):
+def reference_reciprocal(self, window=None):
     """Jet ``b`` with ``self * b = 1`` through the truncation order."""
     a0 = self.constant_coefficient()
     if a0 == 0:
@@ -530,7 +539,7 @@ def reference_log(self):
     return out
 
 
-def reference_substitute(self, var, series):
+def reference_substitute(self, var, series, window=None):
     """Replace the displacement of ``var`` by ``series`` (Horner form)."""
     if not isinstance(series, Jet) or series.nvars != self.nvars:
         raise SeriesError("substitution series must match the index space")

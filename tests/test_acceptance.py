@@ -177,7 +177,7 @@ def test_criterion_2_smirnov_moments():
 
     expansions = []
     for G, G_den, p in fams:
-        frame = build_frame(G, H, p, alpha, point, order, G_den=G_den)
+        frame = build_frame(G, H, p, alpha, point, order, 2, G_den=G_den)
         expansions.append(expand_smooth(frame, 2))
     e1, e2, e3 = expansions
 
@@ -285,7 +285,7 @@ def test_criterion_4_hessian_crosscheck(rng):
         nonlocal checked
         d = H.nvars
         frame = build_frame(
-            G or SparsePoly.constant(d, 1), H, p, alpha, point, 6, G_den=G_den
+            G or SparsePoly.constant(d, 1), H, p, alpha, point, 6, 1, G_den=G_den
         )
         A = hessian_from_jet(frame.phase)
         B = frame.hessian
@@ -327,7 +327,7 @@ def test_criterion_5_delannoy_error_doubling(delannoy):
     points, _ = solve_critical(H, alpha)
     point = [p for p in points if p[0].real > 0][0]
     table = maclaurin_table(G, H, 1, (96, 64))
-    frame = build_frame(G, H, 1, alpha, point, smooth_phase_order(3, 2))
+    frame = build_frame(G, H, 1, alpha, point, smooth_phase_order(3, 2), 3)
     for N in (1, 2, 3):
         e = expand_smooth(frame, N)
         errs = {}

@@ -26,6 +26,7 @@ from smoothasym.expansion import (
     rising_factorial_poly,
 )
 from smoothasym.localframe import smooth_phase_order
+from smoothasym.stationary import OrderBudgetError
 
 from conftest import poly, smirnov_family
 from oracles import evaluate_structured
@@ -85,7 +86,7 @@ class TestExpandSmooth:
 
     def test_degenerate_hessian_routed_away(self, quantum_walk):
         G, H, alpha = quantum_walk
-        frame = build_frame(G, H, 1, alpha, (mpc(1), mpc(1)), 12)
+        frame = build_frame(G, H, 1, alpha, (mpc(1), mpc(1)), 12, 1)
         with pytest.raises(DegenerateHessianError):
             expand_smooth(frame, 1)
 
@@ -94,7 +95,7 @@ class TestExpandDegenerate:
     def test_v2_agrees_with_smooth(self, central_binomial):
         G, H, alpha = central_binomial
         frame = build_frame(G, H, 1, alpha, (mpc(1) / 2, mpc(1) / 2),
-                            smooth_phase_order(3, 2))
+                            smooth_phase_order(3, 2), 3)
         smooth = expand_smooth(frame, 3)
         even = expand_degenerate(frame, 3, v=2)
         assert even.kind == "degenerate-even"
@@ -104,15 +105,29 @@ class TestExpandDegenerate:
     def test_requires_two_variables(self):
         H, fams = smirnov_family()
         G, _, p = fams[0]
-        frame = build_frame(G, H, p, Direction((1, 1, 1)), (mpc(1) / 3,) * 3, 8)
+        frame = build_frame(G, H, p, Direction((1, 1, 1)), (mpc(1) / 3,) * 3, 8, 1)
         with pytest.raises(ExpansionError):
             expand_degenerate(frame, 1)
 
     def test_order_guard(self, quantum_walk):
         G, H, alpha = quantum_walk
-        frame = build_frame(G, H, 1, alpha, (mpc(1), mpc(1)), 12)
+        frame = build_frame(G, H, 1, alpha, (mpc(1), mpc(1)), 12, 5)
         with pytest.raises(ExpansionError):
             expand_degenerate(frame, 5, v=3)
+
+
+class TestFrameTerms:
+    def test_frame_refuses_more_terms_than_built_for(self, delannoy, delannoy_point):
+        # the amplitudes of a frame built for N=2 hold degrees through 2; a
+        # third term would read degree 4 of them
+        G, H, alpha = delannoy
+        frame = build_frame(G, H, 1, alpha, delannoy_point, smooth_phase_order(3, 2), 2)
+        assert frame.terms == 2
+        assert len(expand_smooth(frame, 2).structured) == 2
+        with pytest.raises(OrderBudgetError):
+            expand_smooth(frame, 3)
+        with pytest.raises(OrderBudgetError):
+            expand_degenerate(frame, 3, v=2)
 
 
 class TestExpandUnivariate:
@@ -197,7 +212,7 @@ class TestEvaluate:
 
     def test_non_integral_index_rejected(self, quantum_walk):
         G, H, alpha = quantum_walk
-        frame = build_frame(G, H, 1, alpha, (mpc(1), mpc(1)), 27)
+        frame = build_frame(G, H, 1, alpha, (mpc(1), mpc(1)), 27, 5)
         e = expand_degenerate(frame, 5)
         with pytest.raises(ExpansionError):
             e.evaluate(3)
@@ -245,6 +260,6 @@ def _expand(G, H, p, alpha, N, G_den=None):
     points, _ = solve_critical(H, alpha)
     pos = [pt for pt in points if pt[0].real > 0 and abs(pt[0].imag) < mpf("1e-20")]
     point = min(pos, key=lambda pt: abs(pt[0]))
-    frame = build_frame(G, H, p, alpha, point, smooth_phase_order(N, H.nvars),
+    frame = build_frame(G, H, p, alpha, point, smooth_phase_order(N, H.nvars), N,
                         G_den=G_den)
     return expand_smooth(frame, N)

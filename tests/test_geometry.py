@@ -290,6 +290,45 @@ class TestPairedBackSubstitution:
         assert list(_paired_y_roots(P, 1j, far)) == list(far)
 
 
+class TestKnownPoints:
+    """``solve_critical`` hands the points kept so far to ``newton_polish``,
+    which stops a run that reaches one of them; the result is the one the
+    runs polished to the end give, bit for bit."""
+
+    @pytest.mark.parametrize("terms, alpha, repeats", [
+        ({(0, 0): 1, (1, 0): -1, (0, 1): -1, (1, 1): -1}, (3, 2), False),  # Delannoy
+        ({(0, 0): 1, (1, 0): -1, (0, 2): -1}, (1, 1), True),  # a double eliminant root
+        ({(0, 0): 1, (1, 0): -1, (0, 2): -1, (2, 0): Fraction(1, 3)}, (1, 2), True),  # singular
+        ({(0, 0): 1, (1, 0): -4, (0, 1): -1, (2, 2): -4}, (1, 2), True),
+    ])
+    def test_same_points_as_full_runs(self, terms, alpha, repeats):
+        H, alpha = poly(2, terms), Direction(alpha)
+        stops = []
+
+        def recording(polys, point, known=()):
+            x, ok = newton_polish(polys, point, known)
+            stops.append(any(x == list(k) for k in known))
+            return x, ok
+
+        with mock.patch.object(geometry, "newton_polish", recording):
+            got = solve_critical(H, alpha)
+        with mock.patch.object(geometry, "newton_polish",
+                               lambda polys, point, known=(): newton_polish(polys, point)):
+            want = solve_critical(H, alpha)
+        assert got == want
+        assert any(stops) == repeats
+
+    def test_run_stops_at_a_known_point(self):
+        H = poly(2, {(0, 0): 1, (1, 0): -1, (0, 1): -1, (1, 1): -1})
+        polys = critical_system(H, Direction((3, 2)))
+        (point, *_), _ = solve_critical(H, Direction((3, 2)))
+        start = [z * (1 + mpf("1e-6")) for z in point]
+        x, ok = newton_polish(polys, start, [point])
+        assert ok and x == list(point)
+        far = [mpc(5), mpc(5)]
+        assert newton_polish(polys, start, [far]) == newton_polish(polys, start)
+
+
 class TestCheckSmooth:
     def test_delannoy_keeps_order(self, delannoy, delannoy_point):
         _, H, _ = delannoy

@@ -34,8 +34,11 @@ from smoothasym.stationary import (
     stationary_term_odd,
 )
 
-from conftest import poly, random_critical_instance
+from smoothasym.series import SeriesError
+
+from conftest import poly, random_critical_instance, smirnov_family
 from oracles import (
+    above_indices,
     frame_to_json,
     jet_bits,
     phase_hessian_symmetric_q,
@@ -221,13 +224,13 @@ class TestAmplitudes:
         G, H, alpha = central_binomial
         c = (mpf(1) / 2, mpf(1) / 2)
         h = implicit_root_jet(H, c, 6)
-        amps, _ = amplitude_jets(G, H, 1, c, h, 6)
+        amps, _ = amplitude_jets(G, H, 1, c, h, 6, 1)
         assert close(amps[0].constant_coefficient(), 2)
 
     def test_delannoy_closed_form(self, delannoy, delannoy_point):
         G, H, _ = delannoy
         h = implicit_root_jet(H, delannoy_point, 6)
-        amps, _ = amplitude_jets(G, H, 1, delannoy_point, h, 6)
+        amps, _ = amplitude_jets(G, H, 1, delannoy_point, h, 6, 1)
         c1, c2 = delannoy_point
         assert close(amps[0].constant_coefficient(), 1 / (c2 * (1 + c1)), "1e-40")
 
@@ -239,7 +242,7 @@ class TestAmplitudes:
             G = poly(2, {(0, 0): 2, (1, 0): 1})
             h = implicit_root_jet(H, pt, 8)
             for p in (1, 2):
-                amps, _ = amplitude_jets(G, H, p, pt, h, 6)
+                amps, _ = amplitude_jets(G, H, p, pt, h, 6, 1)
                 dHd = H.partial(1).eval(pt)
                 expect = G.eval(pt) / (-pt[1] * dHd) ** p
                 assert close(amps[0].constant_coefficient(), expect, "1e-35")
@@ -249,7 +252,8 @@ class TestAmplitudes:
         G, H, _ = delannoy
         p = 1
         h = implicit_root_jet(H, delannoy_point, 8)
-        _, Q = amplitude_jets(G, H, p, delannoy_point, h, 8)
+        # five terms read degree 8: the window is the whole order
+        _, Q = amplitude_jets(G, H, p, delannoy_point, h, 8, 5)
         for j in range(0, p + 3):
             lhs = Q.coefficient((0, j))  # j-th derivative / j!
             dj = H
@@ -267,7 +271,7 @@ class TestAmplitudes:
         G_den = poly(2, {(0, 0): 1, (1, 0): 1})
         c = (mpf(1) / 2, mpf(1) / 2)
         h = implicit_root_jet(H, c, 6)
-        amps, _ = amplitude_jets(G_num, H, 1, c, h, 6, G_den=G_den)
+        amps, _ = amplitude_jets(G_num, H, 1, c, h, 6, 1, G_den=G_den)
         # u_0 = (1/(1+x)) / (-h * dH/dy) = (2/3) * 2
         assert close(amps[0].constant_coefficient(), mpf(4) / 3, "1e-40")
 
@@ -289,7 +293,8 @@ class TestAmplitudeTopDegree:
 
         def amplitudes(order):
             h = implicit_root_jet(self.H, pt, order + p - 1)
-            return amplitude_jets(G, self.H, p, pt, h, order)[0]
+            # ``order`` terms read past the order: whole jets
+            return amplitude_jets(G, self.H, p, pt, h, order, order)[0]
 
         order = 6
         for lo, hi in zip(amplitudes(order), amplitudes(order + 4)):
@@ -330,6 +335,37 @@ class TestAmplitudeTopDegree:
             assert highest(phase, term, order) <= order - 1
 
 
+class TestAmplitudeWindow:
+    """Amplitudes built for N terms hold their coefficients through
+    ``2(N - 1)``, bit for bit those of the build for more terms than the
+    order (whole jets), and carry the whole build's keys above that."""
+
+    @pytest.mark.parametrize("case", ["delannoy", "denominator", "three"])
+    def test_window_of_the_whole_build(self, case, delannoy, delannoy_point):
+        if case == "delannoy":
+            (G, H, _), pt, p, G_den, order = delannoy, delannoy_point, 1, None, 12
+        elif case == "denominator":
+            H = TestAmplitudeTopDegree.H
+            points, _ = solve_critical(H, Direction((1, 1)))
+            pt = next(q for q in points if q[0].real > 0 and abs(q[0].imag) < mpf("1e-30"))
+            G, G_den, p, order = poly(2, {(0, 0): 2, (1, 1): -1}), poly(2, {(0, 0): 3, (0, 1): 1}), 2, 10
+        else:
+            H, fams = smirnov_family()
+            G, G_den, p = fams[-1]
+            pt, order = (mpc(1) / 3,) * 3, 8
+        h = implicit_root_jet(H, pt, order + p - 1)
+        whole = amplitude_jets(G, H, p, pt, h, order, order, G_den=G_den)[0]
+        assert not any(u.above for u in whole)
+        for N in (1, 2, 3):
+            wu = 2 * (N - 1)
+            for u, full in zip(amplitude_jets(G, H, p, pt, h, order, N, G_den=G_den)[0], whole):
+                assert jet_bits(u) == jet_bits(full, wu)
+                assert above_indices(u) == {b for b in full.coeffs if sum(b) > wu}
+                beyond = next(b for b in full.coeffs if sum(b) > wu)
+                with pytest.raises(SeriesError):
+                    u.coefficient(beyond)
+
+
 class TestVanishingOrder:
     def test_quadratic_leading(self):
         g = Jet(1, 6, (mpc(0),), {(2,): mpc(1), (3,): mpc(1)})
@@ -362,7 +398,7 @@ class TestBuildFrame:
 
     def test_delannoy_frame_validates(self, delannoy, delannoy_point):
         G, H, alpha = delannoy
-        frame = build_frame(G, H, 1, alpha, delannoy_point, 10)
+        frame = build_frame(G, H, 1, alpha, delannoy_point, 10, 2)
         validate_frame(frame)
         assert frame.reordering == (0, 1)
         assert close(frame.h_jet.constant_coefficient(), delannoy_point[1])
@@ -371,7 +407,7 @@ class TestBuildFrame:
         import json
 
         G, H, alpha = delannoy
-        frame = build_frame(G, H, 1, alpha, delannoy_point, 8)
+        frame = build_frame(G, H, 1, alpha, delannoy_point, 8, 2)
         blob = json.dumps(frame_to_json(frame))
         data = json.loads(blob)
         assert data["p"] == 1 and data["reordering"] == [0, 1]
@@ -387,7 +423,7 @@ class TestBuildFrame:
                 H, c, alpha = random_critical_instance(rng, d)
                 pt = tuple(mpc(z.numerator) / z.denominator for z in c)
                 frame = build_frame(
-                    SparsePoly.constant(d, 1), H, 1, alpha, pt, 6
+                    SparsePoly.constant(d, 1), H, 1, alpha, pt, 6, 1
                 )
                 A = hessian_from_jet(frame.phase)
                 B = frame.hessian
@@ -402,4 +438,4 @@ class TestBuildFrame:
     def test_non_critical_point_rejected(self, central_binomial):
         G, H, _ = central_binomial
         with pytest.raises(FrameError):
-            build_frame(G, H, 1, Direction((2, 1)), (mpf(1) / 2, mpf(1) / 2), 6)
+            build_frame(G, H, 1, Direction((2, 1)), (mpf(1) / 2, mpf(1) / 2), 6, 1)

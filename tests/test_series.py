@@ -29,6 +29,7 @@ from smoothasym.series import (
 
 from conftest import poly
 from oracles import (
+    above_indices,
     drops_above_window,
     eval_exact,
     jet_allclose,
@@ -242,32 +243,35 @@ def product_operands(draw):
     exact zeros, and rationals rounded to the precision make sums round.  The
     second jet is independent of the first, or the first at ``-x`` (the same
     keys, so the sizes tie and every odd-degree sum cancels), or the first's
-    keys in reverse order with new coefficients (the sizes tie again).
+    keys in reverse order with new coefficients (the sizes tie again).  Each
+    jet holds every index of the order or up to 40 random ones, so a cell
+    often sums many pairs; indices and coefficients come from a seeded
+    generator, as in ``chain_case``.
     """
-    nvars = draw(st.integers(1, 3))
-    order = draw(st.integers(0, 8))
+    nvars = draw(st.sampled_from([1, 2, 3]))
+    order = draw(st.sampled_from(range(9)))
     kinds = st.sampled_from(["gauss", "rounded", "real", "twisted", "scaled", "mixed"])
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    every = [b for b in itertools.product(range(order + 1), repeat=nvars) if sum(b) <= order]
 
-    def index():
-        room, beta = order, []
-        for _ in range(nvars):
-            beta.append(draw(st.integers(0, room)))
-            room -= beta[-1]
-        return tuple(draw(st.permutations(beta)))
+    def keys():
+        if draw(st.booleans()):
+            return every
+        return [rng.choice(every) for _ in range(rng.randint(0, 40))]
 
     def caps():
         if not draw(st.booleans()):
             return None
-        return tuple(draw(st.none() | st.integers(0, order)) for _ in range(nvars))
+        return tuple(draw(st.sampled_from([None, *range(order + 1)])) for _ in range(nvars))
 
     def jet(keys):
-        coef = _draw_coef(draw(kinds), lambda lo, hi: draw(st.integers(lo, hi)))
+        coef = _draw_coef(draw(kinds), rng.randint)
         return Jet(nvars, order, (0,) * nvars, {b: coef(sum(b)) for b in keys}, caps=caps())
 
-    a = jet([index() for _ in range(draw(st.integers(0, 12)))])
+    a = jet(keys())
     shape = draw(st.sampled_from(["independent", "mirror", "reversed"]))
     if shape == "independent":
-        b = jet([index() for _ in range(draw(st.integers(0, 12)))])
+        b = jet(keys())
     elif shape == "mirror":
         b = Jet(nvars, order, a.center,
                 {k: -v if sum(k) % 2 else v for k, v in a.coeffs.items()}, caps=caps())
@@ -396,6 +400,44 @@ class TestWindowedChains:
                              (4,): mpc(1), (5,): mpc(-1, -1), (6,): mpc(0, 1)})
         assert jet_bits(a.reciprocal()) == jet_bits(reference_reciprocal(a))
 
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_windowed_inputs_and_results(self, data):
+        # each chain asked for its result through degree ``hi`` only, on an
+        # input cut to that window (``through``), which carries its keys
+        # above ``hi``: the window of the full-order chain's result, with the
+        # full result's keys above it
+        with mp.workprec(data.draw(st.sampled_from([212, 100, 53]))):
+            a, s, var, hi = data.draw(chain_case())
+            top = max((b[var] for b in a.coeffs), default=0)
+            cases = [
+                (lambda: a.through(hi).substitute(var, s, hi),
+                 lambda: reference_substitute(a, var, s), lambda i: hi - top + i),
+                (lambda: a.through(hi).reciprocal(hi),
+                 lambda: reference_reciprocal(a), lambda i: hi - a.order + i),
+                (lambda: s.through(hi).pow_int(3, hi),
+                 lambda: reference_powers(s, 4)[3], lambda i: hi),
+            ]
+            for windowed, reference, window in cases:
+                got = windowed()
+                want, dropped = drops_above_window(reference, lambda i: max(0, window(i)))
+                event(f"exact zero above a window: {dropped}")
+                if dropped:
+                    assert jet_allclose(got, want.through(hi))
+                else:
+                    assert jet_bits(got) == jet_bits(want, hi)
+                    assert len(got.coeffs) + len(got.above) == len(want.coeffs)
+
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_truncate_keeps_the_window(self, data):
+        a, _, _, hi = data.draw(chain_case())
+        order = data.draw(st.integers(0, a.order))
+        got, want = a.through(hi).truncate(order), a.truncate(order).through(hi)
+        assert jet_bits(got) == jet_bits(want)
+        assert above_indices(got) == above_indices(want)
+        assert above_indices(got) == {b for b in a.truncate(order).coeffs if sum(b) > hi}
+
     @settings(max_examples=40)
     @given(data=st.data())
     def test_circle_substitution(self, data):
@@ -428,15 +470,19 @@ def _product_sizes(run):
 
 def _keyed_jets(shape):
     """A jet ``a`` and a series ``s`` whose rounded coefficients never sum to
-    an exact zero: dense in two variables, or sparse with a cap, where the
-    keys above a window come from the operands' keys above theirs."""
+    an exact zero: dense in two variables, sparse with a cap, where the keys
+    above a window come from the operands' keys above theirs, or sparse in
+    three variables."""
     if shape == "dense":
         keys, order, caps = [b for b in itertools.product(range(7), repeat=2) if sum(b) <= 6], 6, None
-    else:
+    elif shape == "sparse":
         keys, order, caps = [(0, 0), (3, 0), (0, 5), (2, 2), (1, 4)], 12, (None, 9)
-    a = Jet(2, order, (0, 0), {b: mpc(1, b[0] - b[1]) / (b[0] + 3 * b[1] + 7) for b in keys},
-            caps=caps)
-    return a, Jet(2, order, (0, 0), {b: v for b, v in a.coeffs.items() if any(b)}, caps=caps)
+    else:
+        keys, order, caps = [(0, 0, 0), (1, 0, 2), (0, 3, 1), (2, 1, 0), (0, 0, 4), (1, 1, 1)], 7, None
+    n = len(keys[0])
+    a = Jet(n, order, (0,) * n,
+            {b: mpc(1, b[0] - b[1]) / (b[0] + 3 * b[1] + 5 * sum(b[2:]) + 7) for b in keys}, caps=caps)
+    return a, Jet(n, order, (0,) * n, {b: v for b, v in a.coeffs.items() if any(b)}, caps=caps)
 
 
 class TestWindowKeys:
@@ -461,6 +507,37 @@ class TestWindowKeys:
         want = _product_sizes(reference)
         assert _product_sizes(windowed) == want
         assert len(want) >= 3
+
+    @pytest.mark.parametrize("hi", [2, 4])
+    @pytest.mark.parametrize("shape", ["dense", "sparse", "three"])
+    @pytest.mark.parametrize("chain", ["substitute", "circle", "reciprocal", "power"])
+    def test_windowed_results(self, chain, shape, hi):
+        # results wanted through ``hi`` from inputs cut there: the keys above
+        # an input's window decide a chain's length and sizes, as in the
+        # second variable of a circle substitution, which reads the first's
+        # result above its window
+        a, s = _keyed_jets(shape)
+        ring = Jet(a.nvars, a.order, (mpc(1, 1) / 3,) * a.nvars, a.coeffs, caps=a.caps)
+        windowed, reference = {
+            "substitute": (lambda: a.through(hi).substitute(1, s, hi),
+                           lambda: reference_substitute(a, 1, s)),
+            "circle": (lambda: jet_circle_substitute(ring.through(hi), None, hi),
+                       lambda: _reference_circle(ring)),
+            "reciprocal": (lambda: a.through(hi).reciprocal(hi),
+                           lambda: reference_reciprocal(a)),
+            "power": (lambda: s.through(hi).pow_int(3, hi), lambda: reference_powers(s, 4)[3]),
+        }[chain]
+        want, dropped = drops_above_window(reference, lambda i: -1)
+        assert not dropped  # no exact zero anywhere in the full chain
+        got = windowed()
+        assert jet_bits(got) == jet_bits(want, hi)
+        assert above_indices(got) == {b for b in want.coeffs if sum(b) > hi}
+        assert _product_sizes(windowed) == _product_sizes(reference)
+
+
+def _reference_circle(a):
+    with mock.patch.object(Jet, "substitute", reference_substitute):
+        return jet_circle_substitute(a)
 
 
 def _count_mul(fn, names=("_mul_add", "mpf_mul")):

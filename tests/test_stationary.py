@@ -102,7 +102,7 @@ class TestNondegenerateTerms:
         from smoothasym import build_frame
 
         G, H, alpha = delannoy
-        frame = build_frame(G, H, 1, alpha, delannoy_point, 10)
+        frame = build_frame(G, H, 1, alpha, delannoy_point, 10, 1)
         phase = PhaseData.nondegenerate(frame.phase, frame.hessian, 1)
         got = stationary_term(frame.amplitudes[0], phase, 0)
         c1, c2 = delannoy_point
