@@ -35,6 +35,7 @@ from .localframe import (
     FrameError,
     build_frame,
     degenerate_phase_order,
+    phase_window,
     smooth_phase_order,
     vanishing_order,
 )
@@ -258,14 +259,15 @@ def _expand_at_point(spec, report):
         except (ExpansionError, FrameError, SeriesError) as exc:
             raise PipelineExit(EXIT_NO_CRITICAL, f"univariate expansion failed: {exc}")
 
-    def frame_of_order(order):
+    def frame_of_order(order, v=None):
         return build_frame(
             spec.G_num, spec.H, spec.p, spec.alpha, report.point, order, spec.N,
-            G_den=spec.G_den, reordering=report.reordering,
+            G_den=spec.G_den, reordering=report.reordering, v=v,
         )
 
+    smooth_order = smooth_phase_order(spec.N, spec.d)
     try:
-        frame = frame_of_order(smooth_phase_order(spec.N, spec.d))
+        frame = frame_of_order(smooth_order)
     except FrameError as exc:
         raise PipelineExit(EXIT_NO_CRITICAL, f"frame construction failed: {exc}")
     if not spec.force_degenerate:
@@ -280,9 +282,17 @@ def _expand_at_point(spec, report):
         )
     try:
         v = vanishing_order(frame.phase)
-        needed = degenerate_phase_order(spec.N, v)
-        if frame.order < needed:
-            frame = frame_of_order(needed)
+        if v is None:
+            # v lies beyond the nondegenerate route's phase window: search the
+            # whole phase, built at the order the least such v needs
+            least = frame.phase.held_through() + 1
+            frame = frame_of_order(
+                max(smooth_order, degenerate_phase_order(spec.N, least)), "whole"
+            )
+            v = vanishing_order(frame.phase)
+        order = max(smooth_order, degenerate_phase_order(spec.N, v))
+        if frame.order != order or frame.phase.held_through() < phase_window(spec.N, v):
+            frame = frame_of_order(order, v)
         return expand_degenerate(frame, spec.N, v=v)
     except FrameError as exc:
         raise PipelineExit(EXIT_NO_CRITICAL, f"degenerate route failed: {exc}")

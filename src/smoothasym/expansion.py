@@ -323,6 +323,11 @@ def expand_degenerate(frame, N, v=None):
         raise ExpansionError("degenerate expansions require exactly two variables")
     if v is None:
         v = vanishing_order(frame.phase)
+        if v is None:
+            raise ExpansionError(
+                "the vanishing order lies beyond the phase window; build the "
+                "frame with the whole phase"
+            )
     parity = "even" if v % 2 == 0 else "odd"
     needed = degenerate_phase_order(N, v)
     if frame.order < needed:

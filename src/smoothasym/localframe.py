@@ -16,8 +16,9 @@ from mpmath import mp, mpc, mpf
 
 from .geometry import Direction
 from .series import Jet, jet_circle_substitute
+from .stationary import slice_degree
 
-VANISHING_TOL = mpf("1e-12")  # negligible phase coefficient, relative to the largest
+VANISHING_TOL = mpf("1e-12")  # negligible phase coefficient, relative to the largest or 1
 FRAME_TOL = mpf("1e-10")  # relative tolerance of the ``validate_frame`` identities
 
 
@@ -29,8 +30,10 @@ def smooth_phase_order(N, d):
     """Truncation order for the nondegenerate path with N retained terms.
 
     Covers both the sup-norm budget of the underlying nondegenerate theorem
-    and the largest derivative the finite sums actually consume (6k at term
-    k = N-1).
+    and the largest derivative the finite sums actually consume: 6k at term
+    k = N-1, read from ``u * remainder^l`` (the amplitude and the remainder
+    powers), not from the phase, which they read only through
+    ``phase_window(N)``.
     """
     return max(2 * N + 2, 3 * (N + math.ceil((d - 1) / 2)) + 1, 6 * max(N - 1, 0) + 2)
 
@@ -41,18 +44,34 @@ def degenerate_phase_order(N, v):
     return max((v + 1) * (N + 1) + 1, consumed + 2)
 
 
+def phase_window(N, v=None):
+    """The degree through which N terms read the phase: the nondegenerate
+    route's (``v`` None) or the degenerate route's of vanishing order ``v``.
+
+    One factor of the remainder in term k is read at most through
+    ``stationary.slice_degree(k, 1)``, so the phase is read through
+    ``slice_degree(N - 1, 1)``: ``2N`` nondegenerate, ``2(N-1)+v`` for even
+    v and ``(N-1)+v`` for odd v; and never below 2, since ``validate_frame``
+    reads the Hessian.
+    """
+    return max(2, slice_degree(N - 1, 1, v))
+
+
 def _bits(jet):
     """A jet's keys in order, each with its coefficient's raw parts."""
     return [(b, v._mpc_) for b, v in jet.coeffs.items()]
 
 
-def implicit_root_jet(H, point, order):
+def implicit_root_jet(H, point, order, window=None):
     """Jet of the holomorphic ``h`` with ``H(w, h(w)) = 0`` and ``h(c^) = c_d``.
 
     Solved by Newton iteration on jets, ``ceil(log2(order + 1)) + 1`` steps
     or fewer: the loop stops at the first step that returns its input bit for
-    bit, since every later step would return it too.  The composite residual
-    vanishes through the truncation order (checked).
+    bit, since every later step would return it too.  Each step runs through
+    degree ``window`` (the order by default), so the result is the window of
+    the full-order solution, with its keys above the window in ``Jet.above``
+    (``series``).  The composite residual vanishes through the window
+    (checked).
     """
     d = H.nvars
     if d < 2:
@@ -65,31 +84,32 @@ def implicit_root_jet(H, point, order):
     if abs(dHd) <= mpf("1e-10") * scale:
         raise FrameError("not smooth in the distinguished coordinate")
 
+    hi = order if window is None else min(window, order)
     H_jet = Jet.from_poly(H, c, order)
     dH_jet = Jet.from_poly(H.partial(d - 1), c, order)
     w_center = c[: d - 1]
+
+    # the solution depends on w alone and vanishes at the base point; the
+    # z-slots and the constant carry only Newton noise
+    def solution(b):
+        return b if b[d - 1] == 0 and any(b) else None
+
     # eta(s) = h(c^ + s) - c_d, solved to increasing accuracy; each Newton
     # step doubles the correct valuation.  A step reads only eta (its keys in
-    # order and its bits; it has no caps and no ``above``), so once a step
+    # order, its bits and its ``above``; it has no caps), so once a step
     # returns eta unchanged every later step would too.
     eta = Jet(d, order, c, {})
     steps = max(1, math.ceil(math.log2(order + 1))) + 1
     for _ in range(steps):
-        num = H_jet.substitute(d - 1, eta)
-        den = dH_jet.substitute(d - 1, eta)
-        new = eta - num * den.reciprocal()
-        # the solution depends on w alone and vanishes at the base point;
-        # drop the z-slots and the constant, which carry only Newton noise
-        new = Jet(
-            d,
-            order,
-            c,
-            {b: v for b, v in new.coeffs.items() if b[d - 1] == 0 and any(b)},
-        )
-        if _bits(new) == _bits(eta):
+        num = H_jet.substitute(d - 1, eta, hi)
+        den = dH_jet.substitute(d - 1, eta, hi)
+        new = eta - num.mul_through(den.reciprocal(hi), hi)
+        new = Jet(d, order, c, {b: v for b, v in new.coeffs.items() if solution(b)}
+                  ).carry_above(new, solution)
+        if _bits(new) == _bits(eta) and new.above == eta.above:
             break
         eta = new
-    residual = H_jet.substitute(d - 1, eta)
+    residual = H_jet.substitute(d - 1, eta, hi)
     res = max((abs(v) for v in residual.coeffs.values()), default=mpf(0))
     if res > scale * mpf(2) ** (-(mp.prec // 2)):
         raise FrameError(f"implicit solve residual too large: {mp.nstr(res, 5)}")
@@ -99,21 +119,27 @@ def implicit_root_jet(H, point, order):
         coeffs[b[: d - 1]] = v
     zero = (0,) * (d - 1)
     coeffs[zero] = coeffs.get(zero, mpc(0)) + c[d - 1]
-    return Jet(d - 1, order, w_center, coeffs)
+    return Jet(d - 1, order, w_center, coeffs).carry_above(eta, lambda b: b[: d - 1])
 
 
-def phase_jet(h_jet, direction, order=None):
+def phase_jet(h_jet, direction, order=None, window=None):
     """Jet at 0 of the torus phase driving the Fourier-Laplace integrals.
 
     ``log(h~(t)/h~(0)) + i sum_m (alpha_m/alpha_d) t_m`` where ``h~`` is the
     restriction of h to the torus through the base point.  The constant term
     is exactly zero; at a critical point the gradient vanishes too.
+
+    The circle substitution and the logarithm run through degree ``window``
+    (the order by default), so the result is the window of the full-order
+    phase, with its keys above the window in ``Jet.above``; ``h_jet`` may be
+    a window through that degree or beyond.
     """
     order = h_jet.order if order is None else order
+    hi = order if window is None else min(window, order)
     if h_jet.constant_coefficient() == 0:
         raise FrameError("implicit jet has zero constant term")
-    h_torus = jet_circle_substitute(h_jet, order)
-    g = h_torus.log()
+    h_torus = jet_circle_substitute(h_jet, order, hi)
+    g = h_torus.log(hi)
     coeffs = dict(g.coeffs)
     coeffs.pop((0,) * g.nvars, None)  # log branch constant cancels by definition
     alpha = direction.alpha
@@ -126,7 +152,7 @@ def phase_jet(h_jet, direction, order=None):
         coeffs[beta] = coeffs.get(beta, mpc(0)) + mpc(0, 1) * mpf(
             ratio.numerator
         ) / mpf(ratio.denominator)
-    return Jet(g.nvars, order, g.center, coeffs)
+    return Jet(g.nvars, order, g.center, coeffs).carry_above(g)
 
 
 def hessian_from_jet(g_jet):
@@ -208,9 +234,10 @@ def amplitude_jets(G_num, H, p, point, h_jet, order, terms, G_den=None):
     pole-coordinate chain (``G``'s pole jet, ``Q``, ``Q^p``, its reciprocal)
     through ``wu + p - 1`` and ``H``'s pole jet through ``wu + p``.  Every
     coefficient a term reads is the full-order chain's, bit for bit, and a
-    window at or above the order is the whole jet.  The check that ``H``'s
-    v^0 slice vanishes covers its window; ``implicit_root_jet`` checks the
-    same residual at full order.
+    window at or above the order is the whole jet.  ``h_jet`` may itself be
+    a window, through ``wu + p`` or beyond.  The check that ``H``'s v^0
+    slice vanishes covers its window; ``implicit_root_jet`` checks the same
+    residual through its own.
     """
     d = H.nvars
     c = tuple(mpc(z) for z in point)
@@ -223,13 +250,20 @@ def amplitude_jets(G_num, H, p, point, h_jet, order, terms, G_den=None):
         )
     wu = min(2 * (terms - 1), order)  # the amplitudes' window
     wk = wu + p - 1  # the pole-coordinate chain's
+    if h_jet.held_through() < min(wk + 1, h_jet.order):
+        raise FrameError(
+            f"amplitudes for {terms} terms read the implicit jet through degree "
+            f"{wk + 1}; its window holds {h_jet.held_through()}"
+        )
     # substitute y = h(w) + v
     y_shift = Jet(
         d,
         work_order,
         c,
         {b + (0,): v for b, v in h_jet.coeffs.items() if 0 < sum(b) <= work_order},
-    ) + Jet(d, work_order, c, {(0,) * (d - 1) + (1,): mpc(1)})
+    ).carry_above(h_jet, lambda b: b + (0,)) + Jet(
+        d, work_order, c, {(0,) * (d - 1) + (1,): mpc(1)}
+    )
 
     def at_pole(P, window, caps=None):
         shifted = Jet.from_poly(P, c, work_order).substitute(d - 1, y_shift, window)
@@ -273,15 +307,24 @@ def amplitude_jets(G_num, H, p, point, h_jet, order, terms, G_den=None):
 
 
 def vanishing_order(g_jet):
-    """Least order >= 2 whose phase jet coefficient is non-negligible."""
+    """Least order >= 2 whose phase jet coefficient is non-negligible.
+
+    The scale is the largest coefficient the jet holds, floored at 1 so that
+    rounding noise cannot set it: a windowed phase (``phase_jet``) may hold
+    nothing past the noise of its gradient and Hessian.  The search stays
+    inside the window, and ``None`` means the window holds no such order,
+    so v lies beyond it; a whole phase holding none is refused.
+    """
     if g_jet.nvars != 1:
         raise FrameError("vanishing order is only defined for one torus variable")
+    held = g_jet.held_through()
     top = max((abs(v) for v in g_jet.coeffs.values()), default=mpf(0))
-    if top == 0:
-        raise FrameError("phase numerically flat")
-    for v in range(2, g_jet.order + 1):
-        if abs(g_jet.coefficient((v,))) > VANISHING_TOL * top:
+    negligible = VANISHING_TOL * max(top, 1)
+    for v in range(2, held + 1):
+        if abs(g_jet.coefficient((v,))) > negligible:
             return v
+    if held < g_jet.order:
+        return None
     raise FrameError("phase numerically flat")
 
 
@@ -292,10 +335,13 @@ class LocalFrame:
     The amplitude jets have order ``order`` but are exact only through
     ``order - 1`` (see ``amplitude_jets``); ``smooth_phase_order`` and
     ``degenerate_phase_order`` keep every degree the terms read below that.
-    They are built for ``terms`` terms: each holds its coefficients through
-    degree ``2(terms - 1)``, the most any of those terms reads, and keeps
-    the keys its full-order self has above that in ``Jet.above``.  An
-    expansion asks for at most ``terms`` terms.
+    The jets are built for ``terms`` terms: each holds its coefficients
+    through the degree those terms read, and keeps the keys its full-order
+    self has above that in ``Jet.above``.  The amplitudes are windows
+    through ``2(terms - 1)``, the phase through the ``phase_window`` of its
+    route (``build_frame``) and ``h_jet`` through the larger of that and
+    ``2(terms - 1) + p``, which the amplitudes read.  An expansion asks for
+    at most ``terms`` terms.
     """
 
     point: tuple  # reordered so the distinguished coordinate is last
@@ -317,13 +363,18 @@ class LocalFrame:
         return mp.det(self.hessian) if self.d > 1 else mpc(1)
 
 
-def build_frame(G_num, H, p, direction, point, order, terms, G_den=None, reordering=None):
+def build_frame(G_num, H, p, direction, point, order, terms, G_den=None, reordering=None,
+                v=None):
     """Construct and validate the local frame at a solved critical point.
 
-    The jets have order ``order``; the amplitudes are built for ``terms``
-    terms of an expansion (``LocalFrame``).  The reordering (from the
-    smoothness check) is applied to everything first; pass ``reordering``
-    explicitly to reuse a previously chosen frame.
+    The jets have order ``order`` and are built for ``terms`` terms of an
+    expansion (``LocalFrame``) on the route ``v``: the phase through
+    ``phase_window(terms, v)``, the nondegenerate route's for ``v`` None
+    and the degenerate route's of vanishing order ``v`` otherwise; ``v``
+    ``"whole"`` builds the whole phase, for ``vanishing_order`` to search
+    beyond a window.  The reordering (from the smoothness check) is applied
+    to everything first; pass ``reordering`` explicitly to reuse a
+    previously chosen frame.
     """
     from .geometry import check_smooth
 
@@ -341,8 +392,9 @@ def build_frame(G_num, H, p, direction, point, order, terms, G_den=None, reorder
     cp = tuple(point[j] for j in perm)
     dirp = direction.permute(perm)
 
-    h_jet = implicit_root_jet(Hp, cp, order + p - 1)
-    g_jet = phase_jet(h_jet, dirp, order)
+    window = order + p - 1 if v == "whole" else phase_window(terms, v)
+    h_jet = implicit_root_jet(Hp, cp, order + p - 1, max(window, 2 * (terms - 1) + p))
+    g_jet = phase_jet(h_jet, dirp, order, window)
     amps, _ = amplitude_jets(Gp, Hp, p, cp, h_jet, order, terms, G_den=Gdp)
     hess = phase_hessian(Hp, cp)
 
@@ -367,6 +419,8 @@ def validate_frame(frame):
 
     The phase jet has zero constant term and vanishing gradient (criticality),
     and twice its order-2 coefficients reproduce the closed-form Hessian.
+    The scale of the first two tests is the largest coefficient the phase
+    holds, through its window.
     """
     g = frame.phase
     n = g.nvars

@@ -60,14 +60,16 @@ exact zero, which only the full chain can see; then a product may loop over
 the other operand, and its coefficients agree with the full chain's to
 rounding.
 
-A chain's result can itself be a window: ``reciprocal``, ``pow_int``,
-``substitute``, ``mul_through`` and ``jet_circle_substitute`` take the
-degree through which it is wanted, and accept windowed inputs exact at
-least that far.  ``through`` cuts a jet to a window, and every re-wrap
-(``map_coeffs``, ``truncate``, the slices and shifts of a caller) hands the
-above-window keys on with ``carry_above``, re-packed when the order or the
-number of variables changes.  ``coefficient`` refuses an index a window
-lacks but its full-order self holds.
+A chain's result can itself be a window: ``reciprocal``, ``log``,
+``pow_int``, ``substitute``, ``mul_through`` and ``jet_circle_substitute``
+take the degree through which it is wanted, and accept windowed inputs
+exact at least that far.  ``through`` cuts a jet to a window, and every
+re-wrap (``map_coeffs``, ``truncate``, the slices and shifts of a caller)
+hands the above-window keys on with ``carry_above``, re-packed when the
+order or the number of variables changes.  ``coefficient`` refuses an
+index a window lacks but its full-order self holds, and ``held_through``
+gives the degree through which a jet holds every coefficient of its
+full-order self.
 """
 
 from __future__ import annotations
@@ -695,6 +697,14 @@ class Jet:
         )
         return out
 
+    def held_through(self):
+        """The highest degree through which this jet holds every coefficient
+        its full-order self holds: one below the lowest degree in ``above``,
+        or the order for a whole jet."""
+        if not self.above:
+            return self.order
+        return (min(self.above) >> _layout(self)[1]) - 1
+
     def carry_above(self, source, index=None):
         """``self``, built from ``source``'s coefficients, given the keys
         ``source`` has above its window: each multi-index of ``source.above``
@@ -892,15 +902,17 @@ class Jet:
         acc = (-u)._horner([mpc(1)] * (self.order + 1), window)
         return acc.map_coeffs(lambda v: v / a0)
 
-    def log(self):
-        """Principal-branch logarithm; constant term is ``Log a(center)``."""
+    def log(self, window=None):
+        """Principal-branch logarithm, through the truncation order or
+        through degree ``window``; constant term is ``Log a(center)``."""
         a0, u = self._unit_part()
         if self.order == 0:
             out = Jet(self.nvars, 0, self.center, {}, caps=self.caps)
         else:
             # log(1+u) = u*(1 - u/2 + u^2/3 - ...) via Horner
             out = u._horner(
-                [None] + [mpc((-1) ** (m + 1)) / m for m in range(1, self.order + 1)]
+                [None] + [mpc((-1) ** (m + 1)) / m for m in range(1, self.order + 1)],
+                window,
             )
         const = mp.log(a0)
         if const != 0:

@@ -90,6 +90,17 @@ def sign_factor(a):
     return a / mag
 
 
+def slice_degree(k, l, v=None):
+    """The degree of ``u * remainder^l`` that term ``k`` reads for ``l``:
+    ``2(l+k)`` when nondegenerate (``v`` None), ``2k+vl`` for even v, ``k+vl``
+    for odd v.  The remainder's valuation (at least 3, or v + 1) exceeds the
+    step in l, so power ``l`` through this degree for ``k = N - 1`` covers
+    what every term and power ``l + 1`` read."""
+    if v is None:
+        return 2 * (l + k)
+    return (2 * k if v % 2 == 0 else k) + v * l
+
+
 @dataclass
 class PhaseData:
     """Decomposed phase for the term calculus.
@@ -99,7 +110,10 @@ class PhaseData:
     degenerate one-variable case.  ``hessian_inverse`` is set only for the
     nondegenerate case; ``a``, ``v``, ``zeta`` only for the degenerate one.
     ``terms`` is the number N of terms the phase serves; the remainder powers
-    are built through the degree term N - 1 reads.
+    are built through the degree term N - 1 reads.  The remainder may be a
+    window of its full-order self (``Jet.above``), as ``localframe`` builds
+    the phase, if it holds every degree through ``slice_degree(N - 1, 1)``;
+    otherwise ``OrderBudgetError``.
     """
 
     remainder: Jet
@@ -111,20 +125,22 @@ class PhaseData:
     _chain: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # power l reads the remainder through slice_degree(N - 1, l) less
+        # (l - 1) times its valuation, which is most at l = 1
+        read = min(self.slice_degree(self.terms - 1, 1), self.remainder.order)
+        if self.remainder.held_through() < read:
+            raise OrderBudgetError(
+                f"{self.terms} terms read the phase remainder through degree "
+                f"{read}; its window holds {self.remainder.held_through()}"
+            )
         self._powers = []
         self._chain = power_chain(
             self.remainder, lambda l: self.slice_degree(self.terms - 1, l)
         )
 
     def slice_degree(self, k, l):
-        """The degree of ``u * remainder^l`` that term ``k`` reads for ``l``:
-        ``2(l+k)`` when nondegenerate, ``2k+vl`` for even v, ``k+vl`` for odd
-        v.  The remainder's valuation (at least 3, or v + 1) exceeds the step
-        in l, so power ``l`` through this degree for ``k = N - 1`` covers
-        what every term and power ``l + 1`` read."""
-        if self.v is None:
-            return 2 * (l + k)
-        return (2 * k if self.v % 2 == 0 else k) + self.v * l
+        """``slice_degree(k, l, v)`` for this phase's route."""
+        return slice_degree(k, l, self.v)
 
     def remainder_power(self, l):
         """``remainder**l`` through the degree the terms read.  Each power is
@@ -144,19 +160,21 @@ class PhaseData:
     def nondegenerate(cls, g_jet, hessian, terms):
         n = g_jet.nvars
         coeffs = {b: v for b, v in g_jet.coeffs.items() if sum(b) > 2}
-        remainder = Jet(n, g_jet.order, g_jet.center, coeffs)
+        remainder = Jet(n, g_jet.order, g_jet.center, coeffs).carry_above(g_jet)
         return cls(remainder=remainder, terms=terms, hessian_inverse=_invert(hessian))
 
     @classmethod
     def degenerate(cls, g_jet, v, terms):
         if g_jet.nvars != 1:
             raise ValueError("degenerate phases are handled in one variable only")
-        a = g_jet.coefficient((v,))
-        if a == 0:
-            raise BranchError("vanishing-order coefficient is zero")
         coeffs = {b: c for b, c in g_jet.coeffs.items() if b[0] > v}
-        remainder = Jet(1, g_jet.order, g_jet.center, coeffs)
-        return cls(remainder=remainder, terms=terms, a=a, v=v)
+        remainder = Jet(1, g_jet.order, g_jet.center, coeffs).carry_above(g_jet)
+        # the window check covers ``a`` too: slice_degree(N - 1, 1) >= v
+        phase = cls(remainder=remainder, terms=terms, v=v)
+        phase.a = g_jet.coefficient((v,))
+        if phase.a == 0:
+            raise BranchError("vanishing-order coefficient is zero")
+        return phase
 
 
 def _invert(A):

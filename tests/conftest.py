@@ -58,6 +58,21 @@ def quantum_walk():
     return G, H, Direction((2, Fraction(1, 2)))
 
 
+@pytest.fixture
+def quartic_phase():
+    """A smooth point whose torus phase vanishes to order 4 (even route).
+
+    ``h = 16/P`` with ``P = -1 + 9x + 9x^2 - x^3``: at ``x = 1`` the weights
+    of ``P`` have the first three moments of a point mass at 3/2, so
+    ``log(P(e^{it})/16)`` is ``3it/2`` plus terms of degree 4 and beyond, and
+    the direction (3, 2) cancels the linear term.  Returns (G, H, alpha,
+    point).
+    """
+    H = poly(2, {(0, 0): 1, (0, 1): Fraction(1, 16), (1, 1): Fraction(-9, 16),
+                 (2, 1): Fraction(-9, 16), (3, 1): Fraction(1, 16)})
+    return SparsePoly.constant(2, 1), H, Direction((3, 2)), (mpc(1), mpc(1))
+
+
 def smirnov_family(d=3):
     """H = 1 - e1 and the three snap-counting coefficient functions.
 

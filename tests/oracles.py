@@ -506,7 +506,7 @@ def reference_reciprocal(self, window=None):
     return acc.map_coeffs(lambda v: v / a0)
 
 
-def reference_log(self):
+def reference_log(self, window=None):
     """Principal-branch logarithm; constant term is ``Log a(center)``."""
     a0 = self.constant_coefficient()
     if a0 == 0:

@@ -25,7 +25,13 @@ from smoothasym.cli import (
 )
 from smoothasym.geometry import solve_critical
 
-from oracles import reference_log, reference_powers, reference_reciprocal, reference_substitute
+from oracles import (
+    poly_to_json,
+    reference_log,
+    reference_powers,
+    reference_reciprocal,
+    reference_substitute,
+)
 
 DELANNOY_SPEC = {
     "variables": ["x", "y"],
@@ -514,14 +520,45 @@ def _docs_spec(name, **fields):
     return dict(json.loads((root / f"{name}.json").read_text()), **fields)
 
 
+def _scaled_x(spec, factor, **fields):
+    """``spec`` with ``x`` replaced by ``factor * x`` in ``G`` and ``H``,
+    expanded at its uncertified minimal point."""
+    G, H = ([dict(t, coef=str(Fraction(t["coef"]) * factor ** t["exp"][0])) for t in spec[f]]
+            for f in "GH")
+    return dict(spec, G=G, H=H, overrides={"assume_strictly_minimal": True}, **fields)
+
+
 def _full_remainder_power(phase, l):
     return reference_powers(phase.remainder, l + 1)[l]
+
+
+_windowed_implicit_root, _windowed_phase = localframe.implicit_root_jet, localframe.phase_jet
+
+
+def _whole_implicit_root(H, point, order, window=None):
+    return _windowed_implicit_root(H, point, order)
+
+
+def _whole_phase(h_jet, direction, order=None, window=None):
+    return _windowed_phase(h_jet, direction, order)
+
+
+def _patch_full_order_chains(monkeypatch):
+    """Patch in the full-order chains of ``oracles``, and build the implicit
+    root and the phase whole."""
+    monkeypatch.setattr(Jet, "reciprocal", reference_reciprocal)
+    monkeypatch.setattr(Jet, "log", reference_log)
+    monkeypatch.setattr(Jet, "substitute", reference_substitute)
+    monkeypatch.setattr(PhaseData, "remainder_power", _full_remainder_power)
+    monkeypatch.setattr(localframe, "implicit_root_jet", _whole_implicit_root)
+    monkeypatch.setattr(localframe, "phase_jet", _whole_phase)
 
 
 class TestRoutesMatchFullOrderChains:
     """The routes no benchmark workload runs, through ``cli.main``: the
     windowed Horner chains give byte-identical JSON and CSV to the full-order
-    chains of ``oracles`` patched in their place."""
+    chains of ``oracles`` patched in their place, with the implicit root and
+    the phase built whole."""
 
     @pytest.mark.parametrize("command, spec", [
         ("expand", dict(_docs_spec("delannoy", N=4, n_values=[2, 4]),
@@ -531,6 +568,13 @@ class TestRoutesMatchFullOrderChains:
         ("expand", _docs_spec("smirnov_words", N=3, n_values=[1, 2])),  # three variables
         ("expand", _docs_spec("smirnov_snaps", N=2, n_values=[1, 2])),  # p = 2, three variables
         ("oracle", DELANNOY_SPEC),
+        # odd, v = 3 beyond one term's phase window: the whole phase is searched
+        ("expand", dict(QWALK_SPEC, N=1, overrides={"assume_strictly_minimal": True})),
+        # the same at the inexact critical point (3/7, 1), where the gradient
+        # and the t^2 coefficient are rounding noise: all one term's window
+        # holds at N = 1, below t^3 at N = 2
+        ("expand", _scaled_x(QWALK_SPEC, Fraction(7, 3), N=1)),
+        ("expand", _scaled_x(QWALK_SPEC, Fraction(7, 3), N=2)),
     ])
     def test_byte_identical(self, tmp_path, capsys, monkeypatch, command, spec):
         path = tmp_path / "spec.json"
@@ -545,12 +589,30 @@ class TestRoutesMatchFullOrderChains:
             return code, out, err, files
 
         windowed = run("windowed")
-        monkeypatch.setattr(Jet, "reciprocal", reference_reciprocal)
-        monkeypatch.setattr(Jet, "log", reference_log)
-        monkeypatch.setattr(Jet, "substitute", reference_substitute)
-        monkeypatch.setattr(PhaseData, "remainder_power", _full_remainder_power)
+        _patch_full_order_chains(monkeypatch)
         assert windowed == run("full")
         assert windowed[0] == 0
+
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_even_route_beyond_the_window(self, monkeypatch, quartic_phase, N):
+        # v = 4: one term's window (degree 2) misses v, and for more terms the
+        # route reads the phase past 2N, so the frame is rebuilt.  The point
+        # is not minimal, so the route is run below ``cli.main``.
+        G, H, alpha, point = quartic_phase
+        spec = ProblemSpec.from_json({
+            "variables": ["x", "y"], "G": poly_to_json(G), "H": poly_to_json(H), "p": 1,
+            "alpha": [str(a) for a in alpha.alpha], "N": N, "n_values": [2, 4],
+        })
+        report = SimpleNamespace(point=point, reordering=(0, 1))
+
+        def run():
+            e = cli._expand_at_point(spec, report)
+            assert e.kind == "degenerate-even" and e.meta["v"] == 4
+            return [(x, c._mpc_) for x, c in e.flattened.terms + e.dropped.terms]
+
+        windowed = run()
+        _patch_full_order_chains(monkeypatch)
+        assert windowed == run()
 
 
 def _perfbench_spans():

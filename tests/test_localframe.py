@@ -19,15 +19,18 @@ from smoothasym import (
     solve_critical,
     vanishing_order,
 )
+from smoothasym.expansion import ExpansionError, expand_degenerate, expand_smooth
 from smoothasym.localframe import (
     FrameError,
     amplitude_jets,
     degenerate_phase_order,
     hessian_from_jet,
+    phase_window,
     smooth_phase_order,
     validate_frame,
 )
 from smoothasym.stationary import (
+    OrderBudgetError,
     PhaseData,
     stationary_term,
     stationary_term_even,
@@ -130,9 +133,9 @@ class TestImplicitNewtonStop:
         for name, H, pt, order in _newton_cases(delannoy, delannoy_point, quantum_walk):
             calls = []
 
-            def counting(self):
+            def counting(self, window=None):
                 calls.append(1)
-                return reciprocal(self)
+                return reciprocal(self, window)
 
             with mock.patch.object(Jet, "reciprocal", counting):
                 implicit_root_jet(H, pt, order)
@@ -364,6 +367,128 @@ class TestAmplitudeWindow:
                 beyond = next(b for b in full.coeffs if sum(b) > wu)
                 with pytest.raises(SeriesError):
                     u.coefficient(beyond)
+
+
+# the terms and pole order of each docs spec's high-N run, whose implicit
+# orders ``_newton_cases`` gives
+HIGH_N = {"delannoy": (8, 1), "quantum_walk": (8, 1), "smirnov_snaps": (3, 2),
+          "smirnov_words": (4, 1)}
+
+
+def _series_bits(expansion):
+    return [(e, c._mpc_) for e, c in expansion.flattened.terms + expansion.dropped.terms]
+
+
+def _scale_x(f, scale):
+    """``f(scale * x, ...)``."""
+    return SparsePoly(f.nvars, {e: c * scale ** e[0] for e, c in f.terms.items()})
+
+
+class TestFrameWindows:
+    """The implicit root and the phase built for N terms hold their
+    coefficients through their windows, bit for bit those of the whole
+    build, and carry the whole build's keys above them."""
+
+    def test_implicit_root_window(self, delannoy, delannoy_point, quantum_walk):
+        for name, H, pt, order in _newton_cases(delannoy, delannoy_point, quantum_walk):
+            if name not in HIGH_N:
+                continue
+            N, p = HIGH_N[name]
+            window = max(phase_window(N), 2 * (N - 1) + p)
+            got = implicit_root_jet(H, pt, order, window)
+            want = reference_implicit_root(H, pt, order)
+            assert jet_bits(got) == jet_bits(want, window), name
+            assert above_indices(got) == {b for b in want.coeffs if sum(b) > window}, name
+
+    @pytest.mark.parametrize("N", [1, 2, 4])
+    @pytest.mark.parametrize("case", ["delannoy", "quantum_walk", "smirnov_snaps"])
+    def test_window_of_the_whole_build(self, case, N, delannoy, delannoy_point, quantum_walk):
+        if case == "delannoy":
+            (G, H, alpha), pt, p, G_den = delannoy, delannoy_point, 1, None
+        elif case == "quantum_walk":
+            (G, H, alpha), pt, p, G_den = quantum_walk, (mpc(1), mpc(1)), 1, None
+        else:
+            H, fams = smirnov_family()
+            (G, G_den, p), alpha, pt = fams[1], Direction((1, 1, 1)), (mpc(1) / 3,) * 3
+        order = smooth_phase_order(N, H.nvars)
+        frame = build_frame(G, H, p, alpha, pt, order, N, G_den=G_den)
+        # the whole route builds the implicit root and the phase whole
+        whole = build_frame(G, H, p, alpha, pt, order, N, G_den=G_den, v="whole")
+        assert not whole.h_jet.above and not whole.phase.above
+        wg = phase_window(N)
+        wh = max(wg, 2 * (N - 1) + p)
+        for jet, full, window in ((frame.h_jet, whole.h_jet, wh), (frame.phase, whole.phase, wg)):
+            assert jet_bits(jet) == jet_bits(full, window)
+            assert above_indices(jet) == {b for b in full.coeffs if sum(b) > window}
+            assert jet.held_through() >= window
+        # the amplitudes read the windowed implicit root as the whole one
+        for u, full in zip(frame.amplitudes, whole.amplitudes):
+            assert jet_bits(u) == jet_bits(full) and u.above == full.above
+        if case == "quantum_walk":
+            return  # singular Hessian: the nondegenerate route refuses it
+        # the remainder of the phase keeps the whole remainder's keys above
+        # the window, so the terms are the whole build's bit for bit
+        remainder = PhaseData.nondegenerate(frame.phase, frame.hessian, N).remainder
+        full = PhaseData.nondegenerate(whole.phase, whole.hessian, N).remainder
+        assert above_indices(remainder) == {b for b in full.coeffs if sum(b) > wg}
+        assert _series_bits(expand_smooth(frame, N)) == _series_bits(expand_smooth(whole, N))
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_pole_jets_of_the_windowed_root(self, p):
+        # the pole-coordinate jets (the second result, ``Q``) built from the
+        # windowed implicit root carry the keys of those built from the whole
+        # root, as the amplitudes do
+        H, G = TestAmplitudeTopDegree.H, poly(2, {(0, 0): 2, (1, 1): -1})
+        points, _ = solve_critical(H, Direction((1, 1)))
+        pt = next(q for q in points if q[0].real > 0 and abs(q[0].imag) < mpf("1e-30"))
+        order, N = 14, 2
+        windowed = implicit_root_jet(H, pt, order + p - 1, 2 * (N - 1) + p)
+        whole = implicit_root_jet(H, pt, order + p - 1)
+        amps, Q = amplitude_jets(G, H, p, pt, windowed, order, N)
+        whole_amps, whole_Q = amplitude_jets(G, H, p, pt, whole, order, N)
+        for jet, full in zip([*amps, Q], [*whole_amps, whole_Q]):
+            assert jet_bits(jet) == jet_bits(full) and jet.above == full.above
+
+    def test_degenerate_route_needs_its_window(self, quartic_phase):
+        # the even route with v = 4 reads the phase through 2(N - 1) + 4,
+        # beyond the nondegenerate route's 2N
+        G, H, alpha, pt = quartic_phase
+        N = 2
+        order = degenerate_phase_order(N, 4)
+        frame = build_frame(G, H, 1, alpha, pt, order, N)
+        assert frame.phase.held_through() == 2 * N
+        assert vanishing_order(frame.phase) == 4
+        with pytest.raises(OrderBudgetError):
+            PhaseData.degenerate(frame.phase, 4, N)
+        with pytest.raises(OrderBudgetError):
+            expand_degenerate(frame, N, v=4)
+        wide = build_frame(G, H, 1, alpha, pt, order, N, v=4)
+        whole = build_frame(G, H, 1, alpha, pt, order, N, v="whole")
+        assert wide.phase.held_through() >= phase_window(N, 4) == 2 * (N - 1) + 4
+        assert (_series_bits(expand_degenerate(wide, N, v=4))
+                == _series_bits(expand_degenerate(whole, N, v=4)))
+
+    @pytest.mark.parametrize("scale", [1, Fraction(7, 3)])
+    def test_beyond_the_window(self, quantum_walk, scale):
+        # the quantum walk's t^2 coefficient vanishes and its t^3 is 2, so
+        # one term's window, degree 2, holds no order past the gradient.  At
+        # x = 1 the t^2 coefficient is exactly 0; with x rescaled by 7/3 the
+        # point (3/7, 1) is inexact and it is rounding noise, as is the
+        # gradient, which must not set the negligibility scale
+        (G, H), alpha = (_scale_x(f, scale) for f in quantum_walk[:2]), quantum_walk[2]
+        pt = (mpc(Fraction(scale).denominator) / Fraction(scale).numerator, mpc(1))
+        order = smooth_phase_order(1, 2)
+        frame = build_frame(G, H, 1, alpha, pt, order, 1)
+        assert frame.phase.held_through() == 2
+        assert vanishing_order(frame.phase) is None
+        with pytest.raises(ExpansionError, match="beyond the phase window"):
+            expand_degenerate(frame, 1)
+        whole = build_frame(G, H, 1, alpha, pt, order, 1, v="whole")
+        assert vanishing_order(whole.phase) == 3
+        if scale == 1:
+            assert whole.phase.coefficient((2,)) == 0
+        else:
+            assert 0 < abs(whole.phase.coefficient((2,))) < mpf("1e-40")
 
 
 class TestVanishingOrder:

@@ -415,6 +415,8 @@ class TestWindowedChains:
                  lambda: reference_substitute(a, var, s), lambda i: hi - top + i),
                 (lambda: a.through(hi).reciprocal(hi),
                  lambda: reference_reciprocal(a), lambda i: hi - a.order + i),
+                (lambda: a.through(hi).log(hi),
+                 lambda: reference_log(a), lambda i: hi - a.order + i),
                 (lambda: s.through(hi).pow_int(3, hi),
                  lambda: reference_powers(s, 4)[3], lambda i: hi),
             ]
@@ -510,7 +512,7 @@ class TestWindowKeys:
 
     @pytest.mark.parametrize("hi", [2, 4])
     @pytest.mark.parametrize("shape", ["dense", "sparse", "three"])
-    @pytest.mark.parametrize("chain", ["substitute", "circle", "reciprocal", "power"])
+    @pytest.mark.parametrize("chain", ["substitute", "circle", "reciprocal", "log", "power"])
     def test_windowed_results(self, chain, shape, hi):
         # results wanted through ``hi`` from inputs cut there: the keys above
         # an input's window decide a chain's length and sizes, as in the
@@ -525,6 +527,7 @@ class TestWindowKeys:
                        lambda: _reference_circle(ring)),
             "reciprocal": (lambda: a.through(hi).reciprocal(hi),
                            lambda: reference_reciprocal(a)),
+            "log": (lambda: a.through(hi).log(hi), lambda: reference_log(a)),
             "power": (lambda: s.through(hi).pow_int(3, hi), lambda: reference_powers(s, 4)[3]),
         }[chain]
         want, dropped = drops_above_window(reference, lambda i: -1)
