@@ -57,21 +57,15 @@ def phase_window(N, v=None):
     return max(2, slice_degree(N - 1, 1, v))
 
 
-def _bits(jet):
-    """A jet's keys in order, each with its coefficient's raw parts."""
-    return [(b, v._mpc_) for b, v in jet.coeffs.items()]
-
-
 def implicit_root_jet(H, point, order, window=None):
     """Jet of the holomorphic ``h`` with ``H(w, h(w)) = 0`` and ``h(c^) = c_d``.
 
     Solved by Newton iteration on jets, ``ceil(log2(order + 1)) + 1`` steps
     or fewer: the loop stops at the first step that returns its input bit for
     bit, since every later step would return it too.  Each step runs through
-    degree ``window`` (the order by default), so the result is the window of
-    the full-order solution, with its keys above the window in ``Jet.above``
-    (``series``).  The composite residual vanishes through the window
-    (checked).
+    degree ``window`` (the order by default), so the result is the window
+    (see ``series``) of the full-order solution.  The composite residual
+    vanishes through the window (checked).
     """
     d = H.nvars
     if d < 2:
@@ -95,18 +89,15 @@ def implicit_root_jet(H, point, order, window=None):
         return b if b[d - 1] == 0 and any(b) else None
 
     # eta(s) = h(c^ + s) - c_d, solved to increasing accuracy; each Newton
-    # step doubles the correct valuation.  A step reads only eta (its keys in
-    # order, its bits and its ``above``; it has no caps), so once a step
-    # returns eta unchanged every later step would too.
+    # step doubles the correct valuation.  A step reads only eta (it has no
+    # caps), so once a step returns eta bit for bit every later step would too.
     eta = Jet(d, order, c, {})
     steps = max(1, math.ceil(math.log2(order + 1))) + 1
     for _ in range(steps):
         num = H_jet.substitute(d - 1, eta, hi)
         den = dH_jet.substitute(d - 1, eta, hi)
-        new = eta - num.mul_through(den.reciprocal(hi), hi)
-        new = Jet(d, order, c, {b: v for b, v in new.coeffs.items() if solution(b)}
-                  ).carry_above(new, solution)
-        if _bits(new) == _bits(eta) and new.above == eta.above:
+        new = (eta - num.mul_through(den.reciprocal(hi), hi)).reindex(solution)
+        if new.same_bits(eta):
             break
         eta = new
     residual = H_jet.substitute(d - 1, eta, hi)
@@ -114,12 +105,8 @@ def implicit_root_jet(H, point, order, window=None):
     if res > scale * mpf(2) ** (-(mp.prec // 2)):
         raise FrameError(f"implicit solve residual too large: {mp.nstr(res, 5)}")
 
-    coeffs = {}
-    for b, v in eta.coeffs.items():
-        coeffs[b[: d - 1]] = v
-    zero = (0,) * (d - 1)
-    coeffs[zero] = coeffs.get(zero, mpc(0)) + c[d - 1]
-    return Jet(d - 1, order, w_center, coeffs).carry_above(eta, lambda b: b[: d - 1])
+    return (eta.reindex(lambda b: b[: d - 1], nvars=d - 1, center=w_center)
+            + Jet.constant(d - 1, order, w_center, c[d - 1]))
 
 
 def phase_jet(h_jet, direction, order=None, window=None):
@@ -130,9 +117,9 @@ def phase_jet(h_jet, direction, order=None, window=None):
     is exactly zero; at a critical point the gradient vanishes too.
 
     The circle substitution and the logarithm run through degree ``window``
-    (the order by default), so the result is the window of the full-order
-    phase, with its keys above the window in ``Jet.above``; ``h_jet`` may be
-    a window through that degree or beyond.
+    (the order by default), so the result is the window (see ``series``) of
+    the full-order phase; ``h_jet`` may be a window through that degree or
+    beyond.
     """
     order = h_jet.order if order is None else order
     hi = order if window is None else min(window, order)
@@ -140,19 +127,16 @@ def phase_jet(h_jet, direction, order=None, window=None):
         raise FrameError("implicit jet has zero constant term")
     h_torus = jet_circle_substitute(h_jet, order, hi)
     g = h_torus.log(hi)
-    coeffs = dict(g.coeffs)
-    coeffs.pop((0,) * g.nvars, None)  # log branch constant cancels by definition
+    n = g.nvars
     alpha = direction.alpha
-    ad = alpha[-1]
-    for m in range(g.nvars):
-        ratio = alpha[m] / ad
-        beta = [0] * g.nvars
-        beta[m] = 1
-        beta = tuple(beta)
-        coeffs[beta] = coeffs.get(beta, mpc(0)) + mpc(0, 1) * mpf(
-            ratio.numerator
-        ) / mpf(ratio.denominator)
-    return Jet(g.nvars, order, g.center, coeffs).carry_above(g)
+    linear = {}
+    for m in range(n):
+        ratio = alpha[m] / alpha[-1]
+        beta = tuple(int(j == m) for j in range(n))
+        linear[beta] = mpc(0, 1) * mpf(ratio.numerator) / mpf(ratio.denominator)
+    # the log branch constant cancels by definition
+    return (g.drop_through(0)
+            + Jet(n, order, g.center, linear))
 
 
 def hessian_from_jet(g_jet):
@@ -229,15 +213,14 @@ def amplitude_jets(G_num, H, p, point, h_jet, order, terms, G_den=None):
 
     ``terms`` terms read the amplitudes through degree ``wu = 2(terms - 1)``
     (at most ``2k`` derivatives land on u in term k), so each jet is built
-    only as a window of its full-order self, with the keys that self has
-    above the window in ``Jet.above``: the amplitudes through ``wu``, the
-    pole-coordinate chain (``G``'s pole jet, ``Q``, ``Q^p``, its reciprocal)
-    through ``wu + p - 1`` and ``H``'s pole jet through ``wu + p``.  Every
-    coefficient a term reads is the full-order chain's, bit for bit, and a
-    window at or above the order is the whole jet.  ``h_jet`` may itself be
-    a window, through ``wu + p`` or beyond.  The check that ``H``'s v^0
-    slice vanishes covers its window; ``implicit_root_jet`` checks the same
-    residual through its own.
+    only as a window (see ``series``) of its full-order self: the amplitudes
+    through ``wu``, the pole-coordinate chain (``G``'s pole jet, ``Q``,
+    ``Q^p``, its reciprocal) through ``wu + p - 1`` and ``H``'s pole jet
+    through ``wu + p``.  Every coefficient a term reads is the full-order
+    chain's, bit for bit, and a window at or above the order is the whole
+    jet.  ``h_jet`` may itself be a window, through ``wu + p`` or beyond.
+    The check that ``H``'s v^0 slice vanishes covers its window;
+    ``implicit_root_jet`` checks the same residual through its own.
     """
     d = H.nvars
     c = tuple(mpc(z) for z in point)
@@ -256,18 +239,13 @@ def amplitude_jets(G_num, H, p, point, h_jet, order, terms, G_den=None):
             f"{wk + 1}; its window holds {h_jet.held_through()}"
         )
     # substitute y = h(w) + v
-    y_shift = Jet(
-        d,
-        work_order,
-        c,
-        {b + (0,): v for b, v in h_jet.coeffs.items() if 0 < sum(b) <= work_order},
-    ).carry_above(h_jet, lambda b: b + (0,)) + Jet(
-        d, work_order, c, {(0,) * (d - 1) + (1,): mpc(1)}
-    )
+    y_shift = h_jet.reindex(
+        lambda b: b + (0,) if any(b) else None, nvars=d, order=work_order, center=c
+    ) + Jet(d, work_order, c, {(0,) * (d - 1) + (1,): mpc(1)})
 
     def at_pole(P, window, caps=None):
         shifted = Jet.from_poly(P, c, work_order).substitute(d - 1, y_shift, window)
-        return Jet(d, work_order, c, shifted.coeffs, caps=caps).carry_above(shifted)
+        return shifted.reindex(caps=caps)
 
     H_sv = at_pole(H, wk + 1)
     # the v^0 slice vanishes identically
@@ -282,8 +260,7 @@ def amplitude_jets(G_num, H, p, point, h_jet, order, terms, G_den=None):
     def divide_by_v(b):
         return b[: d - 1] + (b[d - 1] - 1,) if b[d - 1] else None
 
-    Q_coeffs = {divide_by_v(b): v for b, v in H_sv.coeffs.items() if b[d - 1]}
-    Q_sv = Jet(d, work_order, c, Q_coeffs, caps=caps).carry_above(H_sv, divide_by_v)
+    Q_sv = H_sv.reindex(divide_by_v, caps=caps)
     if Q_sv.constant_coefficient() == 0:
         raise FrameError("Q has zero constant term; the point cannot be smooth")
 
@@ -298,9 +275,8 @@ def amplitude_jets(G_num, H, p, point, h_jet, order, terms, G_den=None):
         def v_slice(b):
             return b[: d - 1] if b[d - 1] == j else None
 
-        dj = Jet(d - 1, order, c[: d - 1],
-                 {v_slice(b): v for b, v in K.coeffs.items() if b[d - 1] == j})
-        dj = dj.carry_above(K, v_slice).through(wu).scale(mpf(math.factorial(j)))
+        dj = K.reindex(v_slice, nvars=d - 1, order=order, center=c[: d - 1])
+        dj = dj.through(wu).scale(mpf(math.factorial(j)))
         u = dj.mul_through(inv_neg_h.pow_int(p - j, wu), wu)
         out.append(jet_circle_substitute(u, order, wu))
     return out, Q_sv
@@ -335,13 +311,12 @@ class LocalFrame:
     The amplitude jets have order ``order`` but are exact only through
     ``order - 1`` (see ``amplitude_jets``); ``smooth_phase_order`` and
     ``degenerate_phase_order`` keep every degree the terms read below that.
-    The jets are built for ``terms`` terms: each holds its coefficients
-    through the degree those terms read, and keeps the keys its full-order
-    self has above that in ``Jet.above``.  The amplitudes are windows
-    through ``2(terms - 1)``, the phase through the ``phase_window`` of its
-    route (``build_frame``) and ``h_jet`` through the larger of that and
-    ``2(terms - 1) + p``, which the amplitudes read.  An expansion asks for
-    at most ``terms`` terms.
+    The jets are built for ``terms`` terms: each is a window (see
+    ``series``) of its full-order self through the degree those terms read.
+    The amplitudes are windows through ``2(terms - 1)``, the phase through
+    the ``phase_window`` of its route (``build_frame``) and ``h_jet`` through
+    the larger of that and ``2(terms - 1) + p``, which the amplitudes read.
+    An expansion asks for at most ``terms`` terms.
     """
 
     point: tuple  # reordered so the distinguished coordinate is last

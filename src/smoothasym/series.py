@@ -63,13 +63,16 @@ rounding.
 A chain's result can itself be a window: ``reciprocal``, ``log``,
 ``pow_int``, ``substitute``, ``mul_through`` and ``jet_circle_substitute``
 take the degree through which it is wanted, and accept windowed inputs
-exact at least that far.  ``through`` cuts a jet to a window, and every
-re-wrap (``map_coeffs``, ``truncate``, the slices and shifts of a caller)
-hands the above-window keys on with ``carry_above``, re-packed when the
-order or the number of variables changes.  ``coefficient`` refuses an
-index a window lacks but its full-order self holds, and ``held_through``
-gives the degree through which a jet holds every coefficient of its
-full-order self.
+exact at least that far.  ``through`` cuts a jet to a window, and
+``reindex`` is the one re-wrap that moves indices: it moves every
+multi-index by one map, the above-window keys with it, into a jet of any
+number of variables, order, center and caps, so that callers slice, shift
+and truncate windows without seeing ``above``.  ``drop_through`` drops the
+low degrees and hands the keys above the window on as they are, without
+decoding them.  ``coefficient`` refuses an index a window lacks but its
+full-order self holds, ``held_through`` gives the degree through which a
+jet holds every coefficient of its full-order self, and ``same_bits``
+compares two jets bit for bit, ``above`` included.
 """
 
 from __future__ import annotations
@@ -584,7 +587,7 @@ class Jet:
 
     __slots__ = ("nvars", "order", "center", "coeffs", "caps", "above")
 
-    def __init__(self, nvars, order, center, coeffs=None, caps=None):
+    def __init__(self, nvars, order, center, coeffs=None, caps=None, above=frozenset()):
         self.nvars = int(nvars)
         self.order = int(order)
         if self.order < 0:
@@ -593,7 +596,7 @@ class Jet:
             raise SeriesError("center length does not match nvars")
         self.center = tuple(z if type(z) is mpc else coef_to_mpc(z) for z in center)
         self.caps = tuple(caps) if caps is not None else None
-        self.above = frozenset()
+        self.above = above
         self.coeffs = {}
         if coeffs:
             for beta, c in coeffs.items():
@@ -681,8 +684,7 @@ class Jet:
         return self.coeffs.get((0,) * self.nvars, mpc(0))
 
     def truncate(self, order):
-        out = Jet(self.nvars, min(order, self.order), self.center, self.coeffs, caps=self.caps)
-        return out.carry_above(self)
+        return self.reindex(order=min(order, self.order), caps=self.caps)
 
     def through(self, hi):
         """This jet's window through degree ``hi``: its coefficients above
@@ -705,29 +707,48 @@ class Jet:
             return self.order
         return (min(self.above) >> _layout(self)[1]) - 1
 
-    def carry_above(self, source, index=None):
-        """``self``, built from ``source``'s coefficients, given the keys
-        ``source`` has above its window: each multi-index of ``source.above``
-        mapped by ``index`` into this jet's index space (``None`` drops it),
-        kept where this jet's order and caps keep it, and packed by this
-        jet's layout.  Returns ``self``."""
-        if not source.above:
-            return self
-        if (index is None and (self.nvars, self.order) == (source.nvars, source.order)
-                and self.caps in (None, source.caps)):
-            self.above = source.above
-            return self
-        shifts, _, mask = _layout(source)
-        mine, top, _ = _layout(self)
+    def reindex(self, index=None, nvars=None, order=None, center=None, caps=None):
+        """This jet re-wrapped: each multi-index ``b`` moves to ``index(b)``
+        (``None`` drops it; every index stays by default), in a jet of
+        ``nvars``, ``order`` and ``center`` (this jet's by default) and of
+        ``caps``, which keeps what its order and caps keep.  The keys above
+        the window move by the same map and are packed by the new layout, so
+        the result is the window of the re-indexed full-order jet."""
+        coeffs = self.coeffs
+        if index is not None:
+            coeffs = {k: v for k, v in zip(map(index, coeffs), coeffs.values())
+                      if k is not None}
+        out = Jet(self.nvars if nvars is None else nvars,
+                  self.order if order is None else order,
+                  self.center if center is None else center, coeffs, caps, self.above)
+        if not self.above or (index is None and caps in (None, self.caps)
+                              and (out.nvars, out.order) == (self.nvars, self.order)):
+            return out
+        shifts, _, mask = _layout(self)
+        mine, top, _ = _layout(out)
         above = set()
-        for k in source.above:
+        for k in self.above:
             b = tuple(k >> s & mask for s in shifts)
             if index is not None:
                 b = index(b)
-            if b is not None and self._keeps(b):
+            if b is not None and out._keeps(b):
                 above.add(_key(b, mine, top))
-        self.above = above
-        return self
+        out.above = above
+        return out
+
+    def drop_through(self, d):
+        """This jet without its coefficients of degree <= ``d``; the keys
+        above its window stay as they are, shared, not re-packed."""
+        return Jet(self.nvars, self.order, self.center,
+                   {b: v for b, v in self.coeffs.items() if sum(b) > d}, self.caps, self.above)
+
+    def same_bits(self, other):
+        """Whether ``other`` holds the same keys in the same order, each with
+        the same raw parts, and the same keys above its window."""
+        return self.above == other.above and len(self.coeffs) == len(other.coeffs) and all(
+            b == b2 and v._mpc_ == v2._mpc_
+            for (b, v), (b2, v2) in zip(self.coeffs.items(), other.coeffs.items())
+        )
 
     def _compat(self, other):
         if not isinstance(other, Jet):
@@ -738,13 +759,8 @@ class Jet:
             raise SeriesError("jet center mismatch")
 
     def map_coeffs(self, f):
-        return Jet(
-            self.nvars,
-            self.order,
-            self.center,
-            {b: f(v) for b, v in self.coeffs.items()},
-            caps=self.caps,
-        ).carry_above(self)
+        return Jet(self.nvars, self.order, self.center,
+                   {b: f(v) for b, v in self.coeffs.items()}, self.caps, self.above)
 
     def __add__(self, other):
         self._compat(other)
@@ -757,10 +773,8 @@ class Jet:
             else:
                 (re, im), (re2, im2) = old._mpc_, v._mpc_
                 coeffs[b] = _mpc_of(mpf_add(re, re2, prec, rnd), mpf_add(im, im2, prec, rnd))
-        caps = _merge_caps(self.caps, other.caps)
-        out = Jet(self.nvars, self.order, self.center, coeffs, caps=caps)
-        out.above = self.above | other.above
-        return out
+        return Jet(self.nvars, self.order, self.center, coeffs,
+                   _merge_caps(self.caps, other.caps), self.above | other.above)
 
     def __neg__(self):
         return self.map_coeffs(lambda v: -v)
@@ -885,14 +899,9 @@ class Jet:
         a0 = self.constant_coefficient()
         if a0 == 0:
             raise NonInvertibleJetError("jet has zero constant term")
-        u = Jet(
-            self.nvars,
-            self.order,
-            self.center,
-            {b: v / a0 for b, v in self.coeffs.items() if sum(b) > 0},
-            caps=self.caps,
-        ).carry_above(self)
-        return a0, u
+        return a0, Jet(self.nvars, self.order, self.center,
+                       {b: v / a0 for b, v in self.coeffs.items() if sum(b) > 0},
+                       self.caps, self.above)
 
     def reciprocal(self, window=None):
         """Jet ``b`` with ``self * b = 1`` through the truncation order, or
@@ -990,13 +999,11 @@ class Jet:
         def part(k):
             # ``series`` has valuation >= 1, so the result reads the step for
             # ``k`` only through degree ``hi - k``
-            out = Jet(self.nvars, self.order, self.center, parts.get(k), caps=self.caps)
-            out.above = above.get(k, out.above)
-            return out.through(max(0, hi - k))
+            return Jet(self.nvars, self.order, self.center, parts.get(k), self.caps,
+                       above.get(k, frozenset())).through(max(0, hi - k))
 
         out = part(top)
-        series = Jet(self.nvars, self.order, self.center, series.coeffs,
-                     caps=self.caps).carry_above(series)
+        series = series.reindex(center=self.center, caps=self.caps)
         for k in range(top - 1, -1, -1):
             out = out._product(series, 0, max(0, hi - k), track=True)
             if k in parts or k in above:
@@ -1053,7 +1060,7 @@ def jet_circle_substitute(a, order=None, window=None):
     order = a.order if order is None else order
     if order > a.order:
         raise SeriesError("cannot extend a jet beyond its truncation order")
-    out = Jet(a.nvars, order, (mpc(0),) * a.nvars, a.coeffs, caps=a.caps).carry_above(a)
+    out = a.reindex(order=order, center=(mpc(0),) * a.nvars, caps=a.caps)
     for m, radius in enumerate(a.center):
         if radius == 0:
             raise SeriesError("circle substitution requires nonzero center")

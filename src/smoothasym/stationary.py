@@ -17,11 +17,11 @@ because the Hessian-inverse operator ``Hop`` lowers degree by exactly two.
 The slice is computed with the pair order of the full jet product, and the
 powers ``remainder^l`` are built once per phase, through the degree the terms
 read: with N terms, the degree ``m(l)`` of term ``k = N - 1``.  Each power is
-a window of the full-order power (``series.power_chain``) that carries the
-keys the full-order power has above the window, so ``series`` picks the outer
-operand of a product with it as the full-order product would, and every term
-equals, bit for bit, the one the full-jet computation gives, unless a
-coefficient of a power above its window sums to an exact zero.
+a window (see ``series``) of the full-order power (``series.power_chain``), so
+``series`` picks the outer operand of a product with it as the full-order
+product would, and every term equals, bit for bit, the one the full-jet
+computation gives, unless a coefficient of a power above its window sums to
+an exact zero.
 
 Branch convention throughout: ``z**(-1/v) = |z|**(-1/v) exp(-i arg(z)/v)``
 with ``arg z`` in [-pi/2, pi/2].
@@ -111,7 +111,7 @@ class PhaseData:
     nondegenerate case; ``a``, ``v``, ``zeta`` only for the degenerate one.
     ``terms`` is the number N of terms the phase serves; the remainder powers
     are built through the degree term N - 1 reads.  The remainder may be a
-    window of its full-order self (``Jet.above``), as ``localframe`` builds
+    window (see ``series``) of its full-order self, as ``localframe`` builds
     the phase, if it holds every degree through ``slice_degree(N - 1, 1)``;
     otherwise ``OrderBudgetError``.
     """
@@ -158,19 +158,15 @@ class PhaseData:
 
     @classmethod
     def nondegenerate(cls, g_jet, hessian, terms):
-        n = g_jet.nvars
-        coeffs = {b: v for b, v in g_jet.coeffs.items() if sum(b) > 2}
-        remainder = Jet(n, g_jet.order, g_jet.center, coeffs).carry_above(g_jet)
+        remainder = g_jet.drop_through(2)
         return cls(remainder=remainder, terms=terms, hessian_inverse=_invert(hessian))
 
     @classmethod
     def degenerate(cls, g_jet, v, terms):
         if g_jet.nvars != 1:
             raise ValueError("degenerate phases are handled in one variable only")
-        coeffs = {b: c for b, c in g_jet.coeffs.items() if b[0] > v}
-        remainder = Jet(1, g_jet.order, g_jet.center, coeffs).carry_above(g_jet)
         # the window check covers ``a`` too: slice_degree(N - 1, 1) >= v
-        phase = cls(remainder=remainder, terms=terms, v=v)
+        phase = cls(remainder=g_jet.drop_through(v), terms=terms, v=v)
         phase.a = g_jet.coefficient((v,))
         if phase.a == 0:
             raise BranchError("vanishing-order coefficient is zero")

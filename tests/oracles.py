@@ -309,11 +309,8 @@ def jet_eval(jet, displacement):
 def table_values(table):
     """Exponent tuple -> Fraction | GaussRat, for every nonzero cell of a
     ``CoeffTable``."""
-    return {
-        beta: table.coeff_at(beta)
-        for beta in itertools.product(*(range(b + 1) for b in table.bounds))
-        if table.numerators[beta]
-    }
+    cells = itertools.product(*(range(b + 1) for b in table.bounds))
+    return {beta: value for beta in cells if (value := table.coeff_at(beta))}
 
 
 def poly_to_json(P):

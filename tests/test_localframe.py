@@ -462,6 +462,11 @@ class TestFrameWindows:
             PhaseData.degenerate(frame.phase, 4, N)
         with pytest.raises(OrderBudgetError):
             expand_degenerate(frame, N, v=4)
+        # a one-term window (degree 2) lies below v: the remainder keeps the
+        # phase's keys above it, so the check refuses it before ``a`` is read
+        short = build_frame(G, H, 1, alpha, pt, order, 1)
+        with pytest.raises(OrderBudgetError):
+            PhaseData.degenerate(short.phase, 4, 1)
         wide = build_frame(G, H, 1, alpha, pt, order, N, v=4)
         whole = build_frame(G, H, 1, alpha, pt, order, N, v="whole")
         assert wide.phase.held_through() >= phase_window(N, 4) == 2 * (N - 1) + 4

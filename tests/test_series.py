@@ -455,6 +455,81 @@ class TestWindowedChains:
         assert jet_bits(jet_circle_substitute(a)) == jet_bits(want)
 
 
+def _reindex_maps(n, j):
+    """The pipeline's re-wraps of a jet in ``n`` variables, each as (name,
+    index map, number of variables of the result): the identity (``truncate``
+    and the circle substitution), the constant dropped, degrees above 2 kept
+    (the cuts ``drop_through`` makes without re-packing), the constant and
+    the last variable dropped (the Newton filter), a variable appended (the
+    ``y = h + v`` shift),
+    the last variable dropped where it is 0 (the implicit root), the last
+    exponent shifted down (``Q = H / v``) and the slice where it is ``j``
+    (the amplitudes)."""
+    return [
+        ("identity", None, n),
+        ("drop the constant", lambda b: b if any(b) else None, n),
+        ("keep degree > 2", lambda b: b if sum(b) > 2 else None, n),
+        ("Newton filter", lambda b: b if any(b) and b[-1] == 0 else None, n),
+        ("append a variable", lambda b: b + (0,), n + 1),
+        ("drop the last variable", lambda b: None if b[-1] else b[:-1], n - 1),
+        ("shift the last exponent down",
+         lambda b: b[:-1] + (b[-1] - 1,) if b[-1] else None, n),
+        ("slice on the last exponent", lambda b: b[:-1] if b[-1] == j else None, n - 1),
+    ]
+
+
+class TestReindex:
+    """``Jet.reindex`` of a window is the window of the re-indexed full-order
+    jet: its coefficients are the images of the full jet's coefficients
+    through the window, in order and bit for bit, and its keys above the
+    window are the images of the rest, each kept where the result's order
+    and caps keep it."""
+
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_window_of_the_reindexed_jet(self, data):
+        full, _, _, w = data.draw(chain_case())
+        n = full.nvars
+        name, index, nvars = data.draw(st.sampled_from(_reindex_maps(n, data.draw(
+            st.integers(0, 2)))))
+        event(name)
+        order = data.draw(st.sampled_from([None, max(full.order - 2, 0), full.order + 1]))
+        caps = None
+        if data.draw(st.booleans()):
+            caps = tuple(data.draw(st.sampled_from([None, 0, 1, 3])) for _ in range(nvars))
+        center = (mpc(1, 1) / 3,) * nvars
+        got = full.through(w).reindex(index, nvars=nvars, order=order, center=center,
+                                      caps=caps)
+        order = full.order if order is None else order
+        assert (got.nvars, got.order, got.center, got.caps) == (nvars, order, center, caps)
+
+        def image(b):
+            b = b if index is None else index(b)
+            keep = b is not None and sum(b) <= order and (
+                caps is None or all(c is None or x <= c for x, c in zip(b, caps)))
+            return b if keep else None
+
+        images = [(image(b), b, v) for b, v in full.coeffs.items()]
+        assert jet_bits(got) == (caps, [(i, v._mpc_) for i, b, v in images
+                                        if i is not None and sum(b) <= w])
+        above = {i for i, b, _ in images if i is not None and sum(b) > w}
+        event(f"keys above the window: {bool(above)}")
+        assert above_indices(got) == above
+
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_drop_through_keeps_the_window(self, data):
+        # a degree cut moves no index, so the window's keys above it are
+        # handed on as they are: the same set, whatever the cut
+        full, _, _, w = data.draw(chain_case())
+        window = full.through(w)
+        d = data.draw(st.integers(0, full.order + 1))
+        got = window.drop_through(d)
+        assert jet_bits(got) == (full.caps, [(b, v._mpc_) for b, v in full.coeffs.items()
+                                             if d < sum(b) <= w])
+        assert got.above is window.above
+
+
 def _product_sizes(run):
     """For every product ``run()`` makes, the coefficients plus ``above`` keys
     of both operands and of the result."""

@@ -1,0 +1,96 @@
+"""Hash everything ``cli.main`` prints for every benchmark request.
+
+    python3 tools/output_digest.py CHECKOUT
+
+Runs every request of the benchmark workloads (``perfbench/gen.py``) at
+seeds 1 and 2 through the ``cli.main`` of the checkout at ``CHECKOUT``, in
+this one process, one request after another, as the benchmark's closed loop
+does.
+For each request it hashes the exit code, stdout, stderr and the JSON and
+CSV files the request writes (an exception escaping ``cli.main`` is hashed
+as its type and message), and prints one line
+``<workload> <seed> <request id> <sha256>``; the last line is
+``overall <sha256>`` over all of them.
+
+A change meant to keep the output bit for bit runs this on a checkout of
+the parent and of the change and diffs the two outputs (``PARENT`` is the
+parent's commit: ``HEAD`` for uncommitted changes)::
+
+    git archive --prefix=parent/ PARENT | tar -x -C /tmp
+    python3 tools/output_digest.py /tmp/parent > parent.txt
+    python3 tools/output_digest.py . > change.txt
+    diff parent.txt change.txt
+
+Specs and outputs are written under a temporary directory and named by
+relative paths, so nothing of the machine enters the hashes.  The benchmark's
+``gen`` module is imported read-only from the checkout.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+SEEDS = (1, 2)
+
+
+def request_digest(cli, command, spec_name):
+    """sha256 over the exit code, stdout, stderr and written files of one
+    ``cli.main`` call on the spec file ``spec_name`` (cwd-relative)."""
+    for name in ("out.json", "out.csv"):
+        Path(name).unlink(missing_ok=True)
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([command, "--input", spec_name,
+                             "--out-json", "out.json", "--out-csv", "out.csv"])
+    except SystemExit as exc:
+        code = exc.code
+    except Exception as exc:  # hashed as what escaped, without file paths
+        code = f"{type(exc).__name__}: {exc}"
+    h = hashlib.sha256()
+    for part in (repr(code), out.getvalue(), err.getvalue(),
+                 *(Path(n).read_text() if Path(n).exists() else "<none>"
+                   for n in ("out.json", "out.csv"))):
+        h.update(part.encode())
+        h.update(b"\0")
+    return h.hexdigest()
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("checkout", type=Path)
+    args = ap.parse_args(argv)
+    root = args.checkout.resolve()
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    import gen
+    from smoothasym import cli
+
+    docs = gen.load_docs(root)
+    overall = hashlib.sha256()
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        try:
+            for workload in gen.WORKLOADS:
+                for seed in SEEDS:
+                    for req in gen.generate(workload, seed, docs):
+                        Path("spec.json").write_text(json.dumps(req.spec, sort_keys=True))
+                        line = (f"{workload} {seed} {req.rid} "
+                                f"{request_digest(cli, req.command, 'spec.json')}")
+                        print(line, flush=True)
+                        overall.update(line.encode() + b"\n")
+        finally:
+            os.chdir(here)
+    print("overall", overall.hexdigest())
+
+
+if __name__ == "__main__":
+    main()
