@@ -39,9 +39,9 @@ from .localframe import (
     smooth_phase_order,
     vanishing_order,
 )
-from .oracle import decimal_str, maclaurin_table, rational_str
-from .series import (DEFAULT_BITS, SeriesError, SparsePoly, check_precision, coef_to_mpc,
-                     json_int, parse_fraction, parse_rational, workprec)
+from .oracle import maclaurin_table
+from .series import (DEFAULT_BITS, GaussRat, SeriesError, SparsePoly, check_precision,
+                     coef_to_mpc, json_int, parse_fraction, parse_rational, workprec)
 
 EXIT_NO_CRITICAL = 2
 EXIT_MINIMALITY_UNKNOWN = 3
@@ -61,6 +61,21 @@ def format_value(z, digits=10):
     if abs(z.imag) <= mpf("1e-9") * max(abs(z.real), mpf(1e-30)):
         return mp.nstr(z.real, digits)
     return f"{mp.nstr(z.real, digits)}{'+' if z.imag >= 0 else ''}{mp.nstr(z.imag, digits)}j"
+
+
+def rational_str(v):
+    """Exact rational as ``num/den``; a Gaussian one as ``re+imi`` or
+    ``re-imi``."""
+    if isinstance(v, GaussRat):
+        return f"{v.re}{'+' if v.im >= 0 else ''}{v.im}i"
+    return str(v)
+
+
+def decimal_str(value, digits=10):
+    """Exact rational rendered as a decimal with the given significant digits."""
+    with mp.workprec(max(mp.prec, 4 * digits)):
+        return mp.nstr(coef_to_mpc(value).real if not isinstance(value, GaussRat)
+                       or value.im == 0 else coef_to_mpc(value), digits)
 
 
 @dataclass
@@ -303,7 +318,7 @@ def _expand_at_point(spec, report):
 
 def exact_table(spec):
     """``(usable, skipped, table)``: the requested n whose indices
-    ``n alpha`` are integral, the others, and the exact table covering every
+    ``n alpha`` are integral, the others, and the exact table of every
     usable index."""
     usable = [n for n in spec.n_values if spec.alpha.n_is_integral(n)]
     skipped = [n for n in spec.n_values if n not in usable]
@@ -313,10 +328,8 @@ def exact_table(spec):
             "no requested n gives integral coefficient indices for this direction",
             skipped=[int(n) for n in skipped],
         )
-    bounds = tuple(
-        max(spec.alpha.index_for(n)[j] for n in usable) for j in range(spec.d)
-    )
-    table = maclaurin_table(spec.G_num, spec.H, spec.p, bounds, G_den=spec.G_den)
+    cells = [spec.alpha.index_for(n) for n in usable]
+    table = maclaurin_table(spec.G_num, spec.H, spec.p, cells, G_den=spec.G_den)
     return usable, skipped, table
 
 

@@ -17,6 +17,7 @@ Independent oracles, and what each checks:
   reference_powers           ``PhaseData.remainder_power``, the same
   reference_implicit_root    ``implicit_root_jet``, by a fixed count of Newton steps
 Test harness:
+  box_cells                  every cell of a box, for ``maclaurin_table``
   jet_eval                   a jet's truncated series at a displacement
   table_values               a coefficient table's nonzero cells as a dict
   poly_to_json               a polynomial in the spec's JSON term format
@@ -73,7 +74,7 @@ def recurrence_residual(table, G_num, H, p, G_den=None):
         D = D * G_den
     values = table_values(table)
     worst = Fraction(0)
-    for beta in itertools.product(*(range(b + 1) for b in table.bounds)):
+    for beta in box_cells(table.bounds):
         acc = -G_num.terms.get(beta, Fraction(0))
         for e, c in D.terms.items():
             prev = tuple(b - g for b, g in zip(beta, e))
@@ -306,11 +307,17 @@ def jet_eval(jet, displacement):
     return total
 
 
+def box_cells(bounds):
+    """Every cell of the box with the given per-variable maximum exponents,
+    in row-major order."""
+    return list(itertools.product(*(range(b + 1) for b in bounds)))
+
+
 def table_values(table):
     """Exponent tuple -> Fraction | GaussRat, for every nonzero cell of a
     ``CoeffTable``."""
-    cells = itertools.product(*(range(b + 1) for b in table.bounds))
-    return {beta: value for beta in cells if (value := table.coeff_at(beta))}
+    return {beta: value for beta in box_cells(table.bounds)
+            if (value := table.coeff_at(beta))}
 
 
 def poly_to_json(P):

@@ -32,6 +32,7 @@ from smoothasym.series import coef_to_mpc
 
 from conftest import poly, random_critical_instance, smirnov_family
 from oracles import (
+    box_cells,
     fourier_laplace_quad,
     integral_asymptotic_sum,
     maclaurin_table_geometric,
@@ -84,7 +85,7 @@ DELANNOY_CLOSED_FORM = {
 def _delannoy_true_rows():
     """(n, exact, rel_err_1, rel_err_2) from the oracle and the closed forms."""
     H = poly(2, {(0, 0): 1, (1, 0): -1, (0, 1): -1, (1, 1): -1})
-    table = maclaurin_table(SparsePoly.constant(2, 1), H, 1, (48, 32))
+    table = maclaurin_table(SparsePoly.constant(2, 1), H, 1, box_cells((48, 32)))
     rows = []
     for n, (a1, a2) in DELANNOY_CLOSED_FORM.items():
         exact = coef_to_mpc(table.coeff_at((3 * n, 2 * n))).real
@@ -197,9 +198,9 @@ def test_criterion_2_smirnov_moments():
     assert abs(variance.coefficient(1) - Fraction(9, 32)) < mpf("1e-9")
 
     # exact moments from the oracle against the published cells
-    words = maclaurin_table(fams[0][0], H, 1, (8, 8, 8))
-    snaps = maclaurin_table(fams[1][0], H, 2, (8, 8, 8), G_den=fams[1][1])
-    snaps2 = maclaurin_table(fams[2][0], H, 3, (8, 8, 8), G_den=fams[2][1])
+    words = maclaurin_table(fams[0][0], H, 1, box_cells((8, 8, 8)))
+    snaps = maclaurin_table(fams[1][0], H, 2, box_cells((8, 8, 8)), G_den=fams[1][1])
+    snaps2 = maclaurin_table(fams[2][0], H, 3, box_cells((8, 8, 8)), G_den=fams[2][1])
     for n, e_exact, a1, a2, r1, r2 in SMIRNOV_E_ROWS:
         idx = (n, n, n)
         exact = coef_to_mpc(snaps.coeff_at(idx)) / coef_to_mpc(words.coeff_at(idx))
@@ -326,7 +327,7 @@ def test_criterion_5_delannoy_error_doubling(delannoy):
     G, H, alpha = delannoy
     points, _ = solve_critical(H, alpha)
     point = [p for p in points if p[0].real > 0][0]
-    table = maclaurin_table(G, H, 1, (96, 64))
+    table = maclaurin_table(G, H, 1, box_cells((96, 64)))
     frame = build_frame(G, H, 1, alpha, point, smooth_phase_order(3, 2), 3)
     for N in (1, 2, 3):
         e = expand_smooth(frame, N)
@@ -440,11 +441,11 @@ def test_criterion_8_oracle_selfcheck(delannoy, quantum_walk):
         golden.append((Gf, Hs, p, G_den, (4, 4, 4)))
 
     for G, H, p, G_den, bounds in golden:
-        table = maclaurin_table(G, H, p, bounds, G_den=G_den)
+        table = maclaurin_table(G, H, p, box_cells(bounds), G_den=G_den)
         assert recurrence_residual(table, G, H, p, G_den=G_den) == 0
 
     for G, H, p, G_den, bounds in golden[:2]:
-        direct = maclaurin_table(G, H, p, (12, 12), G_den=G_den)
+        direct = maclaurin_table(G, H, p, box_cells((12, 12)), G_den=G_den)
         geo = maclaurin_table_geometric(G, H, p, 12, G_den=G_den)
         values = table_values(direct)
         keys = set(geo) | {k for k in values if sum(k) <= 12}

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -492,6 +493,35 @@ class TestMainEntry:
         assert main(["oracle", "--input", spec_path]) == 0
         assert "beta_x" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["oracle", "expand", "critical"])
+    def test_vanishing_G_denominator(self, tmp_path, capsys, command):
+        obj = dict(DELANNOY_SPEC, G={"numer": DELANNOY_SPEC["G"],
+                                     "denom": [{"exp": [1, 0], "coef": "1"}]})
+        assert main([command, "--input", self._write(tmp_path, obj)]) == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == "G denominator vanishes at the origin"
+
+    def test_oracle_command_delannoy_at_scale(self, capsys):
+        spec_path = str(PROBLEMS / "delannoy.json")
+        assert main(["oracle", "--input", spec_path, "--n-values", "64,192"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.strip().split("\n")]
+        assert [row[:2] for row in rows[1:]] == [["192", "128"], ["576", "384"]]
+        for a, b, exact, decimal in rows[1:]:
+            a, b = int(a), int(b)
+            want = sum(math.comb(a, k) * math.comb(b, k) * 2**k for k in range(b + 1))
+            assert exact == str(want)
+            # rounded to 10 significant digits: within half a unit of the 10th
+            assert abs(Fraction(decimal) - want) <= 5 * 10 ** (len(exact) - 11)
+
+    def test_oracle_command_smirnov_words(self, capsys):
+        spec_path = str(PROBLEMS / "smirnov_words.json")
+        assert main(["oracle", "--input", spec_path, "--n-values", "1,2,4,8,16"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.strip().split("\n")]
+        assert rows[0] == ["beta_x", "beta_y", "beta_z", "exact_rational", "decimal"]
+        for n, row in zip((1, 2, 4, 8, 16), rows[1:]):
+            assert row[:3] == [str(n)] * 3
+            assert row[3] == str(math.factorial(3 * n) // math.factorial(n) ** 3)
+
     def test_oracle_command_gaussian(self, tmp_path, capsys):
         # H = 1 + (-1/2 + i/3) x - y/2: the xy coefficient is 1/2 - i/3
         obj = dict(DELANNOY_SPEC, alpha=["1", "1"], n_values=[1, 2])
@@ -515,9 +545,11 @@ class TestMainEntry:
         assert "53 bits" in diagnostic["error"]
 
 
+PROBLEMS = Path(__file__).resolve().parents[1] / "docs" / "problems"
+
+
 def _docs_spec(name, **fields):
-    root = Path(__file__).resolve().parents[1] / "docs" / "problems"
-    return dict(json.loads((root / f"{name}.json").read_text()), **fields)
+    return dict(json.loads((PROBLEMS / f"{name}.json").read_text()), **fields)
 
 
 def _scaled_x(spec, factor, **fields):

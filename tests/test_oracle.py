@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import itertools
+import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -11,10 +13,12 @@ from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
 from smoothasym import GaussRat, Jet, SparsePoly, maclaurin_table
-from smoothasym.oracle import OracleError, decimal_str
+from smoothasym.cli import decimal_str
+from smoothasym.oracle import OracleError
 
 from conftest import poly, smirnov_family
 from oracles import (
+    box_cells,
     fourier_laplace_quad,
     maclaurin_table_geometric,
     recurrence_residual,
@@ -25,7 +29,7 @@ from oracles import (
 class TestMaclaurinTable:
     def test_delannoy_values(self, delannoy):
         G, H, _ = delannoy
-        table = maclaurin_table(G, H, 1, (6, 4))
+        table = maclaurin_table(G, H, 1, box_cells((6, 4)))
         assert table.coeff_at((0, 0)) == 1
         assert table.coeff_at((1, 1)) == 3
         assert table.coeff_at((3, 2)) == 25
@@ -33,45 +37,45 @@ class TestMaclaurinTable:
 
     def test_central_binomial_diagonal(self, central_binomial):
         G, H, _ = central_binomial
-        table = maclaurin_table(G, H, 1, (6, 6))
+        table = maclaurin_table(G, H, 1, box_cells((6, 6)))
         assert table.coeff_at((2, 2)) == 6
         assert table.coeff_at((3, 3)) == 20
 
     def test_quantum_walk_cells(self, quantum_walk):
         G, H, _ = quantum_walk
-        table = maclaurin_table(G, H, 1, (8, 2))
+        table = maclaurin_table(G, H, 1, box_cells((8, 2)))
         assert table.coeff_at((4, 1)) == Fraction(3, 16)
 
     def test_smirnov_expectation_cell(self):
         H, fams = smirnov_family()
         G1, _, p1 = fams[0]
         G2, R, p2 = fams[1]
-        words = maclaurin_table(G1, H, p1, (2, 2, 2))
-        snaps = maclaurin_table(G2, H, p2, (2, 2, 2), G_den=R)
+        words = maclaurin_table(G1, H, p1, box_cells((2, 2, 2)))
+        snaps = maclaurin_table(G2, H, p2, box_cells((2, 2, 2)), G_den=R)
         assert words.coeff_at((2, 2, 2)) == 90
         assert snaps.coeff_at((2, 2, 2)) / words.coeff_at((2, 2, 2)) == 1
 
     def test_origin_cell(self):
         G = poly(2, {(0, 0): 3})
         H = poly(2, {(0, 0): 2, (1, 0): -1})
-        table = maclaurin_table(G, H, 2, (2, 0))
+        table = maclaurin_table(G, H, 2, box_cells((2, 0)))
         assert table.coeff_at((0, 0)) == Fraction(3, 4)
 
     def test_origin_on_variety_rejected(self):
         H = poly(1, {(1,): 1})
         with pytest.raises(OracleError):
-            maclaurin_table(SparsePoly.constant(1, 1), H, 1, (2,))
+            maclaurin_table(SparsePoly.constant(1, 1), H, 1, box_cells((2,)))
 
     def test_out_of_bounds_rejected(self, delannoy):
         G, H, _ = delannoy
-        table = maclaurin_table(G, H, 1, (2, 2))
+        table = maclaurin_table(G, H, 1, box_cells((2, 2)))
         with pytest.raises(OracleError):
             table.coeff_at((3, 0))
 
     def test_gaussian_rational_coefficients(self):
         # 1/(1 - i x): coefficients are powers of i
         H = SparsePoly(1, {(0,): Fraction(1), (1,): GaussRat(0, -1)})
-        table = maclaurin_table(SparsePoly.constant(1, 1), H, 1, (4,))
+        table = maclaurin_table(SparsePoly.constant(1, 1), H, 1, box_cells((4,)))
         assert table.coeff_at((1,)) == GaussRat(0, 1)
         assert table.coeff_at((2,)) == Fraction(-1)
         assert table.coeff_at((3,)) == GaussRat(0, -1)
@@ -79,12 +83,12 @@ class TestMaclaurinTable:
 
     def test_residual_exactly_zero(self, delannoy, quantum_walk):
         for G, H, _ in (delannoy, quantum_walk):
-            table = maclaurin_table(G, H, 1, (8, 5))
+            table = maclaurin_table(G, H, 1, box_cells((8, 5)))
             assert recurrence_residual(table, G, H, 1) == 0
 
     def test_two_methods_agree(self, delannoy):
         G, H, _ = delannoy
-        direct = maclaurin_table(G, H, 1, (10, 10))
+        direct = maclaurin_table(G, H, 1, box_cells((10, 10)))
         geo = maclaurin_table_geometric(G, H, 1, 10)
         values = table_values(direct)
         for e, c in geo.items():
@@ -95,6 +99,56 @@ class TestMaclaurinTable:
 
     def test_decimal_str(self):
         assert decimal_str(Fraction(1, 3), 5) == "0.33333"
+
+    @pytest.mark.parametrize("cells", [
+        [],  # no cell
+        [(2, 1), (3,)],  # one cell short of a variable
+        [(2, -1)],  # a negative exponent
+        (6, 4),  # a bounds tuple, not a list of cells
+        [(2.5, 1)],  # not an integer exponent
+    ])
+    def test_malformed_cells_rejected(self, delannoy, cells):
+        G, H, _ = delannoy
+        with pytest.raises(OracleError):
+            maclaurin_table(G, H, 1, cells)
+
+    def test_unrequested_cell_rejected(self, delannoy):
+        G, H, _ = delannoy
+        table = maclaurin_table(G, H, 1, [(6, 4), (3, 2)])
+        assert table.bounds == (6, 4)
+        assert table.coeff_at((3, 2)) == 25
+        with pytest.raises(OracleError, match="not requested"):
+            table.coeff_at((2, 3))
+
+    def test_vanishing_denominator_named(self, delannoy):
+        G, H, _ = delannoy
+        with pytest.raises(OracleError, match="G denominator vanishes"):
+            maclaurin_table(G, H, 1, [(2, 2)], G_den=poly(2, {(1, 0): 1}))
+
+    def test_every_stage_scales(self):
+        # 1/((3 - 2y)(2 - x/3 - y)^3): the stages clear to L q = 3, 18, 18, 18
+        G = SparsePoly.constant(2, 1)
+        G_den = poly(2, {(0, 0): 3, (0, 1): -2})
+        H = poly(2, {(0, 0): 2, (1, 0): Fraction(-1, 3), (0, 1): -1})
+        table = maclaurin_table(G, H, 3, box_cells((6, 6)), G_den=G_den)
+        geo = maclaurin_table_geometric(G, H, 3, 6, G_den=G_den)
+        for beta in box_cells((6, 6)):
+            if sum(beta) <= 6:
+                assert table.coeff_at(beta) == geo.get(beta, Fraction(0)), beta
+        assert recurrence_residual(table, G, H, 3, G_den=G_den) == 0
+
+    def test_memory_stays_with_the_row(self, delannoy):
+        # the full 193x129 box of numerators would take about 1.4 MB
+        G, H, _ = delannoy
+        tracemalloc.start()
+        try:
+            table = maclaurin_table(G, H, 1, [(192, 128)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.coeff_at((192, 128)) == sum(
+            math.comb(192, k) * math.comb(128, k) * 2**k for k in range(129))
+        assert peak < 200_000, peak
 
 
 rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
@@ -132,7 +186,7 @@ def oracle_instances(draw, gaussian=False):
 
 
 def _check_against_geometric(G_num, H, p, bounds, G_den):
-    table = maclaurin_table(G_num, H, p, bounds, G_den=G_den)
+    table = maclaurin_table(G_num, H, p, box_cells(bounds), G_den=G_den)
     k = max(bounds)
     geo = maclaurin_table_geometric(G_num, H, p, k, G_den=G_den)
     for beta in itertools.product(*(range(b + 1) for b in bounds)):
@@ -165,7 +219,7 @@ class TestMaclaurinTableProperties:
         # x^2 / (2 - y): every cell with beta_x != 2 vanishes
         G = poly(2, {(2, 0): 1})
         H = poly(2, {(0, 0): 2, (0, 1): -1})
-        table = maclaurin_table(G, H, 2, (3, 3))
+        table = maclaurin_table(G, H, 2, box_cells((3, 3)))
         assert table.coeff_at((2, 3)) == Fraction(4, 2**5)
         for beta in ((0, 0), (1, 3), (3, 2)):
             val = table.coeff_at(beta)
