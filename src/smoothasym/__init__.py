@@ -19,6 +19,7 @@ from .expansion import (
 )
 from .geometry import (
     CriticalPointReport,
+    CriticalSystem,
     Direction,
     build_report,
     check_minimality,
@@ -55,6 +56,7 @@ from .stationary import (
 __all__ = [
     "CoeffTable",
     "CriticalPointReport",
+    "CriticalSystem",
     "DEFAULT_BITS",
     "Direction",
     "Expansion",

@@ -4,10 +4,21 @@ Builds the critical-point system for a direction, solves it (exact univariate
 elimination for two variables, damped Newton plus a symmetric-diagonal
 shortcut otherwise), and classifies each solution: smoothness with a
 distinguished coordinate, isolation, and minimality with explicit evidence.
+
+The system is compiled once per solve (``CriticalSystem``): its equations and
+Jacobian entries hold their coefficients as ``mpc`` at the working precision,
+and a point's values and Jacobian share one table of powers.  Newton solves
+each step with mpmath's LU on plain lists (``_lu_solve``), and the isolation
+check takes its determinant from the same LU (``_det``).  Both repeat
+``SparsePoly.eval``, ``mp.lu_solve`` and ``mp.det`` operation for operation,
+so every solved point is bit-identical to theirs.  A Newton run that comes
+within ``DEDUPE_TOL`` of a point already kept stops there and returns that
+point, which ``solve_critical`` drops as a duplicate.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -16,13 +27,13 @@ from typing import NamedTuple
 
 import numpy as np
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import fzero, mpc_add, mpc_mul, mpc_pow_int
 
 from .series import GaussRat, SparsePoly, coef_to_mpc, complex_to_json
 
 RESIDUAL_TOL = mpf("1e-10")
 NEWTON_MAX_ITER = 200
 DEDUPE_TOL = mpf("1e-12")  # two solutions closer than this (relative) are one
-KNOWN_TOL = mpf("1e-24")  # a Newton run this close to a known solution stops
 POSITIVE_REAL_TOL = mpf("1e-12")  # imaginary part allowed, relative to |z|
 SLICE_GRID = (24, 96)  # radii x angles of the two-variable minimality scan
 TORUS_SAMPLES = 400  # witness search in more than two variables, fixed seed
@@ -143,34 +154,105 @@ class CriticalPointReport:
 
 
 def critical_system(H, direction):
-    """H together with the cleared proportionality equations.
+    """H together with the cleared proportionality equations, compiled.
 
-    Returns d polynomials: H itself and, for each m < d-1,
-    ``A_d x_m dH/dx_m - A_m x_d dH/dx_d`` with A the primitive integer
-    direction (denominators cleared).
+    The ``CriticalSystem``'s ``polys`` are d polynomials: H itself and, for
+    each m < d-1, ``A_d x_m dH/dx_m - A_m x_d dH/dx_d`` with A the primitive
+    integer direction (denominators cleared).
     """
     d = H.nvars
     if direction.d != d:
         raise GeometryError("direction length does not match polynomial")
     polys = [H]
-    if d == 1:
-        return polys
-    A = direction.primitive
-    xd_dH = SparsePoly.variable(d, d - 1) * H.partial(d - 1)
-    for m in range(d - 1):
-        xm_dH = SparsePoly.variable(d, m) * H.partial(m)
-        polys.append(xm_dH * A[d - 1] - xd_dH * A[m])
-    return polys
+    if d > 1:
+        A = direction.primitive
+        xd_dH = SparsePoly.variable(d, d - 1) * H.partial(d - 1)
+        for m in range(d - 1):
+            xm_dH = SparsePoly.variable(d, m) * H.partial(m)
+            polys.append(xm_dH * A[d - 1] - xd_dH * A[m])
+    return CriticalSystem(polys)
 
 
-def system_residual(polys, point):
+class CriticalSystem:
+    """A square polynomial system compiled for Newton's method.
+
+    Each equation of ``polys`` and each Jacobian entry ``P.partial(j)`` is
+    held as its terms, ``(coefficient, factors)`` in ``SparsePoly.terms``
+    order, with ``factors`` the pairs ``(j, k)`` of the exponent's nonzero
+    entries ``k = e_j``.  The coefficients are converted with ``coef_to_mpc``
+    once, at the precision in effect when the system is built, and again
+    whenever ``mp.prec`` differs from the precision they were converted at.
+
+    ``values`` and ``jacobian`` make the ``libmp`` calls that
+    ``SparsePoly.eval`` makes through ``mpc``: ``mpc_pow_int`` for each power
+    ``x_j ** k``, ``mpc_mul`` for each factor of a term in turn and
+    ``mpc_add`` for each term, from zero.  So each value is bit-identical to
+    ``P.eval(point)`` or ``P.partial(j).eval(point)``.  A ``powers`` dict
+    passed to both at one point and precision is their shared table of
+    ``x_j ** k``.
+    """
+
+    def __init__(self, polys):
+        self.polys = list(polys)
+        d = len(self.polys)
+        entries = self.polys + [P.partial(j) for P in self.polys for j in range(d)]
+        self._exact = [list(P.terms.values()) for P in entries]
+        self._factors = [[tuple((j, k) for j, k in enumerate(e) if k) for e in P.terms]
+                         for P in entries]
+        self._prec = None
+        self._coefficients()
+
+    def _coefficients(self):
+        """The converted coefficients at the current precision."""
+        if self._prec != mp.prec:
+            self._coefs = [[coef_to_mpc(c)._mpc_ for c in cs] for cs in self._exact]
+            self._prec = mp.prec
+        return self._coefs
+
+    def scales(self):
+        """``max(P.coeff_bound(), 1)`` for each equation."""
+        coefs = self._coefficients()
+        return [max(max((abs(mp.make_mpc(c)) for c in coefs[i]), default=mpf(0)), mpf(1))
+                for i in range(len(self.polys))]
+
+    def _evaluate(self, rows, point, powers):
+        coefs = self._coefficients()
+        prec, rnd = mp._prec_rounding
+        x = [mpc(z)._mpc_ for z in point]
+        if powers is None:
+            powers = {}
+        out = []
+        for r in rows:
+            total = (fzero, fzero)
+            for term, factors in zip(coefs[r], self._factors[r]):
+                for f in factors:
+                    pk = powers.get(f)
+                    if pk is None:
+                        pk = powers[f] = mpc_pow_int(x[f[0]], f[1], prec, rnd)
+                    term = mpc_mul(term, pk, prec, rnd)
+                total = mpc_add(total, term, prec, rnd)
+            out.append(mp.make_mpc(total))
+        return out
+
+    def values(self, point, powers=None):
+        """``[P.eval(point) for P in polys]``."""
+        return self._evaluate(range(len(self.polys)), point, powers)
+
+    def jacobian(self, point, powers=None):
+        """Rows ``[P.partial(j).eval(point) for j]``, one per ``P`` in ``polys``."""
+        d = len(self.polys)
+        flat = self._evaluate(range(d, d + d * d), point, powers)
+        return [flat[i * d:(i + 1) * d] for i in range(d)]
+
+
+def system_residual(system, point):
     """(|H(c)|, max residual of the critical equations), scale-normalized."""
-    h_scale = max(polys[0].coeff_bound(), mpf(1))
-    res_h = abs(polys[0].eval(point)) / h_scale
+    vals = system.values(point)
+    scales = system.scales()
+    res_h = abs(vals[0]) / scales[0]
     res_c = mpf(0)
-    for P in polys[1:]:
-        scale = max(P.coeff_bound(), mpf(1))
-        r = abs(P.eval(point)) / scale
+    for v, scale in zip(vals[1:], scales[1:]):
+        r = abs(v) / scale
         if r > res_c:
             res_c = r
     return res_h, res_c
@@ -297,70 +379,143 @@ def _dense_roots_double(coeffs):
 
 # -- Newton refinement ---------------------------------------------------------
 
-# What mpmath's LU factorisation raises on a singular matrix: ZeroDivisionError
-# for a pivot below its tolerance, and (mpmath 1.3) TypeError from swap_row
-# when a whole pivot column is zero, because no pivot row is ever chosen.
+# What mpmath's LU factorisation raises on a singular matrix, and so
+# ``_lu_decomp``: ZeroDivisionError for a pivot below its tolerance, and
+# TypeError when a whole pivot column is zero, because no pivot row is ever
+# chosen (mpmath 1.3's swap_row then fails on the row index None).
 _SINGULAR_LU = (ZeroDivisionError, TypeError)
 
 
-def newton_polish(polys, point, known=()):
-    """Damped Newton iteration on a square polynomial system, at working prec.
+def _lu_decomp(A):
+    """mpmath's ``LU_decomp`` on a list of rows, at the current precision.
 
-    Returns (point, converged); a singular Jacobian ends the iteration.  A
-    run whose iterate comes within ``KNOWN_TOL`` (relative) of one of the
-    ``known`` points, solutions already polished, returns that point as
-    converged: it would only polish it again.
+    Factors ``A`` in place and returns ``(A, p)``: L below the diagonal, U
+    on and above it, ``p[j]`` the row swapped into row j.  The tolerance,
+    the pivot rule (largest ``|A[k][j]|`` over the ``fsum`` of its row's
+    moduli, first on ties) and every operation are mpmath's, so each entry is
+    bit-identical to what ``mp.matrix`` holds; a zero reads here as ``mpc``
+    zero where ``mp.matrix`` reads ``mp.zero``, the same number.  Raises
+    ``ZeroDivisionError`` where mpmath does and ``TypeError`` for a zero pivot
+    column (see ``_SINGULAR_LU``).
+    """
+    n = len(A)
+    tol = abs(max(mp.fsum((row[j] for row in A), absolute=1) for j in range(n)) * mp.eps)
+    p = [None] * (n - 1)
+    for j in range(n - 1):
+        biggest = 0
+        for k in range(j, n):
+            s = mp.fsum([abs(A[k][m]) for m in range(j, n)])
+            if abs(s) <= tol:
+                raise ZeroDivisionError("matrix is numerically singular")
+            current = 1 / s * abs(A[k][j])
+            if current > biggest:
+                biggest = current
+                p[j] = k
+        if p[j] is None:
+            raise TypeError(f"column {j} has no pivot")
+        A[j], A[p[j]] = A[p[j]], A[j]
+        if abs(A[j][j]) <= tol:
+            raise ZeroDivisionError("matrix is numerically singular")
+        for i in range(j + 1, n):
+            A[i][j] /= A[j][j]
+            for k in range(j + 1, n):
+                A[i][k] -= A[i][j] * A[j][k]
+    if abs(A[n - 1][n - 1]) <= tol:
+        raise ZeroDivisionError("matrix is numerically singular")
+    return A, p
+
+
+def _lu_solve(A, b):
+    """``mp.lu_solve(A, b)`` for a square list of rows, as a list: mpmath's
+    ``LU_decomp``, ``L_solve`` and ``U_solve`` at ``prec + 10``."""
+    prec = mp.prec
+    try:
+        mp.prec += 10
+        LU, p = _lu_decomp([row[:] for row in A])
+        x = list(b)
+        for k, pk in enumerate(p):
+            x[k], x[pk] = x[pk], x[k]
+        n = len(x)
+        for i in range(1, n):
+            for j in range(i):
+                x[i] -= LU[i][j] * x[j]
+        for i in range(n - 1, -1, -1):
+            for j in range(i + 1, n):
+                x[i] -= LU[i][j] * x[j]
+            x[i] /= LU[i][i]
+    finally:
+        mp.prec = prec
+    return x
+
+
+def _det(A):
+    """``mp.det(A)`` for a square list of rows: the product of the pivots of
+    ``_lu_decomp`` at the current precision, signed by the row swaps, and 0
+    where it raises ZeroDivisionError."""
+    try:
+        LU, p = _lu_decomp([row[:] for row in A])
+    except ZeroDivisionError:
+        return 0
+    z = 1
+    for i, e in enumerate(p):
+        if i != e:
+            z *= -1
+    for i in range(len(A)):
+        z *= LU[i][i]
+    return z
+
+
+def newton_polish(system, point, known=()):
+    """Damped Newton iteration on a ``CriticalSystem``, at working precision.
+
+    Returns (point, converged); a singular Jacobian ends the iteration.  The
+    values and Jacobian at an iterate share one table of powers, and each
+    step solves with ``_lu_solve``.  A run whose iterate comes within
+    ``DEDUPE_TOL`` (relative) of one of the ``known`` points, solutions
+    already kept, returns that point as converged, and ``solve_critical``
+    drops it as a duplicate.  Such a run nearly always ends at that point;
+    one that would only pass it on the way to a distinct solution loses
+    that solution.
     """
     d = len(point)
-    jac = [[P.partial(j) for j in range(d)] for P in polys]
     x = [mpc(z) for z in point]
     target = mpf(2) ** (20 - mp.prec)
-
-    def resid(pt):
-        vals = [P.eval(pt) for P in polys]
-        return vals, max(abs(v) for v in vals)
-
-    vals, err = resid(x)
+    powers = {}
+    vals = system.values(x, powers)
+    err = max(abs(v) for v in vals)
     for _ in range(NEWTON_MAX_ITER):
         if err < target:
             break
-        near = _near(x, known, KNOWN_TOL)
+        near = _near(x, known, DEDUPE_TOL)
         if near is not None:
             return list(near), True
-        J = mp.matrix(d, d)
-        for i in range(d):
-            for j in range(d):
-                J[i, j] = jac[i][j].eval(x)
         try:
-            step = mp.lu_solve(J, mp.matrix([-v for v in vals]))
+            step = _lu_solve(system.jacobian(x, powers), [-v for v in vals])
         except _SINGULAR_LU:
             break
         lam = mpf(1)
-        improved = False
         for _ in range(60):
             trial = [x[i] + lam * step[i] for i in range(d)]
-            tvals, terr = resid(trial)
+            trial_powers = {}
+            tvals = system.values(trial, trial_powers)
+            terr = max(abs(v) for v in tvals)
             if terr < err:
-                x, vals, err = trial, tvals, terr
-                improved = True
+                x, vals, err, powers = trial, tvals, terr, trial_powers
                 break
             lam /= 2
-        if not improved:
+        else:
             break
     return x, err < RESIDUAL_TOL
 
 
-def _jacobian_singular(polys, point):
+def _jacobian_singular(system, point):
     d = len(point)
-    J = mp.matrix(d, d)
-    for i, P in enumerate(polys):
-        for j in range(d):
-            J[i, j] = P.partial(j).eval(point)
+    J = system.jacobian(point)
     try:
-        det = mp.det(J)
+        det = _det(J)
     except _SINGULAR_LU:
         return True
-    scale = max(max(abs(J[i, j]) for i in range(d) for j in range(d)), mpf(1))
+    scale = max(max(abs(v) for row in J for v in row), mpf(1))
     return abs(det) < mpf("1e-10") * scale**d
 
 
@@ -436,7 +591,7 @@ def solve_critical(H, direction, seeds=None):
     below 1e-10.
     """
     d = H.nvars
-    polys = critical_system(H, direction)
+    system = critical_system(H, direction)
     candidates = []
 
     if d == 1:
@@ -446,7 +601,7 @@ def solve_critical(H, direction, seeds=None):
         for z in _dense_roots_double(coeffs):
             candidates.append((mpc(z),))
     elif d == 2:
-        elim = resultant_eliminate_y(polys[0], polys[1])
+        elim = resultant_eliminate_y(*system.polys)
         if not elim:
             raise GeometryError(
                 "critical system is degenerate: the elimination polynomial vanishes"
@@ -454,7 +609,7 @@ def solve_critical(H, direction, seeds=None):
         for xr in _dense_roots_double(elim):
             # back-substitute: roots in y of H(x, .)
             ys = _slice_roots(_y_slice(H, (mpc(xr),)))
-            for yr in _paired_y_roots(polys[1], xr, ys):
+            for yr in _paired_y_roots(system.polys[1], xr, ys):
                 candidates.append((mpc(xr), mpc(complex(yr))))
     else:
         if _is_symmetric(H) and len(set(direction.primitive)) == 1:
@@ -464,20 +619,20 @@ def solve_critical(H, direction, seeds=None):
         candidates.append(tuple(mpc(z) for z in seed))
 
     # each converged point is kept unless it lies within ``DEDUPE_TOL`` of a
-    # point kept before it; a run that reaches a kept point stops there
+    # point kept before it; a run that comes that close to a kept point stops
     points = []
     residuals = []
     for cand in candidates:
-        x, ok = newton_polish(polys, cand, points)
+        x, ok = newton_polish(system, cand, points)
         if not ok or _near(x, points, DEDUPE_TOL) is not None:
             continue
-        res_h, res_c = system_residual(polys, x)
+        res_h, res_c = system_residual(system, x)
         if res_h > RESIDUAL_TOL or res_c > RESIDUAL_TOL:
             continue
         points.append(tuple(x))
         residuals.append((res_h, res_c))
     checks = [
-        PointCheck("isolated-unverified" if _jacobian_singular(polys, x) else "yes", *res)
+        PointCheck("isolated-unverified" if _jacobian_singular(system, x) else "yes", *res)
         for x, res in zip(points, residuals)
     ]
     return points, checks
@@ -727,12 +882,11 @@ def _best_slice_root(H, point, grid):
     coeffs = np.zeros((H.max_degree(1) + 1, H.max_degree(0) + 1), dtype=np.complex128)
     for (ex, ey), c in H.terms.items():
         coeffs[ey, ex] = complex(coef_to_mpc(c))
-    angles = [2 * math.pi * k / n_theta for k in range(n_theta)]
-    xs = np.array([
-        complex(r * math.cos(theta), r * math.sin(theta))
-        for r in (float(r1 * i / (n_r + 1)) for i in range(1, n_r + 1))
-        for theta in angles
-    ])
+    cos, sin = _unit_circle(n_theta)
+    radii = np.array([float(r1 * i / (n_r + 1)) for i in range(1, n_r + 1)])[:, None]
+    xs = np.empty(n_r * n_theta, dtype=np.complex128)
+    xs.real = (radii * cos).ravel()
+    xs.imag = (radii * sin).ravel()
     ycoeffs = np.zeros((coeffs.shape[0], xs.size), dtype=np.complex128)
     for column in coeffs.T[::-1]:
         ycoeffs = ycoeffs * xs + column[:, None]
@@ -742,6 +896,15 @@ def _best_slice_root(H, point, grid):
     ratios = np.where(found, np.abs(ys), np.inf) / float(abs(point[1]))
     best = int(np.argmin(ratios))
     return float(ratios[best]), complex(xs[best]), complex(ys[best])
+
+
+@functools.lru_cache(maxsize=None)
+def _unit_circle(n_theta):
+    """Read-only ``math.cos`` and ``math.sin`` of ``2 pi k/n_theta``, k < n_theta."""
+    angles = [2 * math.pi * k / n_theta for k in range(n_theta)]
+    out = np.array([list(map(math.cos, angles)), list(map(math.sin, angles))])
+    out.flags.writeable = False
+    return out
 
 
 def _min_modulus_roots(polys):

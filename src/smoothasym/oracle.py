@@ -110,13 +110,14 @@ class _Stage:
                       for j in range(len(bounds) - 1)]
         self.takes = {}
         self.rows = deque(maxlen=max((back for _, back, *_ in self.across), default=0))
+        self.width = bounds[-1] + 1
 
     def divide(self, row, lead):
         """This stage's output row at leading exponents ``lead``.
 
-        ``row`` is the input row already scaled by ``L q^{|beta|}``; every
-        offset is applied to it in place, and it is kept while the stencil
-        still reaches it.
+        ``row`` is the input row already scaled by ``L q^{|beta|}``, or None
+        for a row of zeros; every offset is applied to it in place, and it is
+        kept while the stencil still reaches it.
         """
         key = tuple(map(min, lead, self.reach))
         takes = self.takes.get(key)
@@ -126,12 +127,19 @@ class _Stage:
         rows = self.rows
         for back, t, w in takes:
             src = rows[-back]  # the source of the row's cell t
+            if row is None:
+                if t == 0 and w == -1:  # zeros plus the source
+                    row = src.copy()
+                    continue
+                row = [0] * self.width
             if w == 1:
                 row[t:] = map(sub, row[t:], src)
             elif w == -1:
                 row[t:] = map(add, row[t:], src)
             else:
                 row[t:] = map(sub, row[t:], map(mul, itertools.repeat(w), src))
+        if row is None:
+            row = [0] * self.width
         along = self.along
         if len(along) == 1 and along[0][0] == 1:
             w = along[0][1]
@@ -206,9 +214,11 @@ def maclaurin_table(G_num, H, p, cells, G_den=None):
     width = bounds[-1] + 1
     values = {}
     for lead in itertools.product(*(range(b + 1) for b in bounds[:-1])):
-        row = [0] * width
-        for t, a in seeds.get(lead, ()):
-            row[t] = a
+        row = None
+        if lead in seeds:
+            row = [0] * width
+            for t, a in seeds[lead]:
+                row[t] = a
         row = first.divide(row, lead)
         level = sum(lead)
         for stage in later:

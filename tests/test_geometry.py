@@ -58,7 +58,7 @@ class TestDirection:
 class TestCriticalSystem:
     def test_delannoy_system(self, delannoy):
         _, H, alpha = delannoy
-        polys = critical_system(H, alpha)
+        polys = critical_system(H, alpha).polys
         assert polys[0] == H
         # 2x(-1-y) - 3y(-1-x), collected
         assert polys[1].terms == {
@@ -69,12 +69,12 @@ class TestCriticalSystem:
 
     def test_symmetric_direction(self, central_binomial):
         _, H, alpha = central_binomial
-        polys = critical_system(H, alpha)
+        polys = critical_system(H, alpha).polys
         assert polys[1].terms == {(1, 0): Fraction(-1), (0, 1): Fraction(1)}
 
     def test_univariate_has_no_proportionality_rows(self):
         H = poly(1, {(0,): 1, (1,): -1})
-        assert critical_system(H, Direction((1,))) == [H]
+        assert critical_system(H, Direction((1,))).polys == [H]
 
 
 class TestSolveCritical:
@@ -96,12 +96,12 @@ class TestSolveCritical:
         # mpmath's LU reports as a TypeError rather than ZeroDivisionError
         H = poly(2, {(0, 0): 1, (0, 1): 2, (2, 0): 3, (2, 2): -1})
         alpha = Direction((2, 1))
-        polys = critical_system(H, alpha)
-        assert _jacobian_singular(polys, (mpc(0), mpc(-1) / 2))
+        system = critical_system(H, alpha)
+        assert _jacobian_singular(system, (mpc(0), mpc(-1) / 2))
         points, _ = solve_critical(H, alpha)
         assert points
         for pt in points:
-            res_h, res_c = system_residual(polys, pt)
+            res_h, res_c = system_residual(system, pt)
             assert res_h < mpf("1e-30") and res_c < mpf("1e-30")
 
     def test_symmetric_diagonal_shortcut(self):
@@ -118,9 +118,9 @@ class TestSolveCritical:
 
     def test_residual_invariant(self, delannoy):
         _, H, alpha = delannoy
-        polys = critical_system(H, alpha)
+        system = critical_system(H, alpha)
         for pt, check in zip(*solve_critical(H, alpha)):
-            res_h, res_c = system_residual(polys, pt)
+            res_h, res_c = system_residual(system, pt)
             assert res_h < mpf("1e-10") and res_c < mpf("1e-10")
             assert (check.residual_H, check.residual_critical) == (res_h, res_c)
 
@@ -135,8 +135,7 @@ class TestSolveCritical:
 
     def test_count_matches_elimination_roots(self, delannoy):
         _, H, alpha = delannoy
-        polys = critical_system(H, alpha)
-        elim = resultant_eliminate_y(polys[0], polys[1])
+        elim = resultant_eliminate_y(*critical_system(H, alpha).polys)
         distinct = set()
         for r in _dense_roots_double(elim):
             if not any(abs(r - s) < 1e-8 for s in distinct):
@@ -175,9 +174,9 @@ def reference_dedupe(points, tol=None):
 def reference_solve_critical_2d(H, direction):
     """``solve_critical`` for d=2 without seeds, polishing every y-root of
     ``H(x_r, .)`` for every eliminant root ``x_r``.  Returns (points, flags)."""
-    polys = critical_system(H, direction)
+    system = critical_system(H, direction)
     candidates = []
-    elim = resultant_eliminate_y(polys[0], polys[1])
+    elim = resultant_eliminate_y(*system.polys)
     if not elim:
         raise GeometryError(
             "critical system is degenerate: the elimination polynomial vanishes"
@@ -199,17 +198,17 @@ def reference_solve_critical_2d(H, direction):
 
     points = []
     for cand in candidates:
-        x, ok = newton_polish(polys, cand)
+        x, ok = newton_polish(system, cand)
         if not ok:
             continue
-        res_h, res_c = system_residual(polys, x)
+        res_h, res_c = system_residual(system, x)
         if res_h > RESIDUAL_TOL or res_c > RESIDUAL_TOL:
             continue
         points.append(tuple(x))
     unique = reference_dedupe(points)
     iso = []
     for p in unique:
-        iso.append("isolated-unverified" if _jacobian_singular(polys, p) else "yes")
+        iso.append("isolated-unverified" if _jacobian_singular(system, p) else "yes")
     return unique, iso
 
 
@@ -292,41 +291,145 @@ class TestPairedBackSubstitution:
 
 class TestKnownPoints:
     """``solve_critical`` hands the points kept so far to ``newton_polish``,
-    which stops a run that reaches one of them; the result is the one the
-    runs polished to the end give, bit for bit."""
+    which stops a run that comes within ``DEDUPE_TOL`` of one of them; the
+    result is the one the runs polished to the end give, bit for bit."""
 
     @pytest.mark.parametrize("terms, alpha, repeats", [
         ({(0, 0): 1, (1, 0): -1, (0, 1): -1, (1, 1): -1}, (3, 2), False),  # Delannoy
         ({(0, 0): 1, (1, 0): -1, (0, 2): -1}, (1, 1), True),  # a double eliminant root
         ({(0, 0): 1, (1, 0): -1, (0, 2): -1, (2, 0): Fraction(1, 3)}, (1, 2), True),  # singular
         ({(0, 0): 1, (1, 0): -4, (0, 1): -1, (2, 2): -4}, (1, 2), True),
+        # (1 - y)(1 - 3x^2 - 3x^2 y), a benchmark draw: eliminant 36 x^4 (6x^2 - 1)^2
+        ({(0, 0): 1, (0, 1): -1, (2, 0): -3, (2, 2): 3}, (2, 1), True),
     ])
     def test_same_points_as_full_runs(self, terms, alpha, repeats):
         H, alpha = poly(2, terms), Direction(alpha)
         stops = []
 
-        def recording(polys, point, known=()):
-            x, ok = newton_polish(polys, point, known)
+        def recording(system, point, known=()):
+            x, ok = newton_polish(system, point, known)
             stops.append(any(x == list(k) for k in known))
             return x, ok
 
         with mock.patch.object(geometry, "newton_polish", recording):
             got = solve_critical(H, alpha)
         with mock.patch.object(geometry, "newton_polish",
-                               lambda polys, point, known=(): newton_polish(polys, point)):
+                               lambda system, point, known=(): newton_polish(system, point)):
             want = solve_critical(H, alpha)
         assert got == want
         assert any(stops) == repeats
 
     def test_run_stops_at_a_known_point(self):
         H = poly(2, {(0, 0): 1, (1, 0): -1, (0, 1): -1, (1, 1): -1})
-        polys = critical_system(H, Direction((3, 2)))
+        system = critical_system(H, Direction((3, 2)))
         (point, *_), _ = solve_critical(H, Direction((3, 2)))
         start = [z * (1 + mpf("1e-6")) for z in point]
-        x, ok = newton_polish(polys, start, [point])
+        x, ok = newton_polish(system, start, [point])
         assert ok and x == list(point)
         far = [mpc(5), mpc(5)]
-        assert newton_polish(polys, start, [far]) == newton_polish(polys, start)
+        assert newton_polish(system, start, [far]) == newton_polish(system, start)
+
+
+def _bits(z):
+    return mpc(z)._mpc_
+
+
+@st.composite
+def complex_systems(draw):
+    """A square complex matrix (1x1 to 3x3) and right-hand side at 212 bits:
+    full-precision entries, some zero, and sometimes a row that is a multiple
+    of another or a zero column."""
+    n = draw(st.integers(1, 3))
+    parts = st.one_of(st.just(0), st.integers(-9, 9))
+
+    def entry():
+        re, im, den = draw(parts), draw(parts), draw(st.integers(1, 7))
+        return mpc(re, im) / den
+
+    with mp.workprec(212):
+        A = [[entry() for _ in range(n)] for _ in range(n)]
+        b = [entry() for _ in range(n)]
+        shape = draw(st.sampled_from(["regular", "dependent", "zero column"]))
+        if shape == "dependent" and n > 1:
+            A[-1] = [v * entry() / 3 for v in A[0]]
+        elif shape == "zero column":
+            for row in A:
+                row[draw(st.integers(0, n - 1))] = mpc(0)
+    return A, b
+
+
+def _outcome(f, *args):
+    """``f(*args)`` as ("ok", bits) or ("raised", exception class)."""
+    try:
+        out = f(*args)
+    except Exception as exc:  # compared by class
+        return "raised", type(exc)
+    if isinstance(out, (list, mp.matrix)):
+        return "ok", [_bits(v) for v in out]
+    return "ok", _bits(out)
+
+
+class TestCompiledSystem:
+    """The compiled critical system and the list LU reproduce ``SparsePoly.eval``
+    and mpmath's ``lu_solve`` and ``det`` bit for bit."""
+
+    @settings(max_examples=200)
+    @given(complex_systems())
+    def test_list_lu_matches_mpmath(self, case):
+        A, b = case
+        with mp.workprec(212):
+            assert _outcome(geometry._lu_solve, A, b) == _outcome(
+                mp.lu_solve, mp.matrix(A), mp.matrix(b))
+            assert _outcome(geometry._det, A) == _outcome(mp.det, mp.matrix(A))
+
+    @pytest.mark.parametrize("A, error", [
+        ([[1, 2], [2, 4]], ZeroDivisionError),  # numerically singular
+        ([[0, 1], [0, 2]], TypeError),  # no pivot in the first column
+        ([[1, 0], [2, 0]], ZeroDivisionError),  # a zero last column
+        ([[0]], ZeroDivisionError),
+    ])
+    def test_singular_matrices_raise_as_mpmath(self, A, error):
+        A = [[mpc(v) for v in row] for row in A]
+        b = [mpc(1)] * len(A)
+        for solve in (geometry._lu_solve, lambda A, b: mp.lu_solve(mp.matrix(A), mp.matrix(b))):
+            with pytest.raises(error):
+                solve(A, b)
+        assert _outcome(geometry._det, A) == _outcome(mp.det, mp.matrix(A))
+
+    @settings(max_examples=30)
+    @given(bivariate_critical_systems(), st.tuples(*[st.integers(-9, 9)] * 4))
+    def test_values_and_jacobian_match_eval(self, case, parts):
+        H, alpha = case
+        with mp.workprec(212):
+            system = critical_system(H, alpha)
+        # the coefficients are converted again whenever the precision changes
+        for bits in (212, 300, 212):
+            with mp.workprec(bits):
+                point = (mpc(parts[0], parts[1]) / 7, mpc(parts[2], parts[3] or 1) / 3)
+                powers = {}
+                values = system.values(point, powers)
+                jacobian = system.jacobian(point, powers)
+                assert [_bits(v) for v in values] == [
+                    _bits(P.eval(point)) for P in system.polys]
+                assert [[_bits(v) for v in row] for row in jacobian] == [
+                    [_bits(P.partial(j).eval(point)) for j in range(2)] for P in system.polys]
+                assert [_bits(v) for v in system.values(point)] == [
+                    _bits(v) for v in values]
+
+    def test_gaussian_three_variable_system(self):
+        H = SparsePoly(3, {(0, 0, 0): 1, (1, 0, 0): GaussRat(Fraction(-1, 3), 1),
+                           (0, 2, 1): Fraction(-2, 5), (1, 1, 3): GaussRat(0, Fraction(1, 7))})
+        system = critical_system(H, Direction((1, 2, 3)))
+        for bits in (300, 212):
+            with mp.workprec(bits):
+                point = (mpc(1, 2) / 3, mpc(-1) / 7, mpc(2, -5) / 11)
+                assert [_bits(v) for v in system.values(point)] == [
+                    _bits(P.eval(point)) for P in system.polys]
+                assert [[_bits(v) for v in row] for row in system.jacobian(point)] == [
+                    [_bits(P.partial(j).eval(point)) for j in range(3)]
+                    for P in system.polys]
+                assert system.scales() == [max(P.coeff_bound(), mpf(1))
+                                           for P in system.polys]
 
 
 class TestCheckSmooth:
@@ -473,8 +576,8 @@ class TestReports:
         for _ in range(6):
             H, c, alpha = random_critical_instance(rng, 2)
             pt = tuple(mpc(mpf(z.numerator)) / z.denominator for z in c)
-            polys = critical_system(H, alpha)
-            res_h, res_c = system_residual(polys, pt)
+            system = critical_system(H, alpha)
+            res_h, res_c = system_residual(system, pt)
             assert res_h < mpf("1e-30") and res_c < mpf("1e-30")
             points, _ = solve_critical(H, alpha, seeds=[pt])
             assert any(
@@ -597,6 +700,13 @@ class TestSliceScan:
             assert found[s] == (expect.size > 0)
             if expect.size:
                 assert roots[s] == expect[np.argmin(np.abs(expect))]
+
+    def test_unit_circle_is_math_cos_and_sin(self):
+        cos, sin = geometry._unit_circle(96)
+        angles = [2 * math.pi * k / 96 for k in range(96)]
+        assert list(cos) == list(map(math.cos, angles))
+        assert list(sin) == list(map(math.sin, angles))
+        assert not cos.flags.writeable
 
     def test_min_modulus_roots_constant_in_y(self):
         roots, found = _min_modulus_roots(np.array([[1], [0]], dtype=np.complex128))
