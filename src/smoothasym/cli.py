@@ -320,6 +320,8 @@ def exact_table(spec):
     """``(usable, skipped, table)``: the requested n whose indices
     ``n alpha`` are integral, the others, and the exact table of every
     usable index."""
+    if not spec.n_values:
+        raise PipelineExit(1, "n_values is empty")
     usable = [n for n in spec.n_values if spec.alpha.n_is_integral(n)]
     skipped = [n for n in spec.n_values if n not in usable]
     if not usable:

@@ -54,7 +54,13 @@ keys its full-order self has above the window (``Jet.above``), and
 ``_product`` picks the outer operand by the full-order sizes, in-window plus
 above-window keys.  A windowed product records the sums of its operands'
 full-order keys that land above ``hi`` within the order and caps, and
-``__add__`` unions them; the terms a chain adds lie inside the window.  That
+``__add__`` unions them; the terms a chain adds lie inside the window.  In
+one variable a key is a function of its degree, so those sums are the
+sumset of the operands' degree sets: an OR of one operand's degree mask (a
+Python int with bit ``d`` set for each degree ``d``) shifted by each degree
+of the other, cut to the degrees above ``hi`` through the order and cap.  In
+more variables each key is added to the other operand's keys of the degrees
+that land there, found by bisecting their sorted list.  That
 count is the full chain's unless a coefficient above a window sums to an
 exact zero, which only the full chain can see; then a product may loop over
 the other operand, and its coefficients agree with the full chain's to
@@ -461,6 +467,12 @@ def _packed(coeffs, shifts, top):
     ]
 
 
+def _degrees(jet, packed, top):
+    """The degrees of a jet's full-order keys: of its ``_packed``
+    coefficients and of its keys above its window."""
+    return {t[0] for t in packed}.union(k >> top for k in jet.above)
+
+
 def _pure(re, im):
     """``(0, re)`` for a real coefficient, ``(1, im)`` for an imaginary one
     and ``(None, None)`` for any other, which includes a coefficient with an
@@ -582,7 +594,9 @@ class Jet:
     above the window; ``above`` is empty for a whole jet.  Products size
     their operands by coefficients plus ``above``, so the chains' results
     are the full chains' bit for bit, unless a coefficient above a window
-    sums to an exact zero.
+    sums to an exact zero.  A windowed product finds its keys above the
+    window from degree masks in one variable and as a sumset of keys in
+    more.
     """
 
     __slots__ = ("nvars", "order", "center", "coeffs", "caps", "above")
@@ -815,7 +829,7 @@ class Jet:
         ``above``.  With ``track``, as the Horner chains' windows ``0..hi``
         ask, the result's ``above`` holds the keys the full-order product has
         above ``hi``: the sums of the operands' full-order keys there, within
-        the order and caps.
+        the order and caps, from degree masks in one variable.
         """
         self._compat(other)
         caps = _merge_caps(self.caps, other.caps)
@@ -868,20 +882,37 @@ class Jet:
             for k, cell in acc.items()
             if cell != _ZERO_CELL
         }
-        if track and hi < self.order:
-            theirs = sorted(big.above.union(t[2] for t in inner))
-            above = set()
-            for x in small.above.union(t[2] for t in outer):
-                d = x >> top
-                first = bisect_left(theirs, (hi + 1 - d) << top)
-                stop = bisect_left(theirs, (self.order + 1 - d) << top)
-                above.update(map(x.__add__, theirs[first:stop]))
-            if capped:
-                above = {
-                    k for k in above
-                    if all(k >> shifts[j] & mask <= cap for j, cap in capped)
-                }
-            out.above = above
+        if not track or hi >= self.order:
+            return out
+        if self.nvars == 1:
+            # a key is ``d + (d << top)``, so the keys above ``hi`` are the
+            # sumset of the two degree sets: an OR of shifted degree masks
+            theirs = sum(1 << d for d in _degrees(big, inner, top))
+            sums = 0
+            for d in _degrees(small, outer, top):
+                sums |= theirs << d
+            lim = min(self.order, capped[0][1]) if capped else self.order
+            # a cap at or below ``hi`` leaves nothing above the window
+            sums &= (1 << (lim + 1)) - (1 << (hi + 1)) if lim > hi else 0
+            out.above = set()
+            while sums:
+                low = sums & -sums
+                out.above.add((low.bit_length() - 1) * ((1 << top) + 1))
+                sums ^= low
+            return out
+        theirs = sorted(big.above.union(t[2] for t in inner))
+        above = set()
+        for x in small.above.union(t[2] for t in outer):
+            d = x >> top
+            first = bisect_left(theirs, (hi + 1 - d) << top)
+            stop = bisect_left(theirs, (self.order + 1 - d) << top)
+            above.update(map(x.__add__, theirs[first:stop]))
+        if capped:
+            above = {
+                k for k in above
+                if all(k >> shifts[j] & mask <= cap for j, cap in capped)
+            }
+        out.above = above
         return out
 
     def pow_int(self, k, window=None):
@@ -950,20 +981,6 @@ class Jet:
         return acc
 
     # -- calculus ------------------------------------------------------------
-
-    def partial(self, r):
-        """Derivative in variable ``r``; the order drops by one."""
-        if self.order == 0:
-            return Jet(self.nvars, 0, self.center, {})
-        coeffs = {}
-        for b, v in self.coeffs.items():
-            if b[r] == 0:
-                continue
-            nb = list(b)
-            nb[r] -= 1
-            if sum(nb) <= self.order - 1:
-                coeffs[tuple(nb)] = v * b[r]
-        return Jet(self.nvars, self.order - 1, self.center, coeffs, caps=self.caps)
 
     def substitute(self, var, series, window=None):
         """Replace the displacement of ``var`` by ``series`` (Horner form),

@@ -23,6 +23,13 @@ product would, and every term equals, bit for bit, the one the full-jet
 computation gives, unless a coefficient of a power above its window sums to
 an exact zero.
 
+The ``l + k`` applications of ``Hop`` run on the raw ``_mpc_`` parts of the
+slice (``_hessian_inverse_chain``), with no jet built per application.  They
+make the ``libmp`` calls of the jet operations they stand for, in the same
+order: ``mpc_mul_int`` for each derivative, ``mpc_mul_mpf`` or ``mpc_mul``
+for the scale by a real or complex entry of ``-A^{-1}``, and ``mpf_add`` per
+part for each sum, dropping exact zeros where a jet drops them.
+
 Branch convention throughout: ``z**(-1/v) = |z|**(-1/v) exp(-i arg(z)/v)``
 with ``arg z`` in [-pi/2, pi/2].
 """
@@ -34,8 +41,11 @@ from dataclasses import dataclass, field
 
 import mpmath
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import fzero, mpc_mul, mpc_mul_int, mpc_mul_mpf, mpf_add
 
 from .series import Jet, power_chain
+
+_ZERO = (fzero, fzero)
 
 
 class OrderBudgetError(ValueError):
@@ -184,21 +194,73 @@ def _invert(A):
     return A**-1
 
 
-def _hessian_inverse_op(jet, inv):
-    """Apply ``-sum_{r,s} (A^{-1})_{rs} d_r d_s`` once to a jet."""
+def _hessian_inverse_chain(jet, inv, times):
+    """``Hop^times(jet)`` for ``Hop = -sum_{r,s} (A^{-1})_{rs} d_r d_s``.
+
+    Each application runs on the raw ``_mpc_`` parts, with the ``libmp``
+    calls of the jet operations it stands for, in their order: per ``r``
+    the derivative ``d_r`` (``mpc_mul_int`` by the exponent, as
+    ``mpc * int``), then per ``s`` with ``inv[r, s] != 0`` the derivative
+    ``d_s`` and the scale by ``-inv[r, s]`` (``mpc_mul_mpf`` for a real
+    entry, ``mpc_mul`` for a complex one, as ``mpc * mpf`` and
+    ``mpc * mpc``), added into the result part by part with ``mpf_add``.
+    Exact zeros are dropped where a jet drops them: after each derivative,
+    scale and sum.  Keys keep a jet's order.  Only the result is a ``Jet``,
+    of order ``order - 2 times`` (at least 0).
+    """
     n = jet.nvars
-    out = None
+    prec, rnd = mp._prec_rounding
+    width = jet.order.bit_length() or 1  # exponents never exceed the order
+    mask = (1 << width) - 1
+    ops = []  # (shift of r, [(shift of s, multiply, raw -inv[r, s])])
     for r in range(n):
-        dr = jet.partial(r)
+        row = []
         for s in range(n):
-            coeff = inv[r, s]
-            if coeff == 0:
+            if inv[r, s] == 0:
                 continue
-            term = dr.partial(s).scale(-coeff)
-            out = term if out is None else out + term
-    if out is None:
-        return Jet(n, max(jet.order - 2, 0), jet.center, {})
-    return out
+            neg = -inv[r, s]
+            if hasattr(neg, "_mpc_"):
+                row.append((width * s, mpc_mul, neg._mpc_))
+            else:
+                row.append((width * s, mpc_mul_mpf, neg._mpf_))
+        ops.append((width * r, row))
+    coeffs = {sum(e << (width * j) for j, e in enumerate(b)): v._mpc_
+              for b, v in jet.coeffs.items()}
+    for _ in range(times):
+        out = {}
+        for r, row in ops:
+            dr = {}
+            for key, z in coeffs.items():
+                e = key >> r & mask
+                if e:
+                    z = mpc_mul_int(z, e, prec, rnd)
+                    if z != _ZERO:
+                        dr[key - (1 << r)] = z
+            for s, mul, neg in row:
+                for key, z in dr.items():
+                    e = key >> s & mask
+                    if not e:
+                        continue
+                    z = mpc_mul_int(z, e, prec, rnd)
+                    if z == _ZERO:
+                        continue
+                    z = mul(z, neg, prec, rnd)
+                    if z == _ZERO:
+                        continue
+                    key -= 1 << s
+                    old = out.get(key)
+                    if old is None:
+                        out[key] = z
+                        continue
+                    z = mpf_add(old[0], z[0], prec, rnd), mpf_add(old[1], z[1], prec, rnd)
+                    if z == _ZERO:
+                        del out[key]
+                    else:
+                        out[key] = z
+        coeffs = out
+    return Jet(n, max(jet.order - 2 * times, 0), jet.center,
+               {tuple(key >> (width * j) & mask for j in range(n)): mp.make_mpc(z)
+                for key, z in coeffs.items()}, jet.caps)
 
 
 def _term(u_jet, phase, k, stop, summand):
@@ -231,8 +293,7 @@ def stationary_term(u_jet, phase, k):
         raise ParityError("phase was not decomposed for the nondegenerate case")
 
     def summand(l, w):
-        for _ in range(l + k):
-            w = _hessian_inverse_op(w, phase.hessian_inverse)
+        w = _hessian_inverse_chain(w, phase.hessian_inverse, l + k)
         denom = mpf((-1) ** k) * mpf(2) ** (l + k) * math.factorial(l) * math.factorial(l + k)
         return w.constant_coefficient() / denom
 

@@ -11,6 +11,9 @@ Independent oracles, and what each checks:
   evaluate_structured        an expansion's flattened and dropped series
   reference_jet_mul          ``Jet.__mul__``, by the product loop on ``mpc`` objects
   reference_mul_degree       ``Jet.mul_degree``, by the same loop on one degree
+  jet_partial                the derivative of a jet, on ``mpc`` objects, for
+                             the Hessian-inverse operator the term calculus
+                             applies on raw parts
   reference_reciprocal       ``Jet.reciprocal``, by the chain of full-order products
   reference_log              ``Jet.log``, the same
   reference_substitute       ``Jet.substitute``, the same
@@ -402,6 +405,22 @@ def reference_mul_degree(self, other, m):
             coeffs[b] = coeffs[b] + prod if b in coeffs else prod
     return Jet(self.nvars, self.order, self.center, coeffs,
                caps=_merge_caps(self.caps, other.caps))
+
+
+def jet_partial(jet, r):
+    """The derivative of ``jet`` in variable ``r``, of one order less: each
+    coefficient times its exponent in ``r`` (``mpc * int``)."""
+    if jet.order == 0:
+        return Jet(jet.nvars, 0, jet.center, {})
+    coeffs = {}
+    for b, v in jet.coeffs.items():
+        if b[r] == 0:
+            continue
+        nb = list(b)
+        nb[r] -= 1
+        if sum(nb) <= jet.order - 1:
+            coeffs[tuple(nb)] = v * b[r]
+    return Jet(jet.nvars, jet.order - 1, jet.center, coeffs, caps=jet.caps)
 
 
 def jet_to_json(jet):

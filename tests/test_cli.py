@@ -303,6 +303,23 @@ class TestMainEntry:
         assert out.count("\n25.0") == 0  # csv cells are comma separated
         assert len([l for l in out.splitlines() if l.startswith("1,") or l.startswith("2,")]) == 2
 
+    @pytest.mark.parametrize("command", ["expand", "oracle"])
+    @pytest.mark.parametrize("given", ["spec", "flag"])
+    def test_empty_n_values(self, tmp_path, capsys, command, given):
+        # an empty list is reported as such, not as a direction whose
+        # indices are never integral
+        obj = dict(DELANNOY_SPEC, n_values=[] if given == "spec" else [1, 2])
+        argv = [command, "--input", self._write(tmp_path, obj)]
+        if given == "flag":
+            argv += ["--n-values", ""]
+        assert main(argv) == 1
+        assert json.loads(capsys.readouterr().err) == {"error": "n_values is empty"}
+
+    def test_critical_reads_no_n_values(self, tmp_path, capsys):
+        spec_path = self._write(tmp_path, dict(DELANNOY_SPEC, n_values=[]))
+        assert main(["critical", "--input", spec_path]) == 0
+        assert main(["critical", "--input", spec_path, "--n-values", ""]) == 0
+
     def test_exit_code_minimality(self, tmp_path, capsys):
         spec_path = self._write(tmp_path, QWALK_SPEC)
         code = main(["expand", "--input", spec_path])

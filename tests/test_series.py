@@ -548,17 +548,23 @@ def _product_sizes(run):
 def _keyed_jets(shape):
     """A jet ``a`` and a series ``s`` whose rounded coefficients never sum to
     an exact zero: dense in two variables, sparse with a cap, where the keys
-    above a window come from the operands' keys above theirs, or sparse in
-    three variables."""
-    if shape == "dense":
-        keys, order, caps = [b for b in itertools.product(range(7), repeat=2) if sum(b) <= 6], 6, None
-    elif shape == "sparse":
-        keys, order, caps = [(0, 0), (3, 0), (0, 5), (2, 2), (1, 4)], 12, (None, 9)
-    else:
-        keys, order, caps = [(0, 0, 0), (1, 0, 2), (0, 3, 1), (2, 1, 0), (0, 0, 4), (1, 1, 1)], 7, None
+    above a window come from the operands' keys above theirs, sparse in three
+    variables, or dense and sparse with a cap in one variable, where the keys
+    above a window are computed from degree masks."""
+    keys, order, caps = {
+        "dense": ([b for b in itertools.product(range(7), repeat=2) if sum(b) <= 6], 6, None),
+        "sparse": ([(0, 0), (3, 0), (0, 5), (2, 2), (1, 4)], 12, (None, 9)),
+        "three": ([(0, 0, 0), (1, 0, 2), (0, 3, 1), (2, 1, 0), (0, 0, 4), (1, 1, 1)], 7, None),
+        "dense1": ([(k,) for k in range(11)], 10, None),
+        "sparse1": ([(0,), (2,), (3,), (7,), (11,)], 16, (13,)),
+    }[shape]
     n = len(keys[0])
-    a = Jet(n, order, (0,) * n,
-            {b: mpc(1, b[0] - b[1]) / (b[0] + 3 * b[1] + 5 * sum(b[2:]) + 7) for b in keys}, caps=caps)
+
+    def coef(b):
+        x, y, *z = b + (0,)
+        return mpc(1, x - y) / (x + 3 * y + 5 * sum(z) + 7)
+
+    a = Jet(n, order, (0,) * n, {b: coef(b) for b in keys}, caps=caps)
     return a, Jet(n, order, (0,) * n, {b: v for b, v in a.coeffs.items() if any(b)}, caps=caps)
 
 
@@ -567,7 +573,7 @@ class TestWindowKeys:
     the full-order step's coefficients, for every operand and result of every
     product of a chain."""
 
-    @pytest.mark.parametrize("shape", ["dense", "sparse"])
+    @pytest.mark.parametrize("shape", ["dense", "sparse", "dense1", "sparse1"])
     @pytest.mark.parametrize("chain", ["reciprocal", "substitute", "power"])
     def test_full_order_key_count(self, chain, shape):
         a, s = _keyed_jets(shape)
@@ -586,7 +592,7 @@ class TestWindowKeys:
         assert len(want) >= 3
 
     @pytest.mark.parametrize("hi", [2, 4])
-    @pytest.mark.parametrize("shape", ["dense", "sparse", "three"])
+    @pytest.mark.parametrize("shape", ["dense", "sparse", "three", "dense1", "sparse1"])
     @pytest.mark.parametrize("chain", ["substitute", "circle", "reciprocal", "log", "power"])
     def test_windowed_results(self, chain, shape, hi):
         # results wanted through ``hi`` from inputs cut there: the keys above
@@ -595,9 +601,10 @@ class TestWindowKeys:
         # result above its window
         a, s = _keyed_jets(shape)
         ring = Jet(a.nvars, a.order, (mpc(1, 1) / 3,) * a.nvars, a.coeffs, caps=a.caps)
+        var = min(1, a.nvars - 1)
         windowed, reference = {
-            "substitute": (lambda: a.through(hi).substitute(1, s, hi),
-                           lambda: reference_substitute(a, 1, s)),
+            "substitute": (lambda: a.through(hi).substitute(var, s, hi),
+                           lambda: reference_substitute(a, var, s)),
             "circle": (lambda: jet_circle_substitute(ring.through(hi), None, hi),
                        lambda: _reference_circle(ring)),
             "reciprocal": (lambda: a.through(hi).reciprocal(hi),
@@ -611,6 +618,23 @@ class TestWindowKeys:
         assert jet_bits(got) == jet_bits(want, hi)
         assert above_indices(got) == {b for b in want.coeffs if sum(b) > hi}
         assert _product_sizes(windowed) == _product_sizes(reference)
+
+    @pytest.mark.parametrize("hi", [3, 4, 6])
+    @pytest.mark.parametrize("chain", ["product", "reciprocal", "power"])
+    def test_cap_at_or_below_the_window(self, chain, hi):
+        # in one variable a cap of 3 leaves no key above a window through 3,
+        # 4 or 6: the degree masks must be cut to nothing, not to every
+        # degree above the window
+        a = Jet(1, 10, (0,), {(k,): mpc(1, k) / (k + 7) for k in range(11)}, caps=(3,))
+        s = a.drop_through(0)
+        windowed, reference = {
+            "product": (lambda: a.mul_through(s, hi), lambda: reference_jet_mul(a, s)),
+            "reciprocal": (lambda: a.reciprocal(hi), lambda: reference_reciprocal(a)),
+            "power": (lambda: s.pow_int(3, hi), lambda: reference_powers(s, 4)[3]),
+        }[chain]
+        got = windowed()
+        assert jet_bits(got) == jet_bits(reference())
+        assert got.above == set()
 
 
 def _reference_circle(a):

@@ -23,6 +23,7 @@ from smoothasym.stationary import (
     BranchError,
     OrderBudgetError,
     ParityError,
+    _hessian_inverse_chain,
     branch_root,
     det_inv_sqrt,
     sign_factor,
@@ -33,6 +34,7 @@ from oracles import (
     fourier_laplace_quad,
     integral_asymptotic_sum,
     jet_bits,
+    jet_partial,
     reference_mul_degree,
     reference_powers,
 )
@@ -276,11 +278,11 @@ def reference_hop(jet, inv):
     n = jet.nvars
     out = None
     for r in range(n):
-        dr = jet.partial(r)
+        dr = jet_partial(jet, r)
         for s in range(n):
             if inv[r, s] == 0:
                 continue
-            term = dr.partial(s).scale(-inv[r, s])
+            term = jet_partial(dr, s).scale(-inv[r, s])
             out = term if out is None else out + term
     if out is None:
         return Jet(n, max(jet.order - 2, 0), jet.center, {})
@@ -451,6 +453,40 @@ def same_as_reference(case):
         else:
             assert count == len(full.coeffs)
     return outcomes
+
+
+class TestHessianInverseChain:
+    """The operator applied ``times`` times on raw parts against
+    ``reference_hop`` applied as often to whole jets: the same order, keys,
+    key order and bits.  Real entries take ``mpc * mpf``, as at the docs
+    specs' real points, and complex ones ``mpc * mpc``; a zero entry is
+    skipped."""
+
+    @pytest.mark.parametrize("n, entries", [
+        (1, "real"), (1, "complex"),
+        (2, "real"), (2, "complex"), (2, "zero off-diagonal"),
+        (3, "real"), (3, "complex"), (3, "zero off-diagonal"),
+    ])
+    @settings(max_examples=15)
+    @given(data=st.data())
+    def test_bit_for_bit_against_the_whole_jet_operator(self, n, entries, data):
+        order = data.draw(st.integers(2, {1: 12, 2: 8, 3: 6}[n]))
+        jet = data.draw(random_jet(n, order))
+        inv = mp.matrix(n, n)
+        for r in range(n):
+            for s in range(n):
+                z = data.draw(coefs.filter(lambda z: z.real != 0) if r == s else coefs)
+                inv[r, s] = z.real if entries == "real" else z
+        if entries == "zero off-diagonal":
+            inv[0, n - 1] = 0
+        kind = mpf if entries == "real" else mpc
+        assert all(type(inv[r, s]) is kind for r in range(n) for s in range(n) if inv[r, s])
+        times = data.draw(st.integers(1, order // 2))
+        want = jet
+        for _ in range(times):
+            want = reference_hop(want, inv)
+        got = _hessian_inverse_chain(jet, inv, times)
+        assert (got.order, jet_bits(got)) == (want.order, jet_bits(want))
 
 
 class TestDriverMatchesFullJetOracle:
