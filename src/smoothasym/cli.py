@@ -316,10 +316,10 @@ def _expand_at_point(spec, report):
 # -- table assembly ---------------------------------------------------------------
 
 
-def exact_table(spec):
-    """``(usable, skipped, table)``: the requested n whose indices
-    ``n alpha`` are integral, the others, and the exact table of every
-    usable index."""
+def usable_n_values(spec):
+    """``(usable, skipped)``: the requested n whose indices ``n alpha`` are
+    integral, and the others.  Exits 1 when ``n_values`` is empty or no n is
+    usable; ``expand`` checks this before it builds anything."""
     if not spec.n_values:
         raise PipelineExit(1, "n_values is empty")
     usable = [n for n in spec.n_values if spec.alpha.n_is_integral(n)]
@@ -330,18 +330,22 @@ def exact_table(spec):
             "no requested n gives integral coefficient indices for this direction",
             skipped=[int(n) for n in skipped],
         )
+    return usable, skipped
+
+
+def exact_table(spec, usable):
+    """The exact table of every index ``n alpha``, n in ``usable``."""
     cells = [spec.alpha.index_for(n) for n in usable]
-    table = maclaurin_table(spec.G_num, spec.H, spec.p, cells, G_den=spec.G_den)
-    return usable, skipped, table
+    return maclaurin_table(spec.G_num, spec.H, spec.p, cells, G_den=spec.G_den)
 
 
-def evaluation_rows(spec, expansion):
+def evaluation_rows(spec, expansion, usable):
     """Paper-style rows: n, exact, one-term, N-term, signed relative errors.
 
     Relative error convention matches the published tables:
     ``(exact - approx) / exact``.
     """
-    usable, skipped, table = exact_table(spec)
+    table = exact_table(spec, usable)
     rows = []
     for n in usable:
         idx = spec.alpha.index_for(n)
@@ -362,7 +366,7 @@ def evaluation_rows(spec, expansion):
                 "rel_err_N": relN,
             }
         )
-    return rows, skipped
+    return rows
 
 
 def rows_to_csv(rows):
@@ -389,8 +393,9 @@ def rows_to_csv(rows):
 def run_expand(spec):
     """expansion + oracle comparison; returns (result dict, csv text)."""
     with workprec(spec.precision_bits):
+        usable, skipped = usable_n_values(spec)
         expansion, reports = build_expansion(spec)
-        rows, skipped = evaluation_rows(spec, expansion)
+        rows = evaluation_rows(spec, expansion, usable)
         result = {
             "provenance": provenance(spec),
             "critical_points": [r.to_json() for r in reports],
@@ -426,7 +431,8 @@ def run_critical(spec):
 def run_oracle(spec):
     """Exact coefficients at the requested indices, as CSV rows."""
     with workprec(spec.precision_bits):
-        usable, _, table = exact_table(spec)
+        usable, _ = usable_n_values(spec)
+        table = exact_table(spec, usable)
         header = (
             [f"beta_{v}" for v in spec.variables] + ["exact_rational", "decimal"]
         )

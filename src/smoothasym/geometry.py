@@ -14,6 +14,13 @@ check takes its determinant from the same LU (``_det``).  Both repeat
 so every solved point is bit-identical to theirs.  A Newton run that comes
 within ``DEDUPE_TOL`` of a point already kept stops there and returns that
 point, which ``solve_critical`` drops as a duplicate.
+
+numpy is imported on first use, inside the seed-root helpers
+(``_dense_roots_double``, ``_slice_roots``) and the minimality scan
+(``_best_slice_root``, ``_unit_circle``, ``_min_modulus_roots``) only, never
+at module level: it is about 0.16 s of a 0.28 s ``import smoothasym.cli``,
+which a process pays before its first request, and the ``oracle`` command and
+spec errors never need it.
 """
 
 from __future__ import annotations
@@ -25,7 +32,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-import numpy as np
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import fzero, mpc_add, mpc_mul, mpc_pow_int
 
@@ -369,6 +375,8 @@ def resultant_eliminate_y(P1, P2):
 
 def _dense_roots_double(coeffs):
     """Seed roots of a dense Fraction polynomial via the companion matrix."""
+    import numpy as np
+
     coeffs = _pnorm(list(coeffs))
     if len(coeffs) <= 1:
         return []
@@ -562,6 +570,8 @@ def _y_slice(H, w):
 
 def _slice_roots(coeffs):
     """Double-precision roots of a ``_y_slice``; none when it is constant."""
+    import numpy as np
+
     return np.roots(np.array([complex(v) for v in reversed(coeffs)], dtype=np.complex128))
 
 
@@ -877,6 +887,8 @@ def _best_slice_root(H, point, grid):
     that are constant in ``y`` have no root; if no slice has one, the result
     is ``(inf, None, None)``.
     """
+    import numpy as np
+
     n_r, n_theta = grid
     r1 = abs(point[0])
     coeffs = np.zeros((H.max_degree(1) + 1, H.max_degree(0) + 1), dtype=np.complex128)
@@ -901,6 +913,8 @@ def _best_slice_root(H, point, grid):
 @functools.lru_cache(maxsize=None)
 def _unit_circle(n_theta):
     """Read-only ``math.cos`` and ``math.sin`` of ``2 pi k/n_theta``, k < n_theta."""
+    import numpy as np
+
     angles = [2 * math.pi * k / n_theta for k in range(n_theta)]
     out = np.array([list(map(math.cos, angles)), list(map(math.sin, angles))])
     out.flags.writeable = False
@@ -919,6 +933,8 @@ def _min_modulus_roots(polys):
     ``found`` is False where a row is constant and has no root, and the first
     root of least modulus is taken on ties.
     """
+    import numpy as np
+
     count, size = polys.shape
     roots = np.zeros(count, dtype=np.complex128)
     found = np.zeros(count, dtype=bool)

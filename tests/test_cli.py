@@ -5,6 +5,9 @@ from __future__ import annotations
 import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -303,17 +306,36 @@ class TestMainEntry:
         assert out.count("\n25.0") == 0  # csv cells are comma separated
         assert len([l for l in out.splitlines() if l.startswith("1,") or l.startswith("2,")]) == 2
 
+    @staticmethod
+    def _forbid_expansion(monkeypatch):
+        # unusable n_values must be rejected before anything is solved
+        def unexpected(spec):
+            raise AssertionError("build_expansion ran on unusable n_values")
+
+        monkeypatch.setattr(cli, "build_expansion", unexpected)
+
     @pytest.mark.parametrize("command", ["expand", "oracle"])
     @pytest.mark.parametrize("given", ["spec", "flag"])
-    def test_empty_n_values(self, tmp_path, capsys, command, given):
+    def test_empty_n_values(self, tmp_path, capsys, monkeypatch, command, given):
         # an empty list is reported as such, not as a direction whose
         # indices are never integral
+        self._forbid_expansion(monkeypatch)
         obj = dict(DELANNOY_SPEC, n_values=[] if given == "spec" else [1, 2])
         argv = [command, "--input", self._write(tmp_path, obj)]
         if given == "flag":
             argv += ["--n-values", ""]
         assert main(argv) == 1
         assert json.loads(capsys.readouterr().err) == {"error": "n_values is empty"}
+
+    @pytest.mark.parametrize("command", ["expand", "oracle"])
+    def test_no_integral_n_values(self, tmp_path, capsys, monkeypatch, command):
+        self._forbid_expansion(monkeypatch)
+        obj = dict(DELANNOY_SPEC, alpha=["3/2", "1"], n_values=[1, 3])
+        assert main([command, "--input", self._write(tmp_path, obj)]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "no requested n gives integral coefficient indices for this direction",
+            "skipped": [1, 3],
+        }
 
     def test_critical_reads_no_n_values(self, tmp_path, capsys):
         spec_path = self._write(tmp_path, dict(DELANNOY_SPEC, n_values=[]))
@@ -563,6 +585,29 @@ class TestMainEntry:
 
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "docs" / "problems"
+
+
+@pytest.mark.parametrize("body, loads_numpy", [
+    ("import smoothasym", False),
+    ("import smoothasym.cli", False),
+    ("from smoothasym import cli; assert cli.main(['oracle', '--input', SPEC]) == 0", False),
+    ("from smoothasym import cli; assert cli.main(['expand', '--input', SPEC, '--N', '1']) == 0",
+     True),
+], ids=["import-package", "import-cli", "oracle", "expand"])
+def test_numpy_loaded_only_by_a_solve(body, loads_numpy):
+    # numpy is most of the start-up cost, so only the seed-root and
+    # minimality-scan helpers import it; the expand case shows that a solve
+    # still gets it there.  This pytest process has numpy loaded already, so
+    # each case runs in a fresh interpreter.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (f"import sys\nSPEC = {str(PROBLEMS / 'delannoy.json')!r}\n{body}\n"
+            "print('numpy' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == str(loads_numpy)
 
 
 def _docs_spec(name, **fields):
