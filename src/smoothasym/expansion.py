@@ -15,7 +15,7 @@ from fractions import Fraction
 from mpmath import mp, mpc, mpf
 
 from .geometry import Direction
-from .localframe import amplitude_jets, degenerate_phase_order, vanishing_order
+from .localframe import amplitude_jets, degenerate_phase_order
 from .series import Jet, coef_to_mpc, complex_to_json
 from .stationary import (
     OrderBudgetError,
@@ -87,38 +87,6 @@ class FlatSeries:
     def truncated(self, count):
         return FlatSeries(self.terms[:count], error_exponent=(
             self.terms[count][0] if count < len(self.terms) else self.error_exponent))
-
-    def __mul__(self, other):
-        err = None
-        candidates = []
-        if self.error_exponent is not None and other.terms:
-            candidates.append(self.error_exponent + other.terms[0][0])
-        if other.error_exponent is not None and self.terms:
-            candidates.append(other.error_exponent + self.terms[0][0])
-        if candidates:
-            err = max(candidates)
-        acc = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = e1 + e2
-                if err is not None and e <= err:
-                    continue
-                acc[e] = acc.get(e, mpc(0)) + c1 * c2
-        return FlatSeries(list(acc.items()), error_exponent=err)
-
-    def __sub__(self, other):
-        err = None
-        for e in (self.error_exponent, other.error_exponent):
-            if e is not None:
-                err = e if err is None else max(err, e)
-        acc = {}
-        for e, c in self.terms:
-            if err is None or e > err:
-                acc[e] = acc.get(e, mpc(0)) + c
-        for e, c in other.terms:
-            if err is None or e > err:
-                acc[e] = acc.get(e, mpc(0)) - c
-        return FlatSeries(list(acc.items()), error_exponent=err)
 
     def to_json(self):
         return {
@@ -316,18 +284,11 @@ def expand_smooth(frame, N):
     )
 
 
-def expand_degenerate(frame, N, v=None):
+def expand_degenerate(frame, N, v):
     """Degenerate (two-variable) expansion with vanishing order v, N terms."""
     _check_terms(frame, N)
     if frame.d != 2:
         raise ExpansionError("degenerate expansions require exactly two variables")
-    if v is None:
-        v = vanishing_order(frame.phase)
-        if v is None:
-            raise ExpansionError(
-                "the vanishing order lies beyond the phase window; build the "
-                "frame with the whole phase"
-            )
     parity = "even" if v % 2 == 0 else "odd"
     needed = degenerate_phase_order(N, v)
     if frame.order < needed:

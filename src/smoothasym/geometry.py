@@ -5,15 +5,15 @@ elimination for two variables, damped Newton plus a symmetric-diagonal
 shortcut otherwise), and classifies each solution: smoothness with a
 distinguished coordinate, isolation, and minimality with explicit evidence.
 
-The system is compiled once per solve (``CriticalSystem``): its equations and
-Jacobian entries hold their coefficients as ``mpc`` at the working precision,
-and a point's values and Jacobian share one table of powers.  Newton solves
-each step with mpmath's LU on plain lists (``_lu_solve``), and the isolation
-check takes its determinant from the same LU (``_det``).  Both repeat
-``SparsePoly.eval``, ``mp.lu_solve`` and ``mp.det`` operation for operation,
-so every solved point is bit-identical to theirs.  A Newton run that comes
-within ``DEDUPE_TOL`` of a point already kept stops there and returns that
-point, which ``solve_critical`` drops as a duplicate.
+The system is built once per solve (``CriticalSystem``): its equations and
+Jacobian entries are ``SparsePoly``s, which keep their coefficients converted
+at the working precision, and a point's values and Jacobian share one table
+of powers.  Newton solves each step with mpmath's LU on plain lists
+(``_lu_solve``), and the isolation check takes its determinant from the same
+LU (``_det``).  Both repeat ``mp.lu_solve`` and ``mp.det`` operation for
+operation, so every solved point is bit-identical to theirs.  A Newton run
+that comes within ``DEDUPE_TOL`` of a point already kept stops there and
+returns that point, which ``solve_critical`` drops as a duplicate.
 
 numpy is imported on first use, inside the seed-root helpers
 (``_dense_roots_double``, ``_slice_roots``) and the minimality scan
@@ -33,7 +33,6 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import fzero, mpc_add, mpc_mul, mpc_pow_int
 
 from .series import GaussRat, SparsePoly, coef_to_mpc, complex_to_json
 
@@ -160,7 +159,7 @@ class CriticalPointReport:
 
 
 def critical_system(H, direction):
-    """H together with the cleared proportionality equations, compiled.
+    """H together with the cleared proportionality equations.
 
     The ``CriticalSystem``'s ``polys`` are d polynomials: H itself and, for
     each m < d-1, ``A_d x_m dH/dx_m - A_m x_d dH/dx_d`` with A the primitive
@@ -180,75 +179,30 @@ def critical_system(H, direction):
 
 
 class CriticalSystem:
-    """A square polynomial system compiled for Newton's method.
-
-    Each equation of ``polys`` and each Jacobian entry ``P.partial(j)`` is
-    held as its terms, ``(coefficient, factors)`` in ``SparsePoly.terms``
-    order, with ``factors`` the pairs ``(j, k)`` of the exponent's nonzero
-    entries ``k = e_j``.  The coefficients are converted with ``coef_to_mpc``
-    once, at the precision in effect when the system is built, and again
-    whenever ``mp.prec`` differs from the precision they were converted at.
-
-    ``values`` and ``jacobian`` make the ``libmp`` calls that
-    ``SparsePoly.eval`` makes through ``mpc``: ``mpc_pow_int`` for each power
-    ``x_j ** k``, ``mpc_mul`` for each factor of a term in turn and
-    ``mpc_add`` for each term, from zero.  So each value is bit-identical to
-    ``P.eval(point)`` or ``P.partial(j).eval(point)``.  A ``powers`` dict
-    passed to both at one point and precision is their shared table of
-    ``x_j ** k``.
+    """A square polynomial system for Newton's method: its equations
+    ``polys`` and their partials ``partials[i][j] = polys[i].partial(j)``,
+    each built once per solve.  ``values`` and ``jacobian`` are their
+    ``SparsePoly.eval`` at a point, and a ``powers`` dict passed to both at
+    one point and precision is their shared table of ``x_j ** k``.
     """
 
     def __init__(self, polys):
         self.polys = list(polys)
-        d = len(self.polys)
-        entries = self.polys + [P.partial(j) for P in self.polys for j in range(d)]
-        self._exact = [list(P.terms.values()) for P in entries]
-        self._factors = [[tuple((j, k) for j, k in enumerate(e) if k) for e in P.terms]
-                         for P in entries]
-        self._prec = None
-        self._coefficients()
-
-    def _coefficients(self):
-        """The converted coefficients at the current precision."""
-        if self._prec != mp.prec:
-            self._coefs = [[coef_to_mpc(c)._mpc_ for c in cs] for cs in self._exact]
-            self._prec = mp.prec
-        return self._coefs
+        self.partials = [[P.partial(j) for j in range(len(self.polys))] for P in self.polys]
 
     def scales(self):
         """``max(P.coeff_bound(), 1)`` for each equation."""
-        coefs = self._coefficients()
-        return [max(max((abs(mp.make_mpc(c)) for c in coefs[i]), default=mpf(0)), mpf(1))
-                for i in range(len(self.polys))]
-
-    def _evaluate(self, rows, point, powers):
-        coefs = self._coefficients()
-        prec, rnd = mp._prec_rounding
-        x = [mpc(z)._mpc_ for z in point]
-        if powers is None:
-            powers = {}
-        out = []
-        for r in rows:
-            total = (fzero, fzero)
-            for term, factors in zip(coefs[r], self._factors[r]):
-                for f in factors:
-                    pk = powers.get(f)
-                    if pk is None:
-                        pk = powers[f] = mpc_pow_int(x[f[0]], f[1], prec, rnd)
-                    term = mpc_mul(term, pk, prec, rnd)
-                total = mpc_add(total, term, prec, rnd)
-            out.append(mp.make_mpc(total))
-        return out
+        return [max(P.coeff_bound(), mpf(1)) for P in self.polys]
 
     def values(self, point, powers=None):
         """``[P.eval(point) for P in polys]``."""
-        return self._evaluate(range(len(self.polys)), point, powers)
+        powers = {} if powers is None else powers
+        return [P.eval(point, powers) for P in self.polys]
 
     def jacobian(self, point, powers=None):
         """Rows ``[P.partial(j).eval(point) for j]``, one per ``P`` in ``polys``."""
-        d = len(self.polys)
-        flat = self._evaluate(range(d, d + d * d), point, powers)
-        return [flat[i * d:(i + 1) * d] for i in range(d)]
+        powers = {} if powers is None else powers
+        return [[Q.eval(point, powers) for Q in row] for row in self.partials]
 
 
 def system_residual(system, point):

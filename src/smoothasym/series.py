@@ -90,7 +90,10 @@ from itertools import count, islice
 from operator import lshift
 
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import fzero, mpf_add, mpf_mul, mpf_neg, mpf_sub, round_nearest
+from mpmath.libmp import (
+    fzero, mpc_add, mpc_mul, mpc_pow_int, mpf_add, mpf_mul, mpf_neg, mpf_sub,
+    round_nearest,
+)
 
 DEFAULT_BITS = 212
 
@@ -259,10 +262,12 @@ class SparsePoly:
     """Multivariate polynomial with exact coefficients, stored sparsely.
 
     ``terms`` maps exponent tuples (length ``nvars``, nonnegative) to nonzero
-    ``Fraction`` or ``GaussRat`` coefficients.
+    ``Fraction`` or ``GaussRat`` coefficients.  A polynomial is not changed
+    after it is built: ``eval`` and ``coeff_bound`` keep its coefficients
+    converted at the precision of their last call.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "terms", "_prec", "_converted")
 
     def __init__(self, nvars, terms=None):
         self.nvars = int(nvars)
@@ -278,6 +283,7 @@ class SparsePoly:
             if coef:
                 clean[exp] = clean.get(exp, Fraction(0)) + coef
         self.terms = {e: c for e, c in clean.items() if c}
+        self._prec = None
 
     # -- constructors -------------------------------------------------------
 
@@ -388,22 +394,43 @@ class SparsePoly:
             terms[tuple(ne)] = c * e[j]
         return SparsePoly(self.nvars, terms)
 
-    def eval(self, point):
-        """Evaluate at a complex vector at the current working precision."""
-        point = [mpc(z) for z in point]
-        total = mpc(0)
-        pow_cache = [{} for _ in range(self.nvars)]
-        for e, c in self.terms.items():
-            term = coef_to_mpc(c)
-            for j, k in enumerate(e):
-                if k:
-                    pk = pow_cache[j].get(k)
-                    if pk is None:
-                        pk = point[j] ** k
-                        pow_cache[j][k] = pk
-                    term *= pk
-            total += term
-        return total
+    def _terms_at_prec(self):
+        """``(coefficient, factors)`` per term, in ``terms`` order: the
+        coefficient's raw ``_mpc_`` by ``coef_to_mpc`` at the current
+        precision, and the pairs ``(j, k)`` of the exponent's nonzero entries
+        ``k = e_j``.  Converted once per precision, and again whenever
+        ``mp.prec`` differs from the precision of the last conversion."""
+        if self._prec != mp.prec:
+            self._converted = [
+                (coef_to_mpc(c)._mpc_, tuple((j, k) for j, k in enumerate(e) if k))
+                for e, c in self.terms.items()
+            ]
+            self._prec = mp.prec
+        return self._converted
+
+    def eval(self, point, powers=None):
+        """Evaluate at a complex vector at the current working precision.
+
+        Works on the raw ``_mpc_`` parts with ``mpmath.libmp``, as ``mpc``
+        arithmetic does: ``mpc_pow_int`` for each power ``x_j ** k``,
+        ``mpc_mul`` for each factor of a term in turn, and ``mpc_add`` for
+        each term, from zero.  A ``powers`` dict passed to several calls at
+        one point and precision is their shared table of ``x_j ** k``, keyed
+        by ``(j, k)``.
+        """
+        prec, rnd = mp._prec_rounding
+        x = [mpc(z)._mpc_ for z in point]
+        if powers is None:
+            powers = {}
+        total = _ZERO_PAIR
+        for term, factors in self._terms_at_prec():
+            for f in factors:
+                pk = powers.get(f)
+                if pk is None:
+                    pk = powers[f] = mpc_pow_int(x[f[0]], f[1], prec, rnd)
+                term = mpc_mul(term, pk, prec, rnd)
+            total = mpc_add(total, term, prec, rnd)
+        return _mpc_of(*total)
 
     def permute(self, perm):
         """Reorder variables: new variable i is old variable ``perm[i]``."""
@@ -421,10 +448,11 @@ class SparsePoly:
         return self.terms.get((0,) * self.nvars, Fraction(0))
 
     def coeff_bound(self):
-        """Max coefficient magnitude (crude, used for scale-relative tests)."""
+        """Max coefficient magnitude at the current precision: the scale of
+        the on-variety, smoothness and residual checks."""
         best = mpf(0)
-        for c in self.terms.values():
-            m = abs(coef_to_mpc(c))
+        for c, _ in self._terms_at_prec():
+            m = abs(_mpc_of(*c))
             if m > best:
                 best = m
         return best

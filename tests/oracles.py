@@ -8,6 +8,7 @@ Independent oracles, and what each checks:
   integral_asymptotic_sum    the term functionals, summed against the quadrature
   phase_hessian_symmetric_q  ``phase_hessian``, for symmetric H on the diagonal
   eval_exact                 ``SparsePoly.eval``, in exact arithmetic
+  reference_eval             ``SparsePoly.eval``, by the loop on ``mpc`` objects
   evaluate_structured        an expansion's flattened and dropped series
   reference_jet_mul          ``Jet.__mul__``, by the product loop on ``mpc`` objects
   reference_mul_degree       ``Jet.mul_degree``, by the same loop on one degree
@@ -32,6 +33,9 @@ Test harness:
   jet_allclose               coefficientwise closeness of two jets
   jet_bits                   a jet's caps, keys in order and raw coefficient bits
   above_indices              the multi-indices a windowed jet holds above its window
+  series_mul                 the product of two flattened series, cut at the
+                             error order the factors allow
+  series_sub                 the difference of two flattened series, the same
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ from unittest import mock
 import numpy as np
 from mpmath import mp, mpc, mpf
 
+from smoothasym.expansion import FlatSeries
 from smoothasym.geometry import _is_symmetric
 from smoothasym.localframe import FrameError, hessian_from_jet
 from smoothasym.oracle import OracleError
@@ -128,6 +133,27 @@ def eval_exact(P, point):
             if k:
                 term = term * point[j] ** k
         total = total + term
+    return total
+
+
+def reference_eval(P, point):
+    """``P`` at a complex vector at the working precision, by the loop on
+    ``mpc`` objects that ``SparsePoly.eval`` replaced: each coefficient
+    converted afresh, each power ``x_j ** k`` computed once per call, the
+    factors of a term multiplied in turn and the terms summed from zero."""
+    point = [mpc(z) for z in point]
+    total = mpc(0)
+    pow_cache = [{} for _ in range(P.nvars)]
+    for e, c in P.terms.items():
+        term = coef_to_mpc(c)
+        for j, k in enumerate(e):
+            if k:
+                pk = pow_cache[j].get(k)
+                if pk is None:
+                    pk = point[j] ** k
+                    pow_cache[j][k] = pk
+                term *= pk
+        total += term
     return total
 
 
@@ -615,3 +641,41 @@ def reference_implicit_root(H, point, order):
     zero = (0,) * (d - 1)
     coeffs[zero] = coeffs.get(zero, mpc(0)) + c[d - 1]
     return Jet(d - 1, order, c[: d - 1], coeffs)
+
+
+def series_mul(a, b):
+    """``a * b`` for ``FlatSeries``: every product of terms above the error
+    order, the larger of each factor's error order plus the other's leading
+    exponent."""
+    err = None
+    candidates = []
+    if a.error_exponent is not None and b.terms:
+        candidates.append(a.error_exponent + b.terms[0][0])
+    if b.error_exponent is not None and a.terms:
+        candidates.append(b.error_exponent + a.terms[0][0])
+    if candidates:
+        err = max(candidates)
+    acc = {}
+    for e1, c1 in a.terms:
+        for e2, c2 in b.terms:
+            e = e1 + e2
+            if err is not None and e <= err:
+                continue
+            acc[e] = acc.get(e, mpc(0)) + c1 * c2
+    return FlatSeries(list(acc.items()), error_exponent=err)
+
+
+def series_sub(a, b):
+    """``a - b`` for ``FlatSeries``, the terms above the larger error order."""
+    err = None
+    for e in (a.error_exponent, b.error_exponent):
+        if e is not None:
+            err = e if err is None else max(err, e)
+    acc = {}
+    for e, c in a.terms:
+        if err is None or e > err:
+            acc[e] = acc.get(e, mpc(0)) + c
+    for e, c in b.terms:
+        if err is None or e > err:
+            acc[e] = acc.get(e, mpc(0)) - c
+    return FlatSeries(list(acc.items()), error_exponent=err)

@@ -25,7 +25,7 @@ from smoothasym.expansion import (
     FlatSeries,
     rising_factorial_poly,
 )
-from smoothasym.localframe import smooth_phase_order
+from smoothasym.localframe import smooth_phase_order, vanishing_order
 from smoothasym.stationary import OrderBudgetError
 
 from conftest import poly, smirnov_family
@@ -107,7 +107,7 @@ class TestExpandDegenerate:
         G, _, p = fams[0]
         frame = build_frame(G, H, p, Direction((1, 1, 1)), (mpc(1) / 3,) * 3, 8, 1)
         with pytest.raises(ExpansionError):
-            expand_degenerate(frame, 1)
+            expand_degenerate(frame, 1, v=2)
 
     def test_order_guard(self, quantum_walk):
         G, H, alpha = quantum_walk
@@ -213,7 +213,7 @@ class TestEvaluate:
     def test_non_integral_index_rejected(self, quantum_walk):
         G, H, alpha = quantum_walk
         frame = build_frame(G, H, 1, alpha, (mpc(1), mpc(1)), 27, 5)
-        e = expand_degenerate(frame, 5)
+        e = expand_degenerate(frame, 5, v=vanishing_order(frame.phase))
         with pytest.raises(ExpansionError):
             e.evaluate(3)
 

@@ -39,6 +39,7 @@ from smoothasym.geometry import (
 )
 
 from conftest import poly, random_critical_instance
+from oracles import reference_eval
 
 
 class TestDirection:
@@ -370,8 +371,9 @@ def _outcome(f, *args):
 
 
 class TestCompiledSystem:
-    """The compiled critical system and the list LU reproduce ``SparsePoly.eval``
-    and mpmath's ``lu_solve`` and ``det`` bit for bit."""
+    """The critical system reproduces the ``mpc``-object evaluation
+    (``reference_eval``), and the list LU mpmath's ``lu_solve`` and ``det``,
+    bit for bit."""
 
     @settings(max_examples=200)
     @given(complex_systems())
@@ -410,9 +412,10 @@ class TestCompiledSystem:
                 values = system.values(point, powers)
                 jacobian = system.jacobian(point, powers)
                 assert [_bits(v) for v in values] == [
-                    _bits(P.eval(point)) for P in system.polys]
+                    _bits(reference_eval(P, point)) for P in system.polys]
                 assert [[_bits(v) for v in row] for row in jacobian] == [
-                    [_bits(P.partial(j).eval(point)) for j in range(2)] for P in system.polys]
+                    [_bits(reference_eval(P.partial(j), point)) for j in range(2)]
+                    for P in system.polys]
                 assert [_bits(v) for v in system.values(point)] == [
                     _bits(v) for v in values]
 
@@ -424,12 +427,13 @@ class TestCompiledSystem:
             with mp.workprec(bits):
                 point = (mpc(1, 2) / 3, mpc(-1) / 7, mpc(2, -5) / 11)
                 assert [_bits(v) for v in system.values(point)] == [
-                    _bits(P.eval(point)) for P in system.polys]
+                    _bits(reference_eval(P, point)) for P in system.polys]
                 assert [[_bits(v) for v in row] for row in system.jacobian(point)] == [
-                    [_bits(P.partial(j).eval(point)) for j in range(3)]
+                    [_bits(reference_eval(P.partial(j), point)) for j in range(3)]
                     for P in system.polys]
-                assert system.scales() == [max(P.coeff_bound(), mpf(1))
-                                           for P in system.polys]
+                assert system.scales() == [
+                    max(max(abs(geometry.coef_to_mpc(c)) for c in P.terms.values()), mpf(1))
+                    for P in system.polys]
 
 
 class TestCheckSmooth:

@@ -37,6 +37,7 @@ from oracles import (
     jet_eval,
     poly_degree,
     poly_to_json,
+    reference_eval,
     reference_jet_mul,
     reference_log,
     reference_mul_degree,
@@ -88,6 +89,22 @@ class TestSparsePoly:
             exact = eval_exact(P, pt)
             approx = P.eval(tuple(coef_to_mpc(z) for z in pt))
             assert close(approx, coef_to_mpc(exact), "1e-55")
+
+    def test_eval_converts_again_when_precision_changes(self):
+        # one polynomial object at 212, 300 and 212 bits, each precision with
+        # its own powers table shared by three calls: coefficients kept from
+        # an earlier precision would change the bits, and the constant term
+        # (zero exponents) is the converted coefficient itself
+        P = SparsePoly(2, {(0, 0): GaussRat(Fraction(1, 3), Fraction(-2, 7)),
+                           (1, 0): GaussRat(Fraction(-5, 11), Fraction(1, 9)),
+                           (2, 1): Fraction(3, 13), (0, 3): GaussRat(0, Fraction(4, 15))})
+        for bits in (212, 300, 212):
+            with mp.workprec(bits):
+                point = (mpc(1, 2) / 3, mpc(-3, 1) / 7)
+                powers = {}
+                for Q in (P, P.partial(0), P):
+                    assert Q.eval(point, powers)._mpc_ == reference_eval(Q, point)._mpc_
+                assert P.coeff_bound() == max(abs(coef_to_mpc(c)) for c in P.terms.values())
 
     def test_json_round_trip(self):
         P = SparsePoly(2, {(1, 0): Fraction(1, 3), (0, 2): GaussRat(0, Fraction(2, 5))})

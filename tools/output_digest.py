@@ -6,11 +6,17 @@ Runs every request of the benchmark workloads (``perfbench/gen.py``) at the
 given seeds (1 and 2 by default) through the ``cli.main`` of the checkout at
 ``CHECKOUT``, in this one process, one request after another, as the
 benchmark's closed loop does.
+Then, whatever the seeds, it runs ``ROUTES``: nine fixed requests on
+routes that no workload reaches (the degenerate even route, the degenerate
+route's whole-phase search and second frame, the one-variable route, torus
+sampling in three variables, the ``oracle`` command, a three-variable
+Gaussian system from seeds and a Gaussian ``G``).
 For each request it hashes the exit code, stdout, stderr and the JSON and
 CSV files the request writes (an exception escaping ``cli.main`` is hashed
 as its type and message), and prints one line
-``<workload> <seed> <request id> <sha256>``; the last line is
-``overall <sha256>`` over all of them.
+``<workload> <seed> <request id> <sha256>`` (``routes - <request id>
+<sha256>`` for ``ROUTES``); the last line is ``overall <sha256>`` over all
+of them.
 
 A change meant to keep the output bit for bit runs this on a checkout of
 the parent and of the change and diffs the two outputs (``PARENT`` is the
@@ -43,6 +49,59 @@ import tempfile
 from pathlib import Path
 
 SEEDS = (1, 2)
+
+
+def _terms(*pairs):
+    """Spec terms from ``(exponent, coefficient)`` pairs."""
+    return [{"exp": list(e), "coef": c} for e, c in pairs]
+
+
+def _gauss(re, im):
+    return {"re": re, "im": im}
+
+
+# one symmetric H in three variables whose xyz term has the sign opposite to
+# the linear ones, so 1 - H has a negative coefficient and minimality falls
+# to torus sampling
+_SYMMETRIC_3 = {
+    "variables": ["x", "y", "z"],
+    "G": _terms(((0, 0, 0), 1)),
+    "H": _terms(((0, 0, 0), 1), ((1, 0, 0), -1), ((0, 1, 0), -1), ((0, 0, 1), -1),
+                ((1, 1, 1), "1/2")),
+    "p": 1, "alpha": ["1", "1", "1"], "N": 2, "n_values": [1, 2, 4],
+}
+
+# ``(request id, command, docs spec or None, spec fields)``: the request's
+# spec is the docs spec (``docs/problems/<name>.json``) updated by the fields
+ROUTES = (
+    ("delannoy-degenerate-even", "expand", "delannoy",
+     {"overrides": {"force_degenerate": True}}),
+    ("quantum-walk-whole-phase", "expand", "quantum_walk", {"N": 1}),
+    ("quantum-walk-second-frame", "expand", "quantum_walk", {"N": 2}),
+    ("univariate-pole-2", "expand", None, {
+        "variables": ["x"], "G": _terms(((0,), 1)),
+        "H": _terms(((0,), 1), ((1,), -1), ((2,), -1)),
+        "p": 2, "alpha": ["1"], "N": 2, "n_values": [1, 2, 4, 8, 16]}),
+    ("symmetric-3-critical", "critical", None, _SYMMETRIC_3),
+    ("symmetric-3-sampled", "expand", None,
+     dict(_SYMMETRIC_3, overrides={"assume_strictly_minimal": True})),
+    ("delannoy-oracle", "oracle", "delannoy", {}),
+    ("gaussian-3-seeded", "critical", None, {
+        "variables": ["x", "y", "z"],
+        "G": _terms(((0, 0, 0), 1)),
+        "H": _terms(((0, 0, 0), 1), ((1, 0, 0), -1), ((0, 1, 0), -1),
+                    ((0, 0, 1), _gauss(1, "1/2")), ((1, 1, 0), _gauss(0, "1/3"))),
+        "p": 1, "alpha": ["1", "1", "1"], "N": 1,
+        "seeds": [[["1/3", "0"], ["1/3", "0"], ["-4/15", "2/15"]]]}),
+    ("delannoy-gaussian-g", "expand", "delannoy",
+     {"G": _terms(((0, 0), 1), ((1, 0), _gauss("1/2", "-1/3")))}),
+)
+
+
+def route_specs(docs):
+    """``(request id, command, spec)`` for each of ``ROUTES``."""
+    return [(rid, command, dict(docs[name] if name else {}, **fields))
+            for rid, command, name, fields in ROUTES]
 
 
 def request_digest(cli, command, spec_name):
@@ -81,6 +140,13 @@ def main(argv=None):
 
     docs = gen.load_docs(root)
     overall = hashlib.sha256()
+
+    def emit(label, command, spec):
+        Path("spec.json").write_text(json.dumps(spec, sort_keys=True))
+        line = f"{label} {request_digest(cli, command, 'spec.json')}"
+        print(line, flush=True)
+        overall.update(line.encode() + b"\n")
+
     here = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
@@ -88,11 +154,9 @@ def main(argv=None):
             for workload in gen.WORKLOADS:
                 for seed in args.seeds:
                     for req in gen.generate(workload, seed, docs):
-                        Path("spec.json").write_text(json.dumps(req.spec, sort_keys=True))
-                        line = (f"{workload} {seed} {req.rid} "
-                                f"{request_digest(cli, req.command, 'spec.json')}")
-                        print(line, flush=True)
-                        overall.update(line.encode() + b"\n")
+                        emit(f"{workload} {seed} {req.rid}", req.command, req.spec)
+            for rid, command, spec in route_specs(docs):
+                emit(f"routes - {rid}", command, spec)
         finally:
             os.chdir(here)
     print("overall", overall.hexdigest())
