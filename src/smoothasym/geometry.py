@@ -15,6 +15,14 @@ operation, so every solved point is bit-identical to theirs.  A Newton run
 that comes within ``DEDUPE_TOL`` of a point already kept stops there and
 returns that point, which ``solve_critical`` drops as a duplicate.
 
+Minimality in two variables is decided by a double-precision slice scan
+(``_scan_minimality_2d``): the least-modulus root of ``H(x, .)`` at every
+point of a grid inside the polydisc.  ``_min_modulus_roots`` takes those
+roots for the whole grid at once, in closed form when ``H`` has y-degree 2,
+and from one batched companion-matrix eigenvalue call otherwise.  In more
+than two variables the slices are sampled at random on shrunken tori
+(``_sample_minimality``).
+
 numpy is imported on first use, inside the seed-root helpers
 (``_dense_roots_double``, ``_slice_roots``) and the minimality scan
 (``_best_slice_root``, ``_unit_circle``, ``_min_modulus_roots``) only, never
@@ -734,10 +742,12 @@ def check_minimality(H, point, other_points=None):
 
     Ladder: (a) nonnegativity/aperiodicity shortcut certifying strict
     minimality at positive real points; (b) for two variables, a
-    double-precision ``SLICE_GRID`` slice scan whose best witness is polished at
-    working precision, which can certify not-minimal with a witness or report
-    plain minimality; (c) heuristic torus sampling otherwise, which only ever
-    yields not-minimal or unknown.
+    double-precision ``SLICE_GRID`` slice scan (each slice's least-modulus
+    root in closed form for y-degree 2, by eigenvalues otherwise) whose best
+    witness is polished at working precision, which can certify not-minimal
+    with a witness, report plain minimality, or report unknown when a root
+    inside does not polish to a witness; (c) heuristic torus sampling
+    otherwise, which only ever yields not-minimal or unknown.
     """
     d = H.nvars
     scale = max(H.coeff_bound(), mpf(1))
@@ -802,8 +812,10 @@ def _scan_minimality_2d(H, point, grid):
     ``_best_slice_root`` finds the grid slice whose least-modulus root has
     the least ``|y|/|c2|``.  If it lies inside by more than the margin, that
     root is polished on ``H(x, .)`` at working precision and returned as a
-    not-minimal witness.  Otherwise the verdict is plain minimality: a grid
-    can miss a witness and never certifies strictness.
+    not-minimal witness; if it does not polish to a point inside, the
+    verdict is unknown, since the scan saw a root inside.  Otherwise the
+    verdict is plain minimality: a grid can miss a witness and never
+    certifies strictness.
     """
     r1 = abs(point[0])
     r2 = abs(point[1])
@@ -820,6 +832,12 @@ def _scan_minimality_2d(H, point, grid):
                 "the slice scan",
                 witness=(x, y),
             )
+        return MinimalityVerdict(
+            "unknown",
+            f"a {grid[0]}x{grid[1]} slice grid root lies inside (min |y|/|c2| ratio "
+            f"{min_ratio:.6f}) but did not polish to a variety point with strictly "
+            "smaller coordinate moduli",
+        )
     return MinimalityVerdict(
         "minimal",
         f"no interior variety point with smaller polyradius on a {grid[0]}x{grid[1]} "
@@ -836,8 +854,9 @@ def _best_slice_root(H, point, grid):
     slice ``H(x, .)``.  All slices take a few numpy calls: the dense
     complex128 coefficient matrix of ``H`` is built once, one Horner sweep in
     ``x`` evaluates every y-coefficient at every grid point, and
-    ``_min_modulus_roots`` solves every slice with one batched eigenvalue
-    call.  Ties go to the first slice in row-major ``(i, k)`` order.  Slices
+    ``_min_modulus_roots`` solves every slice at once: in closed form when
+    ``H`` has y-degree 2, with one batched eigenvalue call otherwise.
+    Ties go to the first slice in row-major ``(i, k)`` order.  Slices
     that are constant in ``y`` have no root; if no slice has one, the result
     is ``(inf, None, None)``.
     """
@@ -878,14 +897,29 @@ def _unit_circle(n_theta):
 def _min_modulus_roots(polys):
     """Least-modulus root of each row of ``polys`` (highest degree first).
 
-    Rows whose leading and constant coefficients are both nonzero share one
-    batched ``np.linalg.eigvals`` over companion matrices laid out as
-    ``np.roots`` lays them out (first row ``-p[1:]/p[0]``, ones on the
-    subdiagonal), so each matches ``np.roots`` on that row.  The other rows go
-    through ``np.roots`` after trimming leading zeros; it returns the zero
-    roots of a vanishing constant term itself.  Returns ``(roots, found)``;
-    ``found`` is False where a row is constant and has no root, and the first
-    root of least modulus is taken on ties.
+    Regular rows, whose coefficients are finite and whose leading and
+    constant coefficients are both nonzero, all have the degree ``n`` of the
+    batch, and are solved together:
+
+    - ``n = 2``: the stable quadratic formula.  With ``disc`` the square
+      root of ``b^2 - 4ac``, signed so that ``Re(conj(b) disc) >= 0``, and
+      ``q = -(b + disc)/2``, the roots are ``q/a`` and ``c/q``.  That sign
+      makes ``|b + disc|^2 >= |b|^2 + |disc|^2``, so ``q`` vanishes only
+      where ``ac`` does, which a regular row rules out, and neither root is
+      formed by cancellation.  Each row is first scaled by a power of two,
+      with ``np.ldexp`` on its real and imaginary parts (exact at every
+      exponent, subnormal rows included), so that ``b^2`` cannot overflow.
+      The smaller root in modulus is taken, ``q/a`` on an exact tie; it
+      agrees with ``np.roots``'s to rounding;
+    - otherwise: one batched ``np.linalg.eigvals`` over companion matrices
+      laid out as ``np.roots`` lays them out (first row ``-p[1:]/p[0]``,
+      ones on the subdiagonal), so each matches ``np.roots`` on that row.
+
+    The other rows go through ``np.roots`` after trimming leading zeros; it
+    returns the zero roots of a vanishing constant term itself, and raises
+    on a non-finite coefficient as the batched call would.  Returns
+    ``(roots, found)``; ``found`` is False where a row is constant and has
+    no root, and the first root of least modulus is taken on ties.
     """
     import numpy as np
 
@@ -895,13 +929,23 @@ def _min_modulus_roots(polys):
     n = size - 1
     if n == 0:
         return roots, found
-    regular = (polys[:, 0] != 0) & (polys[:, -1] != 0)
+    regular = (polys[:, 0] != 0) & (polys[:, -1] != 0) & np.isfinite(polys).all(axis=1)
     p = polys[regular]
-    companion = np.zeros((p.shape[0], n, n), dtype=np.complex128)
-    companion[:, 0, :] = -p[:, 1:] / p[:, :1]
-    companion[:, np.arange(1, n), np.arange(n - 1)] = 1
-    eig = np.linalg.eigvals(companion)
-    roots[regular] = eig[np.arange(p.shape[0]), np.argmin(np.abs(eig), axis=1)]
+    if n == 2:
+        e = -np.frexp(np.abs(p).max(axis=1, keepdims=True))[1]
+        p = np.ldexp(p.real, e) + 1j * np.ldexp(p.imag, e)
+        a, b, c = p.T
+        disc = np.sqrt(b * b - 4 * a * c)
+        disc[(b.conj() * disc).real < 0] *= -1
+        q = -(b + disc) / 2
+        large, small = q / a, c / q
+        roots[regular] = np.where(np.abs(small) < np.abs(large), small, large)
+    else:
+        companion = np.zeros((p.shape[0], n, n), dtype=np.complex128)
+        companion[:, 0, :] = -p[:, 1:] / p[:, :1]
+        companion[:, np.arange(1, n), np.arange(n - 1)] = 1
+        eig = np.linalg.eigvals(companion)
+        roots[regular] = eig[np.arange(p.shape[0]), np.argmin(np.abs(eig), axis=1)]
     found[regular] = True
     for s in np.flatnonzero(~regular):
         r = np.roots(np.trim_zeros(polys[s], "f"))

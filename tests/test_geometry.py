@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
@@ -659,6 +659,37 @@ def bivariate_scans(draw):
     return SparsePoly(2, terms), point
 
 
+@st.composite
+def low_degree_batches(draw):
+    """Slice rows of one width, highest degree first: degree 1 (width 2) or
+    degree 2 (width 3).  Coefficients have moduli from 1e-8 to 1e8; rows
+    with a zero leading or constant coefficient, constant rows and, in
+    degree 2, near-double roots (relative separation 1e-2 to 1e-1) are mixed
+    in.  Closer roots move by about ``eps`` over their separation under any
+    method, ``np.roots`` included, so they cannot be compared at 1e-12."""
+    width = draw(st.sampled_from([2, 3]))
+    phases = st.floats(0, 2 * math.pi).map(lambda t: complex(math.cos(t), math.sin(t)))
+    coefs = st.builds(lambda u, e: u * 10.0**e, phases, st.floats(-8, 8))
+    kinds = ["regular", "zero-leading", "zero-constant", "constant"]
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(kinds + ["near-double"] * (width == 3)),
+                              min_size=1, max_size=8)):
+        row = [draw(coefs) for _ in range(width)]
+        if kind == "near-double":
+            r = draw(coefs)
+            r2 = r * (1 + 10 ** draw(st.floats(-2, -1)) * draw(phases))
+            a = draw(phases) * 10.0 ** draw(st.floats(-4, 4))
+            row = [a, -a * (r + r2), a * r * r2]
+        elif kind == "zero-leading":
+            row[0] = 0
+        elif kind == "zero-constant":
+            row[-1] = 0
+        elif kind == "constant":
+            row[:-1] = [0] * (width - 1)
+        rows.append(row)
+    return np.array(rows, dtype=np.complex128)
+
+
 class TestSliceScan:
     GRID = (6, 24)
 
@@ -705,6 +736,53 @@ class TestSliceScan:
             if expect.size:
                 assert roots[s] == expect[np.argmin(np.abs(expect))]
 
+    @settings(max_examples=200)
+    @given(low_degree_batches())
+    @example(np.array([[1e300, -3e300, 2e300], [1e-300, 3e-300, 2e-300]]))
+    @example(np.array([[1e-320, -3e-320, 2e-320]]))
+    def test_closed_form_roots_agree_with_np_roots(self, polys):
+        # degree 1 (the same companion eigenvalue) and the rows np.roots
+        # solves are exact; degree 2 agrees in modulus to rounding, whichever
+        # of two near-tied roots is taken
+        roots, found = _min_modulus_roots(polys)
+        for s, p in enumerate(polys):
+            expect = np.roots(np.trim_zeros(p, "f"))
+            assert found[s] == (expect.size > 0)
+            if not expect.size:
+                continue
+            least = expect[np.argmin(np.abs(expect))]
+            if polys.shape[1] == 2 or p[0] == 0 or p[-1] == 0:
+                assert roots[s] == least
+            else:
+                assert abs(abs(roots[s]) - abs(least)) <= 1e-12 * abs(least)
+
+    def test_scan_of_a_quadratic_slice_needs_no_eigvals(self):
+        # 1 - x - y + x y^2/2: every slice is quadratic in y
+        H = poly(2, {(0, 0): 1, (1, 0): -1, (0, 1): -1, (1, 2): Fraction(1, 2)})
+        point = (mpc(2), mpc(1) / 2)
+        refused = AssertionError("np.linalg.eigvals called")
+        with mock.patch("numpy.linalg.eigvals", side_effect=refused) as eigvals:
+            verdict = _scan_minimality_2d(H, point, (24, 96))
+            assert eigvals.call_count == 0
+            with pytest.raises(AssertionError, match="eigvals called"):
+                _min_modulus_roots(np.array([[1, 2, 3, 4]], dtype=np.complex128))
+            assert eigvals.call_count == 1
+        ref = reference_scan(H, point, (24, 96))
+        assert verdict.kind == ref.kind == "not-minimal"
+
+    @pytest.mark.parametrize("polished", [None, mpc(10)])
+    def test_inside_root_that_does_not_polish_is_unknown(self, delannoy, polished):
+        # the scan finds a root inside, but polishing fails (None) or lands
+        # outside the polydisc: no witness, and no claim of minimality
+        _, H, _ = delannoy
+        s13 = mp.sqrt(13)
+        neg = (mpc(-2 - s13) / 3, mpc(-3 - s13) / 2)
+        with mock.patch.object(geometry, "_polish_slice_root", return_value=polished):
+            verdict = _scan_minimality_2d(H, neg, (24, 96))
+        assert verdict.kind == "unknown"
+        assert verdict.witness is None
+        assert "ratio 0." in verdict.evidence
+
     def test_unit_circle_is_math_cos_and_sin(self):
         cos, sin = geometry._unit_circle(96)
         angles = [2 * math.pi * k / 96 for k in range(96)]
@@ -715,3 +793,4 @@ class TestSliceScan:
     def test_min_modulus_roots_constant_in_y(self):
         roots, found = _min_modulus_roots(np.array([[1], [0]], dtype=np.complex128))
         assert not found.any()
+

@@ -1,6 +1,6 @@
 """Hash everything ``cli.main`` prints for every benchmark request.
 
-    python3 tools/output_digest.py CHECKOUT [--seeds 1 2 ...]
+    python3 tools/output_digest.py CHECKOUT [--seeds 1 2 ...] [--mask-witnesses]
 
 Runs every request of the benchmark workloads (``perfbench/gen.py``) at the
 given seeds (1 and 2 by default) through the ``cli.main`` of the checkout at
@@ -26,6 +26,13 @@ parent's commit: ``HEAD`` for uncommitted changes)::
     python3 tools/output_digest.py /tmp/parent > parent.txt
     python3 tools/output_digest.py . > change.txt
     diff parent.txt change.txt
+
+``--mask-witnesses`` hashes each JSON output with every
+``minimality.witness`` that is set replaced by ``"masked"``.  A witness is a
+point of the variety inside the polydisc, found by a double-precision search,
+so a change to that search can move its digits and nothing else; with the
+flag, such a change shows every other byte unchanged, and the unmasked run
+names the requests whose witnesses moved.
 
 Seeds whose random draws make Newton crawl into singular critical points
 (7, 41, 51 and 52) exercise the solver far more than seeds 1 and 2; a
@@ -104,9 +111,24 @@ def route_specs(docs):
             for rid, command, name, fields in ROUTES]
 
 
-def request_digest(cli, command, spec_name):
+def mask_witnesses(node):
+    """A copy of the JSON value ``node`` with every ``minimality.witness``
+    that is set replaced by ``"masked"``."""
+    if isinstance(node, list):
+        return [mask_witnesses(v) for v in node]
+    if not isinstance(node, dict):
+        return node
+    out = {k: mask_witnesses(v) for k, v in node.items()}
+    minimality = out.get("minimality")
+    if isinstance(minimality, dict) and minimality.get("witness") is not None:
+        minimality["witness"] = "masked"
+    return out
+
+
+def request_digest(cli, command, spec_name, mask=False):
     """sha256 over the exit code, stdout, stderr and written files of one
-    ``cli.main`` call on the spec file ``spec_name`` (cwd-relative)."""
+    ``cli.main`` call on the spec file ``spec_name`` (cwd-relative); with
+    ``mask``, the JSON file is hashed through ``mask_witnesses``."""
     for name in ("out.json", "out.csv"):
         Path(name).unlink(missing_ok=True)
     out, err = io.StringIO(), io.StringIO()
@@ -118,10 +140,13 @@ def request_digest(cli, command, spec_name):
         code = exc.code
     except Exception as exc:  # hashed as what escaped, without file paths
         code = f"{type(exc).__name__}: {exc}"
+    files = [Path(n).read_text() if Path(n).exists() else "<none>"
+             for n in ("out.json", "out.csv")]
+    if mask and files[0] != "<none>":
+        files[0] = json.dumps(mask_witnesses(json.loads(files[0])), indent=2,
+                              sort_keys=True) + "\n"
     h = hashlib.sha256()
-    for part in (repr(code), out.getvalue(), err.getvalue(),
-                 *(Path(n).read_text() if Path(n).exists() else "<none>"
-                   for n in ("out.json", "out.csv"))):
+    for part in (repr(code), out.getvalue(), err.getvalue(), *files):
         h.update(part.encode())
         h.update(b"\0")
     return h.hexdigest()
@@ -132,6 +157,8 @@ def main(argv=None):
     ap.add_argument("checkout", type=Path)
     ap.add_argument("--seeds", type=int, nargs="+", default=SEEDS,
                     help="workload seeds to run (default: 1 2)")
+    ap.add_argument("--mask-witnesses", action="store_true",
+                    help="hash JSON outputs with every minimality witness masked")
     args = ap.parse_args(argv)
     root = args.checkout.resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
@@ -143,7 +170,7 @@ def main(argv=None):
 
     def emit(label, command, spec):
         Path("spec.json").write_text(json.dumps(spec, sort_keys=True))
-        line = f"{label} {request_digest(cli, command, 'spec.json')}"
+        line = f"{label} {request_digest(cli, command, 'spec.json', args.mask_witnesses)}"
         print(line, flush=True)
         overall.update(line.encode() + b"\n")
 
