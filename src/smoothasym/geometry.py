@@ -8,12 +8,11 @@ distinguished coordinate, isolation, and minimality with explicit evidence.
 The system is built once per solve (``CriticalSystem``): its equations and
 Jacobian entries are ``SparsePoly``s, which keep their coefficients converted
 at the working precision, and a point's values and Jacobian share one table
-of powers.  Newton solves each step with mpmath's LU on plain lists
-(``_lu_solve``), and the isolation check takes its determinant from the same
-LU (``_det``).  Both repeat ``mp.lu_solve`` and ``mp.det`` operation for
-operation, so every solved point is bit-identical to theirs.  A Newton run
-that comes within ``DEDUPE_TOL`` of a point already kept stops there and
-returns that point, which ``solve_critical`` drops as a duplicate.
+of powers.  One Gaussian elimination with partial pivoting on plain lists
+(``_gauss_solve``) gives both Newton's step and the isolation check's
+determinant, and reports a singular Jacobian, which ends a Newton run.  A
+Newton run that comes within ``DEDUPE_TOL`` of a point already kept stops
+there and returns that point, which ``solve_critical`` drops as a duplicate.
 
 Minimality in two variables is decided by a double-precision slice scan
 (``_scan_minimality_2d``): the least-modulus root of ``H(x, .)`` at every
@@ -24,8 +23,9 @@ than two variables the slices are sampled at random on shrunken tori
 (``_sample_minimality``).
 
 numpy is imported on first use, inside the seed-root helpers
-(``_dense_roots_double``, ``_slice_roots``) and the minimality scan
-(``_best_slice_root``, ``_unit_circle``, ``_min_modulus_roots``) only, never
+(``_normal_doubles``, ``_dense_roots_double``, ``_slice_roots``) and the
+minimality scan (``_best_slice_root``, ``_unit_circle``,
+``_min_modulus_roots``) only, never
 at module level: it is about 0.16 s of a 0.28 s ``import smoothasym.cli``,
 which a process pays before its first request, and the ``oracle`` command and
 spec errors never need it.
@@ -335,8 +335,21 @@ def resultant_eliminate_y(P1, P2):
     return _bareiss_det(rows)
 
 
+def _normal_doubles(p):
+    """``p`` with its coefficients below the smallest normal double set to
+    0, in place.  Callers first scale ``p`` so that its largest modulus is
+    about 1: a root finder dividing by a subnormal leading coefficient
+    overflows."""
+    import numpy as np
+
+    p[np.abs(p) < np.finfo(np.float64).tiny] = 0
+    return p
+
+
 def _dense_roots_double(coeffs):
-    """Seed roots of a dense Fraction polynomial via the companion matrix."""
+    """Seed roots of a dense Fraction polynomial via the companion matrix,
+    after an exact division by its largest coefficient
+    (``_normal_doubles``)."""
     import numpy as np
 
     coeffs = _pnorm(list(coeffs))
@@ -344,108 +357,54 @@ def _dense_roots_double(coeffs):
         return []
     scale = max(abs(c) for c in coeffs)
     arr = np.array([float(c / scale) for c in reversed(coeffs)], dtype=np.float64)
-    return [complex(z) for z in np.roots(arr)]
+    return [complex(z) for z in np.roots(_normal_doubles(arr))]
 
 
 # -- Newton refinement ---------------------------------------------------------
 
-# What mpmath's LU factorisation raises on a singular matrix, and so
-# ``_lu_decomp``: ZeroDivisionError for a pivot below its tolerance, and
-# TypeError when a whole pivot column is zero, because no pivot row is ever
-# chosen (mpmath 1.3's swap_row then fails on the row index None).
-_SINGULAR_LU = (ZeroDivisionError, TypeError)
 
+def _gauss_solve(A, b):
+    """Solve ``A x = b`` for a square list of rows ``A`` by Gaussian
+    elimination with partial pivoting, at the working precision.
 
-def _lu_decomp(A):
-    """mpmath's ``LU_decomp`` on a list of rows, at the current precision.
-
-    Factors ``A`` in place and returns ``(A, p)``: L below the diagonal, U
-    on and above it, ``p[j]`` the row swapped into row j.  The tolerance,
-    the pivot rule (largest ``|A[k][j]|`` over the ``fsum`` of its row's
-    moduli, first on ties) and every operation are mpmath's, so each entry is
-    bit-identical to what ``mp.matrix`` holds; a zero reads here as ``mpc``
-    zero where ``mp.matrix`` reads ``mp.zero``, the same number.  Raises
-    ``ZeroDivisionError`` where mpmath does and ``TypeError`` for a zero pivot
-    column (see ``_SINGULAR_LU``).
+    Returns ``(x, det)``, or ``None`` when ``A`` is singular: when a pivot's
+    modulus is at most ``mp.eps`` times the largest column sum of moduli of
+    ``A``, the tolerance of mpmath's LU.
     """
     n = len(A)
-    tol = abs(max(mp.fsum((row[j] for row in A), absolute=1) for j in range(n)) * mp.eps)
-    p = [None] * (n - 1)
-    for j in range(n - 1):
-        biggest = 0
-        for k in range(j, n):
-            s = mp.fsum([abs(A[k][m]) for m in range(j, n)])
-            if abs(s) <= tol:
-                raise ZeroDivisionError("matrix is numerically singular")
-            current = 1 / s * abs(A[k][j])
-            if current > biggest:
-                biggest = current
-                p[j] = k
-        if p[j] is None:
-            raise TypeError(f"column {j} has no pivot")
-        A[j], A[p[j]] = A[p[j]], A[j]
-        if abs(A[j][j]) <= tol:
-            raise ZeroDivisionError("matrix is numerically singular")
+    tol = mp.eps * max(sum(abs(row[j]) for row in A) for j in range(n))
+    M = [list(row) + [v] for row, v in zip(A, b)]
+    det = mpf(1)
+    for j in range(n):
+        p = max(range(j, n), key=lambda i: abs(M[i][j]))
+        if abs(M[p][j]) <= tol:
+            return None
+        if p != j:
+            M[j], M[p] = M[p], M[j]
+            det = -det
+        pivot = M[j][j]
+        det *= pivot
         for i in range(j + 1, n):
-            A[i][j] /= A[j][j]
-            for k in range(j + 1, n):
-                A[i][k] -= A[i][j] * A[j][k]
-    if abs(A[n - 1][n - 1]) <= tol:
-        raise ZeroDivisionError("matrix is numerically singular")
-    return A, p
-
-
-def _lu_solve(A, b):
-    """``mp.lu_solve(A, b)`` for a square list of rows, as a list: mpmath's
-    ``LU_decomp``, ``L_solve`` and ``U_solve`` at ``prec + 10``."""
-    prec = mp.prec
-    try:
-        mp.prec += 10
-        LU, p = _lu_decomp([row[:] for row in A])
-        x = list(b)
-        for k, pk in enumerate(p):
-            x[k], x[pk] = x[pk], x[k]
-        n = len(x)
-        for i in range(1, n):
-            for j in range(i):
-                x[i] -= LU[i][j] * x[j]
-        for i in range(n - 1, -1, -1):
-            for j in range(i + 1, n):
-                x[i] -= LU[i][j] * x[j]
-            x[i] /= LU[i][i]
-    finally:
-        mp.prec = prec
-    return x
-
-
-def _det(A):
-    """``mp.det(A)`` for a square list of rows: the product of the pivots of
-    ``_lu_decomp`` at the current precision, signed by the row swaps, and 0
-    where it raises ZeroDivisionError."""
-    try:
-        LU, p = _lu_decomp([row[:] for row in A])
-    except ZeroDivisionError:
-        return 0
-    z = 1
-    for i, e in enumerate(p):
-        if i != e:
-            z *= -1
-    for i in range(len(A)):
-        z *= LU[i][i]
-    return z
+            f = M[i][j] / pivot
+            for k in range(j + 1, n + 1):
+                M[i][k] -= f * M[j][k]
+    x = [None] * n
+    for i in range(n - 1, -1, -1):
+        x[i] = (M[i][n] - sum(M[i][k] * x[k] for k in range(i + 1, n))) / M[i][i]
+    return x, det
 
 
 def newton_polish(system, point, known=()):
     """Damped Newton iteration on a ``CriticalSystem``, at working precision.
 
-    Returns (point, converged); a singular Jacobian ends the iteration.  The
-    values and Jacobian at an iterate share one table of powers, and each
-    step solves with ``_lu_solve``.  A run whose iterate comes within
-    ``DEDUPE_TOL`` (relative) of one of the ``known`` points, solutions
-    already kept, returns that point as converged, and ``solve_critical``
-    drops it as a duplicate.  Such a run nearly always ends at that point;
-    one that would only pass it on the way to a distinct solution loses
-    that solution.
+    Returns (point, converged).  The values and Jacobian at an iterate share
+    one table of powers, and each step solves with ``_gauss_solve``; a
+    Jacobian that it reports singular ends the iteration.  A run whose
+    iterate comes within ``DEDUPE_TOL`` (relative) of one of the ``known``
+    points, solutions already kept, returns that point as converged, and
+    ``solve_critical`` drops it as a duplicate.  Such a run nearly always
+    ends at that point; one that would only pass it on the way to a
+    distinct solution loses that solution.
     """
     d = len(point)
     x = [mpc(z) for z in point]
@@ -459,10 +418,10 @@ def newton_polish(system, point, known=()):
         near = _near(x, known, DEDUPE_TOL)
         if near is not None:
             return list(near), True
-        try:
-            step = _lu_solve(system.jacobian(x, powers), [-v for v in vals])
-        except _SINGULAR_LU:
+        solved = _gauss_solve(system.jacobian(x, powers), [-v for v in vals])
+        if solved is None:
             break
+        step = solved[0]
         lam = mpf(1)
         for _ in range(60):
             trial = [x[i] + lam * step[i] for i in range(d)]
@@ -479,14 +438,16 @@ def newton_polish(system, point, known=()):
 
 
 def _jacobian_singular(system, point):
+    """Whether the critical system's Jacobian at ``point`` is singular:
+    ``_gauss_solve`` reports it so, or its determinant is below ``1e-10``
+    times ``s^d``, with ``s`` its largest entry modulus (at least 1)."""
     d = len(point)
     J = system.jacobian(point)
-    try:
-        det = _det(J)
-    except _SINGULAR_LU:
+    solved = _gauss_solve(J, [mpc(0)] * d)
+    if solved is None:
         return True
     scale = max(max(abs(v) for row in J for v in row), mpf(1))
-    return abs(det) < mpf("1e-10") * scale**d
+    return abs(solved[1]) < mpf("1e-10") * scale**d
 
 
 def _near(p, points, tol):
@@ -501,14 +462,19 @@ def _paired_y_roots(P, x, ys):
     """The roots in ``ys`` that pair with ``x`` on ``P`` (``PAIRING_TOL``).
 
     ``P`` is evaluated at every ``(x, y)`` in complex128 and judged against
-    the sum of its term moduli there.  If no root passes, all of ``ys`` are
-    returned, so an ill-conditioned eliminant root loses no candidate.
+    the sum of its term moduli there; a root where that evaluation overflows
+    does not pass.  If no root passes, all of ``ys`` are returned, so an
+    ill-conditioned eliminant root loses no candidate.
     """
     terms = [(complex(coef_to_mpc(c)), ex, ey) for (ex, ey), c in P.terms.items()]
     paired = []
     for y in ys:
-        values = [c * x**ex * complex(y) ** ey for c, ex, ey in terms]
-        if abs(sum(values)) <= PAIRING_TOL * sum(map(abs, values)):
+        try:
+            values = [c * x**ex * complex(y) ** ey for c, ex, ey in terms]
+        except OverflowError:
+            continue
+        total = sum(map(abs, values))
+        if math.isfinite(total) and abs(sum(values)) <= PAIRING_TOL * total:
             paired.append(y)
     return paired or list(ys)
 
@@ -531,10 +497,14 @@ def _y_slice(H, w):
 
 
 def _slice_roots(coeffs):
-    """Double-precision roots of a ``_y_slice``; none when it is constant."""
+    """Double-precision roots of a ``_y_slice``, scaled by a power of two
+    (``_normal_doubles``); none when it is constant."""
     import numpy as np
 
-    return np.roots(np.array([complex(v) for v in reversed(coeffs)], dtype=np.complex128))
+    top = max(abs(v) for v in coeffs)
+    e = -mp.frexp(top)[1] if top else 0
+    scaled = [complex(mp.ldexp(v.real, e), mp.ldexp(v.imag, e)) for v in reversed(coeffs)]
+    return np.roots(_normal_doubles(np.array(scaled, dtype=np.complex128)))
 
 
 class PointCheck(NamedTuple):
@@ -897,18 +867,20 @@ def _unit_circle(n_theta):
 def _min_modulus_roots(polys):
     """Least-modulus root of each row of ``polys`` (highest degree first).
 
-    Regular rows, whose coefficients are finite and whose leading and
-    constant coefficients are both nonzero, all have the degree ``n`` of the
-    batch, and are solved together:
+    Each row is first scaled by a power of two, with ``np.ldexp`` on its
+    real and imaginary parts (exact at every exponent, subnormal rows
+    included), so that its largest modulus lies in ``[1/2, 1)``, and its
+    coefficients below the smallest normal double are set to 0
+    (``_normal_doubles``).  Regular rows, whose coefficients are finite and
+    whose leading and constant coefficients are both nonzero, all have the
+    degree ``n`` of the batch, and are solved together:
 
     - ``n = 2``: the stable quadratic formula.  With ``disc`` the square
       root of ``b^2 - 4ac``, signed so that ``Re(conj(b) disc) >= 0``, and
       ``q = -(b + disc)/2``, the roots are ``q/a`` and ``c/q``.  That sign
       makes ``|b + disc|^2 >= |b|^2 + |disc|^2``, so ``q`` vanishes only
       where ``ac`` does, which a regular row rules out, and neither root is
-      formed by cancellation.  Each row is first scaled by a power of two,
-      with ``np.ldexp`` on its real and imaginary parts (exact at every
-      exponent, subnormal rows included), so that ``b^2`` cannot overflow.
+      formed by cancellation; the scaling keeps ``b^2`` from overflowing.
       The smaller root in modulus is taken, ``q/a`` on an exact tie; it
       agrees with ``np.roots``'s to rounding;
     - otherwise: one batched ``np.linalg.eigvals`` over companion matrices
@@ -929,11 +901,11 @@ def _min_modulus_roots(polys):
     n = size - 1
     if n == 0:
         return roots, found
+    e = -np.frexp(np.abs(polys).max(axis=1, keepdims=True))[1]
+    polys = _normal_doubles(np.ldexp(polys.real, e) + 1j * np.ldexp(polys.imag, e))
     regular = (polys[:, 0] != 0) & (polys[:, -1] != 0) & np.isfinite(polys).all(axis=1)
     p = polys[regular]
     if n == 2:
-        e = -np.frexp(np.abs(p).max(axis=1, keepdims=True))[1]
-        p = np.ldexp(p.real, e) + 1j * np.ldexp(p.imag, e)
         a, b, c = p.T
         disc = np.sqrt(b * b - 4 * a * c)
         disc[(b.conj() * disc).real < 0] *= -1

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -526,6 +527,42 @@ class TestMainEntry:
         captured = capsys.readouterr()
         assert json.loads(captured.out)["critical_points"]
         assert "Traceback" not in captured.err
+
+    def _run_quietly(self, tmp_path, capsys, command, obj):
+        """``(exit code, stdout, stderr)`` of one command, asserting that it
+        raised no warning (numpy's floating-point warnings among them)."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([command, "--input", self._write(tmp_path, obj)])
+        captured = capsys.readouterr()
+        assert not caught and "Traceback" not in captured.err
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize("spec, point, expand_code", [
+        # H = 1 - x - y + 10^-k x^3 y^2 along (1, 1): the eliminant's
+        # coefficients span more than the double range.  At k = 250 and 305
+        # its far roots overflow a complex128 evaluation, at k = 310 its
+        # leading coefficient rounds to a subnormal double, and at k = 330
+        # to 0; expand then stops at the minimality gate, as at k = 200
+        *[(dict(DELANNOY_SPEC, alpha=["1", "1"], H=[
+            {"exp": [0, 0], "coef": "1"}, {"exp": [1, 0], "coef": "-1"},
+            {"exp": [0, 1], "coef": "-1"}, {"exp": [3, 2], "coef": f"1/{10**k}"}]),
+           (Fraction(1, 2), Fraction(1, 2)), 3) for k in (250, 305, 310, 330)],
+        # 1 - x + 10^-310 x^3, whose leading coefficient is subnormal too
+        (univariate_spec("1", "-1", "0", f"1/{10**310}"), (1,), 0),
+    ], ids=["k250", "k305", "k310", "k330", "univariate-k310"])
+    def test_coefficients_beyond_the_double_range(self, tmp_path, capsys, spec, point,
+                                                  expand_code):
+        code, out, _ = self._run_quietly(tmp_path, capsys, "critical", spec)
+        assert code == 0
+        (report,) = json.loads(out)["critical_points"]
+        assert len(report["point"]) == len(point)
+        for z, want in zip(report["point"], point):
+            assert abs(mpc(mpf(z["re"]), mpf(z["im"])) - want) < mpf("1e-50")
+        code, _, err = self._run_quietly(tmp_path, capsys, "expand", spec)
+        assert code == expand_code
+        if code:
+            assert "no strictly minimal critical point" in json.loads(err)["error"]
 
     def test_oracle_command(self, tmp_path, capsys):
         spec_path = self._write(tmp_path, DELANNOY_SPEC)

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import json
 import math
+import warnings
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -23,6 +26,7 @@ from smoothasym import (
     solve_critical,
 )
 from smoothasym import geometry
+from smoothasym.cli import ProblemSpec
 from smoothasym.geometry import (
     RESIDUAL_TOL,
     GeometryError,
@@ -40,6 +44,13 @@ from smoothasym.geometry import (
 
 from conftest import poly, random_critical_instance
 from oracles import reference_eval
+
+PROBLEMS = Path(__file__).resolve().parents[1] / "docs" / "problems"
+DOCS_SPECS = ("delannoy", "quantum_walk", "smirnov_snaps", "smirnov_words")
+
+
+def _docs_spec(name):
+    return ProblemSpec.from_json(json.loads((PROBLEMS / f"{name}.json").read_text()))
 
 
 class TestDirection:
@@ -93,8 +104,8 @@ class TestSolveCritical:
         assert [c.isolated for c in checks] == ["yes", "yes"]
 
     def test_vanishing_jacobian_column(self):
-        # at the candidate x = 0 the first Jacobian column is zero, which
-        # mpmath's LU reports as a TypeError rather than ZeroDivisionError
+        # at the candidate x = 0 the first Jacobian column is zero, so no
+        # pivot clears the singularity tolerance of ``_gauss_solve``
         H = poly(2, {(0, 0): 1, (0, 1): 2, (2, 0): 3, (2, 2): -1})
         alpha = Direction((2, 1))
         system = critical_system(H, alpha)
@@ -290,19 +301,23 @@ class TestPairedBackSubstitution:
         assert list(_paired_y_roots(P, 1j, far)) == list(far)
 
 
+# ``(H terms, direction, whether a Newton run stops at a known point)``
+KNOWN_POINT_DRAWS = [
+    ({(0, 0): 1, (1, 0): -1, (0, 1): -1, (1, 1): -1}, (3, 2), False),  # Delannoy
+    ({(0, 0): 1, (1, 0): -1, (0, 2): -1}, (1, 1), True),  # a double eliminant root
+    ({(0, 0): 1, (1, 0): -1, (0, 2): -1, (2, 0): Fraction(1, 3)}, (1, 2), True),  # singular
+    ({(0, 0): 1, (1, 0): -4, (0, 1): -1, (2, 2): -4}, (1, 2), True),
+    # (1 - y)(1 - 3x^2 - 3x^2 y), a benchmark draw: eliminant 36 x^4 (6x^2 - 1)^2
+    ({(0, 0): 1, (0, 1): -1, (2, 0): -3, (2, 2): 3}, (2, 1), True),
+]
+
+
 class TestKnownPoints:
     """``solve_critical`` hands the points kept so far to ``newton_polish``,
     which stops a run that comes within ``DEDUPE_TOL`` of one of them; the
     result is the one the runs polished to the end give, bit for bit."""
 
-    @pytest.mark.parametrize("terms, alpha, repeats", [
-        ({(0, 0): 1, (1, 0): -1, (0, 1): -1, (1, 1): -1}, (3, 2), False),  # Delannoy
-        ({(0, 0): 1, (1, 0): -1, (0, 2): -1}, (1, 1), True),  # a double eliminant root
-        ({(0, 0): 1, (1, 0): -1, (0, 2): -1, (2, 0): Fraction(1, 3)}, (1, 2), True),  # singular
-        ({(0, 0): 1, (1, 0): -4, (0, 1): -1, (2, 2): -4}, (1, 2), True),
-        # (1 - y)(1 - 3x^2 - 3x^2 y), a benchmark draw: eliminant 36 x^4 (6x^2 - 1)^2
-        ({(0, 0): 1, (0, 1): -1, (2, 0): -3, (2, 2): 3}, (2, 1), True),
-    ])
+    @pytest.mark.parametrize("terms, alpha, repeats", KNOWN_POINT_DRAWS)
     def test_same_points_as_full_runs(self, terms, alpha, repeats):
         H, alpha = poly(2, terms), Direction(alpha)
         stops = []
@@ -337,9 +352,9 @@ def _bits(z):
 
 @st.composite
 def complex_systems(draw):
-    """A square complex matrix (1x1 to 3x3) and right-hand side at 212 bits:
-    full-precision entries, some zero, and sometimes a row that is a multiple
-    of another or a zero column."""
+    """A square complex matrix (1x1 to 3x3), a right-hand side at 212 bits
+    and the matrix's shape: full-precision entries, some zero, and sometimes
+    a row that is a multiple of another ("dependent") or a zero column."""
     n = draw(st.integers(1, 3))
     parts = st.one_of(st.just(0), st.integers(-9, 9))
 
@@ -352,51 +367,107 @@ def complex_systems(draw):
         b = [entry() for _ in range(n)]
         shape = draw(st.sampled_from(["regular", "dependent", "zero column"]))
         if shape == "dependent" and n > 1:
-            A[-1] = [v * entry() / 3 for v in A[0]]
+            factor = entry() / 3
+            A[-1] = [v * factor for v in A[0]]
         elif shape == "zero column":
+            j = draw(st.integers(0, n - 1))
             for row in A:
-                row[draw(st.integers(0, n - 1))] = mpc(0)
-    return A, b
+                row[j] = mpc(0)
+        else:
+            shape = "regular"
+    return A, b, shape
 
 
-def _outcome(f, *args):
-    """``f(*args)`` as ("ok", bits) or ("raised", exception class)."""
+def _norm(v):
+    return max(abs(z) for z in v)
+
+
+def _mpmath_lu(A, b):
+    """``_gauss_solve``'s result from mpmath's ``lu_solve`` and ``det``."""
     try:
-        out = f(*args)
-    except Exception as exc:  # compared by class
-        return "raised", type(exc)
-    if isinstance(out, (list, mp.matrix)):
-        return "ok", [_bits(v) for v in out]
-    return "ok", _bits(out)
+        return list(mp.lu_solve(mp.matrix(A), mp.matrix(b))), mp.det(mp.matrix(A))
+    except (ZeroDivisionError, TypeError):  # mpmath's two ways to report singular
+        return None
+
+
+class TestGaussSolve:
+    """``_gauss_solve``, the elimination behind Newton's step and the
+    isolation check, against mpmath's LU."""
+
+    @settings(max_examples=200)
+    @given(complex_systems())
+    def test_solves_as_mpmath(self, case):
+        A, b, shape = case
+        with mp.workprec(212):
+            eps = +mp.eps  # ``mp.eps`` itself follows the working precision
+            solved = geometry._gauss_solve(A, b)
+            reference = _mpmath_lu(A, b)
+        if shape != "regular":
+            assert solved is None
+            return
+        with mp.workprec(600):
+            try:
+                inverse = mp.inverse(mp.matrix(A))
+            except (ZeroDivisionError, TypeError):
+                return  # an exactly singular draw: either answer is right
+            n = len(A)
+            norm_A = max(sum(abs(v) for v in row) for row in A)
+            cond = norm_A * max(sum(abs(inverse[i, j]) for j in range(n)) for i in range(n))
+            if cond > 2**100:
+                return
+            assert solved is not None and reference is not None
+            (x, det), (x_ref, det_ref) = solved, reference
+            residual = [sum(A[i][j] * x[j] for j in range(n)) - b[i] for i in range(n)]
+            assert _norm(residual) <= 64 * eps * norm_A * _norm(x)
+            assert _norm([u - v for u, v in zip(x, x_ref)]) <= 64 * cond * eps * _norm(x_ref)
+            assert abs(det - det_ref) <= 64 * n * cond * eps * abs(det_ref)
+
+    @pytest.mark.parametrize("A", [
+        [[1, 2], [2, 4]],  # numerically singular
+        [[0, 1], [0, 2]],  # no pivot in the first column
+        [[1, 0], [2, 0]],  # a zero last column
+        [[0]],
+    ])
+    def test_singular_matrices(self, A):
+        A = [[mpc(v) for v in row] for row in A]
+        assert geometry._gauss_solve(A, [mpc(1)] * len(A)) is None
+        assert _mpmath_lu(A, [mpc(1)] * len(A)) is None
+
+    def test_pivots_on_the_largest_entry(self):
+        # eliminating on the tiny entry would lose 60 of the 64 digits
+        A = [[mpc(10) ** -60, mpc(1)], [mpc(1), mpc(1)]]
+        b = [mpc(1), mpc(2)]
+        (x, det), (x_ref, det_ref) = geometry._gauss_solve(A, b), _mpmath_lu(A, b)
+        assert _norm([u - v for u, v in zip(x, x_ref)]) <= 4 * mp.eps
+        assert abs(det - det_ref) <= 4 * mp.eps
+
+    @pytest.mark.parametrize("H, alpha", [
+        *[(poly(2, terms), Direction(alpha)) for terms, alpha, _ in KNOWN_POINT_DRAWS],
+        *[(spec.H, spec.alpha) for spec in map(_docs_spec, DOCS_SPECS)],
+    ], ids=[*(f"known-{i}" for i in range(len(KNOWN_POINT_DRAWS))), *DOCS_SPECS])
+    def test_points_as_with_mpmath_lu(self, H, alpha):
+        # Newton's steps taken with mpmath's LU polish every isolated point
+        # to the same bits, apart from dust (a part within 2^-(prec-20) of
+        # its coordinate's modulus); at a singular point Newton crawls, and
+        # the two runs stop within the crawl's reach, the square root of the
+        # residual target, of each other
+        got, checks = solve_critical(H, alpha)
+        with mock.patch.object(geometry, "_gauss_solve", _mpmath_lu):
+            want, _ = solve_critical(H, alpha)
+        assert len(got) == len(want)
+        dust = mpf(2) ** (20 - mp.prec)
+        for g, w, check in zip(got, want, checks):
+            for z, y in zip(g, w):
+                if check.isolated == "isolated-unverified":
+                    assert abs(z - y) <= mp.sqrt(dust) * abs(z)
+                    continue
+                for u, v in ((z.real, y.real), (z.imag, y.imag)):
+                    assert u == v or max(abs(u), abs(v)) <= dust * abs(z)
 
 
 class TestCompiledSystem:
     """The critical system reproduces the ``mpc``-object evaluation
-    (``reference_eval``), and the list LU mpmath's ``lu_solve`` and ``det``,
-    bit for bit."""
-
-    @settings(max_examples=200)
-    @given(complex_systems())
-    def test_list_lu_matches_mpmath(self, case):
-        A, b = case
-        with mp.workprec(212):
-            assert _outcome(geometry._lu_solve, A, b) == _outcome(
-                mp.lu_solve, mp.matrix(A), mp.matrix(b))
-            assert _outcome(geometry._det, A) == _outcome(mp.det, mp.matrix(A))
-
-    @pytest.mark.parametrize("A, error", [
-        ([[1, 2], [2, 4]], ZeroDivisionError),  # numerically singular
-        ([[0, 1], [0, 2]], TypeError),  # no pivot in the first column
-        ([[1, 0], [2, 0]], ZeroDivisionError),  # a zero last column
-        ([[0]], ZeroDivisionError),
-    ])
-    def test_singular_matrices_raise_as_mpmath(self, A, error):
-        A = [[mpc(v) for v in row] for row in A]
-        b = [mpc(1)] * len(A)
-        for solve in (geometry._lu_solve, lambda A, b: mp.lu_solve(mp.matrix(A), mp.matrix(b))):
-            with pytest.raises(error):
-                solve(A, b)
-        assert _outcome(geometry._det, A) == _outcome(mp.det, mp.matrix(A))
+    (``reference_eval``) bit for bit."""
 
     @settings(max_examples=30)
     @given(bivariate_critical_systems(), st.tuples(*[st.integers(-9, 9)] * 4))
@@ -735,6 +806,19 @@ class TestSliceScan:
             assert found[s] == (expect.size > 0)
             if expect.size:
                 assert roots[s] == expect[np.argmin(np.abs(expect))]
+
+    @pytest.mark.parametrize("polys, least", [
+        ([[1e-310, -1, 0.5]], 0.5),
+        ([[1e-310, 1, -3, 2], [1, -6, 11, -6]], 1),
+    ])
+    def test_subnormal_leading_coefficient_lowers_the_degree(self, polys, least):
+        # a leading coefficient below the smallest normal double, relative to
+        # the row's largest, is cut to 0: dividing by it would overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            roots, found = _min_modulus_roots(np.array(polys, dtype=np.complex128))
+        assert found.all()
+        assert abs(roots[0] - least) < 1e-15
 
     @settings(max_examples=200)
     @given(low_degree_batches())

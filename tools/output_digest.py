@@ -1,6 +1,7 @@
 """Hash everything ``cli.main`` prints for every benchmark request.
 
     python3 tools/output_digest.py CHECKOUT [--seeds 1 2 ...] [--mask-witnesses]
+                                   [--mask-dust]
 
 Runs every request of the benchmark workloads (``perfbench/gen.py``) at the
 given seeds (1 and 2 by default) through the ``cli.main`` of the checkout at
@@ -34,6 +35,16 @@ so a change to that search can move its digits and nothing else; with the
 flag, such a change shows every other byte unchanged, and the unmasked run
 names the requests whose witnesses moved.
 
+``--mask-dust`` hashes each JSON output with its dust replaced by
+``"dust"``: each part of a ``{"re", "im"}`` pair whose modulus is at most
+``2^-(p-20)`` times the pair's larger part, and the imaginary part of each
+``meta`` value printed as ``(a + bj)`` under the same rule, where ``p`` is
+the request's ``precision_bits``.  Dust is rounding noise on an exact zero,
+such as the imaginary part of a real point, so a change to the solver's
+rounding can move it and nothing else; with the flag, a change that moves
+only dust hashes unchanged.  A part above dust that moves still shows, even
+by less than the bound: the rule masks small parts, not small moves.
+
 Seeds whose random draws make Newton crawl into singular critical points
 (7, 41, 51 and 52) exercise the solver far more than seeds 1 and 2; a
 change to the geometry passes ``--seeds 1 2 7 41 51 52``.
@@ -51,8 +62,10 @@ import hashlib
 import io
 import json
 import os
+import re
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 SEEDS = (1, 2)
@@ -125,10 +138,46 @@ def mask_witnesses(node):
     return out
 
 
-def request_digest(cli, command, spec_name, mask=False):
+# a complex ``meta`` value as ``str`` prints it: ``(a + bj)`` or ``(a - bj)``
+_META_COMPLEX = re.compile(r"\((\S+) [+-] (\S+)j\)")
+
+
+def mask_dust(node, bits):
+    """A copy of the JSON value ``node`` with its dust at ``bits`` of
+    precision replaced by ``"dust"``: each part of a ``{"re", "im"}`` pair
+    whose modulus is at most ``2^-(bits-20)`` times the pair's larger part,
+    and the imaginary part of each ``meta`` value printed as ``(a + bj)``
+    under the same rule."""
+    tol = Fraction(1, 2 ** (bits - 20))
+
+    def is_dust(part, other):
+        part, other = abs(Fraction(part)), abs(Fraction(other))
+        return part <= tol * max(part, other)
+
+    def walk(node, key=None):
+        if isinstance(node, list):
+            return [walk(v) for v in node]
+        if not isinstance(node, dict):
+            return node
+        if set(node) == {"re", "im"}:
+            re_, im = node["re"], node["im"]
+            return {"re": "dust" if is_dust(re_, im) else re_,
+                    "im": "dust" if is_dust(im, re_) else im}
+        out = {k: walk(v, k) for k, v in node.items()}
+        if key == "meta":
+            for k, v in out.items():
+                m = isinstance(v, str) and _META_COMPLEX.fullmatch(v)
+                if m and is_dust(m[2], m[1]):
+                    out[k] = f"({m[1]} + dustj)"
+        return out
+
+    return walk(node)
+
+
+def request_digest(cli, command, spec_name, transform=None):
     """sha256 over the exit code, stdout, stderr and written files of one
     ``cli.main`` call on the spec file ``spec_name`` (cwd-relative); with
-    ``mask``, the JSON file is hashed through ``mask_witnesses``."""
+    ``transform``, the JSON file is hashed as ``transform`` of its value."""
     for name in ("out.json", "out.csv"):
         Path(name).unlink(missing_ok=True)
     out, err = io.StringIO(), io.StringIO()
@@ -142,8 +191,8 @@ def request_digest(cli, command, spec_name, mask=False):
         code = f"{type(exc).__name__}: {exc}"
     files = [Path(n).read_text() if Path(n).exists() else "<none>"
              for n in ("out.json", "out.csv")]
-    if mask and files[0] != "<none>":
-        files[0] = json.dumps(mask_witnesses(json.loads(files[0])), indent=2,
+    if transform and files[0] != "<none>":
+        files[0] = json.dumps(transform(json.loads(files[0])), indent=2,
                               sort_keys=True) + "\n"
     h = hashlib.sha256()
     for part in (repr(code), out.getvalue(), err.getvalue(), *files):
@@ -159,6 +208,8 @@ def main(argv=None):
                     help="workload seeds to run (default: 1 2)")
     ap.add_argument("--mask-witnesses", action="store_true",
                     help="hash JSON outputs with every minimality witness masked")
+    ap.add_argument("--mask-dust", action="store_true",
+                    help="hash JSON outputs with rounding noise on exact zeros masked")
     args = ap.parse_args(argv)
     root = args.checkout.resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
@@ -170,7 +221,16 @@ def main(argv=None):
 
     def emit(label, command, spec):
         Path("spec.json").write_text(json.dumps(spec, sort_keys=True))
-        line = f"{label} {request_digest(cli, command, 'spec.json', args.mask_witnesses)}"
+        bits = spec.get("precision_bits", cli.DEFAULT_BITS)
+
+        def transform(node):
+            if args.mask_witnesses:
+                node = mask_witnesses(node)
+            return mask_dust(node, bits) if args.mask_dust else node
+
+        masked = args.mask_witnesses or args.mask_dust
+        digest = request_digest(cli, command, "spec.json", transform if masked else None)
+        line = f"{label} {digest}"
         print(line, flush=True)
         overall.update(line.encode() + b"\n")
 
