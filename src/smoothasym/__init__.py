@@ -32,6 +32,7 @@ from .localframe import (
     LocalFrame,
     amplitude_jets,
     build_frame,
+    frame_order,
     implicit_root_jet,
     phase_hessian,
     phase_jet,
@@ -76,6 +77,7 @@ __all__ = [
     "expand_degenerate",
     "expand_smooth",
     "expand_univariate",
+    "frame_order",
     "implicit_root_jet",
     "is_aperiodic",
     "jet_circle_substitute",

@@ -31,14 +31,7 @@ from .expansion import (
     expand_univariate,
 )
 from .geometry import Direction, GeometryError, build_report, solve_critical
-from .localframe import (
-    FrameError,
-    build_frame,
-    degenerate_phase_order,
-    phase_window,
-    smooth_phase_order,
-    vanishing_order,
-)
+from .localframe import FrameError, build_frame, frame_order, phase_window, vanishing_order
 from .oracle import maclaurin_table
 from .series import (DEFAULT_BITS, GaussRat, SeriesError, SparsePoly, check_precision,
                      coef_to_mpc, json_int, parse_fraction, parse_rational, workprec)
@@ -280,9 +273,8 @@ def _expand_at_point(spec, report):
             G_den=spec.G_den, reordering=report.reordering, v=v,
         )
 
-    smooth_order = smooth_phase_order(spec.N, spec.d)
     try:
-        frame = frame_of_order(smooth_order)
+        frame = frame_of_order(frame_order(spec.N))
     except FrameError as exc:
         raise PipelineExit(EXIT_NO_CRITICAL, f"frame construction failed: {exc}")
     if not spec.force_degenerate:
@@ -298,16 +290,15 @@ def _expand_at_point(spec, report):
     try:
         v = vanishing_order(frame.phase)
         if v is None:
-            # v lies beyond the nondegenerate route's phase window: search the
-            # whole phase, built at the order the least such v needs
-            least = frame.phase.held_through() + 1
-            frame = frame_of_order(
-                max(smooth_order, degenerate_phase_order(spec.N, least)), "whole"
-            )
+            # v lies beyond the window 2N: search the whole phase to the
+            # sup-norm budget (v + 1)(N + 1) + 1 of the least such v, 2N + 1
+            frame = frame_of_order(2 * (spec.N + 1) ** 2 + 1, "whole")
             v = vanishing_order(frame.phase)
-        order = max(smooth_order, degenerate_phase_order(spec.N, v))
-        if frame.order != order or frame.phase.held_through() < phase_window(spec.N, v):
-            frame = frame_of_order(order, v)
+            if v is None:
+                raise FrameError("phase numerically flat")
+        if (frame.order < frame_order(spec.N, v)
+                or frame.phase.held_through() < phase_window(spec.N, v)):
+            frame = frame_of_order(frame_order(spec.N, v), v)
         return expand_degenerate(frame, spec.N, v=v)
     except FrameError as exc:
         raise PipelineExit(EXIT_NO_CRITICAL, f"degenerate route failed: {exc}")

@@ -15,7 +15,7 @@ from fractions import Fraction
 from mpmath import mp, mpc, mpf
 
 from .geometry import Direction
-from .localframe import amplitude_jets, degenerate_phase_order
+from .localframe import amplitude_jets, frame_order
 from .series import Jet, coef_to_mpc, complex_to_json
 from .stationary import (
     OrderBudgetError,
@@ -243,16 +243,19 @@ def _assemble(frame, kind, N, term, phase, pref, y_exponent, error_exponent, met
     )
 
 
-def _check_terms(frame, N):
+def _check_terms(frame, N, v=None):
     """N must be at least 1 and at most the terms the amplitudes were built
-    for: a term beyond them would read coefficients the frame does not
-    hold."""
+    for, and the frame's order at least ``frame_order(N, v)`` of the route:
+    otherwise a term would read coefficients the frame does not hold."""
     if N < 1:
         raise ExpansionError("need at least one term")
     if N > frame.terms:
         raise OrderBudgetError(
             f"{N} terms asked of a frame whose amplitudes serve {frame.terms}"
         )
+    if frame.order < frame_order(N, v):
+        raise ExpansionError(f"frame order {frame.order} below the {frame_order(N, v)} "
+                             f"required for N={N}, v={v}")
 
 
 def expand_smooth(frame, N):
@@ -286,15 +289,10 @@ def expand_smooth(frame, N):
 
 def expand_degenerate(frame, N, v):
     """Degenerate (two-variable) expansion with vanishing order v, N terms."""
-    _check_terms(frame, N)
+    _check_terms(frame, N, v)
     if frame.d != 2:
         raise ExpansionError("degenerate expansions require exactly two variables")
     parity = "even" if v % 2 == 0 else "odd"
-    needed = degenerate_phase_order(N, v)
-    if frame.order < needed:
-        raise ExpansionError(
-            f"frame order {frame.order} below the {needed} required for N={N}, v={v}"
-        )
     phase = PhaseData.degenerate(frame.phase, v, N)
     if parity == "even":
         term, step = stationary_term_even, 2

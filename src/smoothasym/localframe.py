@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpc, mpf
 
-from .geometry import Direction
+from .geometry import Direction, check_smooth
 from .series import Jet, jet_circle_substitute
-from .stationary import slice_degree
+from .stationary import read_degree, slice_degree
 
 VANISHING_TOL = mpf("1e-12")  # negligible phase coefficient, relative to the largest or 1
 FRAME_TOL = mpf("1e-10")  # relative tolerance of the ``validate_frame`` identities
@@ -26,22 +26,11 @@ class FrameError(ValueError):
     pass
 
 
-def smooth_phase_order(N, d):
-    """Truncation order for the nondegenerate path with N retained terms.
-
-    Covers both the sup-norm budget of the underlying nondegenerate theorem
-    and the largest derivative the finite sums actually consume: 6k at term
-    k = N-1, read from ``u * remainder^l`` (the amplitude and the remainder
-    powers), not from the phase, which they read only through
-    ``phase_window(N)``.
-    """
-    return max(2 * N + 2, 3 * (N + math.ceil((d - 1) / 2)) + 1, 6 * max(N - 1, 0) + 2)
-
-
-def degenerate_phase_order(N, v):
-    """Truncation order for the one-variable degenerate path."""
-    consumed = 2 * (N - 1) * (v + 1) if v % 2 == 0 else (N - 1) * (v + 1)
-    return max((v + 1) * (N + 1) + 1, consumed + 2)
+def frame_order(N, v=None):
+    """Truncation order of a frame for N terms on the route ``v`` (None
+    nondegenerate): one above ``stationary.read_degree``, as the amplitudes
+    are exact only below the order, and never below ``phase_window``."""
+    return max(phase_window(N, v), read_degree(N, v) + 1)
 
 
 def phase_window(N, v=None):
@@ -207,7 +196,8 @@ def amplitude_jets(G_num, H, p, point, h_jet, order, terms, G_den=None):
 
     The pole-coordinate jets have order ``order + p - 1``, so ``Q`` lacks its
     coefficients of that total degree and amplitude ``p - 1`` can be wrong at
-    w-degree ``order``: the amplitudes are exact only through ``order - 1``.
+    w-degree ``order``: the amplitudes are exact only through ``order - 1``,
+    and ``frame_order`` sets the order one above every degree a term reads.
     With no torus variables (``H`` in one variable, ``h_jet`` a constant jet
     in none) this is the univariate residue.
 
@@ -283,25 +273,21 @@ def amplitude_jets(G_num, H, p, point, h_jet, order, terms, G_den=None):
 
 
 def vanishing_order(g_jet):
-    """Least order >= 2 whose phase jet coefficient is non-negligible.
+    """Least order >= 2 whose phase jet coefficient is non-negligible, or
+    ``None`` when the jet holds no such order.
 
     The scale is the largest coefficient the jet holds, floored at 1 so that
     rounding noise cannot set it: a windowed phase (``phase_jet``) may hold
     nothing past the noise of its gradient and Hessian.  The search stays
-    inside the window, and ``None`` means the window holds no such order,
-    so v lies beyond it; a whole phase holding none is refused.
-    """
+    inside the window: ``None`` means v lies beyond it (or the order)."""
     if g_jet.nvars != 1:
         raise FrameError("vanishing order is only defined for one torus variable")
-    held = g_jet.held_through()
     top = max((abs(v) for v in g_jet.coeffs.values()), default=mpf(0))
     negligible = VANISHING_TOL * max(top, 1)
-    for v in range(2, held + 1):
+    for v in range(2, g_jet.held_through() + 1):
         if abs(g_jet.coefficient((v,))) > negligible:
             return v
-    if held < g_jet.order:
-        return None
-    raise FrameError("phase numerically flat")
+    return None
 
 
 @dataclass
@@ -309,8 +295,8 @@ class LocalFrame:
     """All point-local data at a smooth critical point (reordered coords).
 
     The amplitude jets have order ``order`` but are exact only through
-    ``order - 1`` (see ``amplitude_jets``); ``smooth_phase_order`` and
-    ``degenerate_phase_order`` keep every degree the terms read below that.
+    ``order - 1`` (see ``amplitude_jets``); ``frame_order`` keeps every
+    degree the terms read below that.
     The jets are built for ``terms`` terms: each is a window (see
     ``series``) of its full-order self through the degree those terms read.
     The amplitudes are windows through ``2(terms - 1)``, the phase through
@@ -351,8 +337,6 @@ def build_frame(G_num, H, p, direction, point, order, terms, G_den=None, reorder
     to everything first; pass ``reordering`` explicitly to reuse a
     previously chosen frame.
     """
-    from .geometry import check_smooth
-
     d = H.nvars
     if p < 1:
         raise FrameError("pole order must be a positive integer")

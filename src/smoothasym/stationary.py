@@ -8,12 +8,12 @@ degenerate cases of even/odd vanishing order v with Gamma-factor weights.
 Only the terms live here; ``expansion`` weights and sums them.  The tests
 sum them into the integral itself and compare with direct quadrature.
 
-All three are one driver, ``_term``: the k-th term is a finite sum over l of
-a weight times one linear functional of ``u * remainder^l``, and only the
-weights and the l-range differ.  Each functional reads one homogeneous slice
-of that product, of degree ``m(l)``: the ``t^m`` coefficient in the degenerate
-cases, and ``Hop^(l+k)(w)(0)`` with ``m = 2(l+k)`` in the nondegenerate case,
-because the Hessian-inverse operator ``Hop`` lowers degree by exactly two.
+All three are one driver, ``_term``: the k-th term is a finite sum over
+``l <= last_power(k, v)`` of a weight times one linear functional of
+``u * remainder^l``, and only the weights differ.  Each functional reads one
+homogeneous slice of that product, of degree ``m(l)``: the ``t^m`` coefficient
+in the degenerate cases, and ``Hop^(l+k)(w)(0)`` with ``m = 2(l+k)`` in the
+nondegenerate case, as the Hessian-inverse operator ``Hop`` lowers degree by 2.
 The slice is computed with the pair order of the full jet product, and the
 powers ``remainder^l`` are built once per phase, through the degree the terms
 read: with N terms, the degree ``m(l)`` of term ``k = N - 1``.  Each power is
@@ -98,6 +98,17 @@ def sign_factor(a):
     if abs(a.imag) <= SIGN_TOL * mag:
         return mpc(1) if a.real > 0 else mpc(-1)
     return a / mag
+
+
+def last_power(k, v=None):
+    """The highest power of the remainder term k reads: ``k`` for odd v, else ``2k``."""
+    return k if v is not None and v % 2 else 2 * k
+
+
+def read_degree(N, v=None):
+    """The highest degree N terms read of ``u * remainder^l``: ``6(N-1)``
+    nondegenerate, ``2(N-1)(v+1)`` for even v, ``(N-1)(v+1)`` for odd v."""
+    return slice_degree(N - 1, last_power(N - 1, v), v)
 
 
 def slice_degree(k, l, v=None):
@@ -263,20 +274,20 @@ def _hessian_inverse_chain(jet, inv, times):
                 for key, z in coeffs.items()}, jet.caps)
 
 
-def _term(u_jet, phase, k, stop, summand):
-    """Sum over l < stop of ``summand(l, w)``, where ``w`` is the
-    ``phase.slice_degree(k, l)`` part of ``u * remainder^l`` (the degree
-    increases with l, so the last slice sets the order budget)."""
+def _term(u_jet, phase, k, summand):
+    """Sum over ``l <= last_power(k, v)`` of ``summand(l, w)``, where ``w``
+    is the ``phase.slice_degree(k, l)`` part of ``u * remainder^l`` (the
+    degree increases with l, so the last slice sets the order budget)."""
     if k >= phase.terms:
         raise OrderBudgetError(f"term {k} is beyond the {phase.terms} terms of the phase")
-    needed = phase.slice_degree(k, stop - 1)
+    needed = phase.slice_degree(k, last_power(k, phase.v))
     if u_jet.order < needed or phase.remainder.order < needed:
         raise OrderBudgetError(
             f"term {k} needs jets of order {needed}, have "
             f"{min(u_jet.order, phase.remainder.order)}"
         )
     total = mpc(0)
-    for l in range(stop):
+    for l in range(last_power(k, phase.v) + 1):
         m = phase.slice_degree(k, l)
         total += summand(l, u_jet.mul_degree(phase.remainder_power(l), m))
     return total
@@ -297,7 +308,7 @@ def stationary_term(u_jet, phase, k):
         denom = mpf((-1) ** k) * mpf(2) ** (l + k) * math.factorial(l) * math.factorial(l + k)
         return w.constant_coefficient() / denom
 
-    return _term(u_jet, phase, k, 2 * k + 1, summand)
+    return _term(u_jet, phase, k, summand)
 
 
 def stationary_term_even(u_jet, phase, k):
@@ -315,7 +326,7 @@ def stationary_term_even(u_jet, phase, k):
         weight = mpf((-1) ** l) * mpmath.gamma(mpf(m + 1) / v) / mpf(math.factorial(l))
         return weight * root**m * w.coefficient((m,))  # m-th derivative / m!
 
-    return _term(u_jet, phase, k, 2 * k + 1, summand)
+    return _term(u_jet, phase, k, summand)
 
 
 def stationary_term_odd(u_jet, phase, k):
@@ -335,7 +346,7 @@ def stationary_term_odd(u_jet, phase, k):
         weight = mpf((-1) ** l) * mpmath.gamma(mpf(m + 1) / v) / mpf(math.factorial(l))
         return weight * phase_factor * scale**m * w.coefficient((m,))
 
-    return _term(u_jet, phase, k, k + 1, summand)
+    return _term(u_jet, phase, k, summand)
 
 
 def _degenerate_order(phase, parity):

@@ -29,6 +29,7 @@ from smoothasym.cli import (
     run_oracle,
 )
 from smoothasym.geometry import solve_critical
+from smoothasym.localframe import frame_order
 
 from oracles import (
     poly_to_json,
@@ -744,6 +745,31 @@ class TestRoutesMatchFullOrderChains:
         windowed = run()
         _patch_full_order_chains(monkeypatch)
         assert windowed == run()
+
+
+@pytest.mark.parametrize("N, orders", [
+    # v = 3 lies inside the nondegenerate window 2N = 4, and the first
+    # frame's order covers ``frame_order(2, 3)``: no second frame
+    (2, [frame_order(2)]),
+    # v = 3 lies beyond one term's window 2: one whole-phase search, whose
+    # frame serves the route
+    (1, [frame_order(1), 9]),
+])
+def test_quantum_walk_frames(monkeypatch, N, orders):
+    built = []
+    build = cli.build_frame
+
+    def counting(*args, **kwargs):
+        frame = build(*args, **kwargs)
+        built.append(frame.order)
+        return frame
+
+    monkeypatch.setattr(cli, "build_frame", counting)
+    spec = ProblemSpec.from_json(_docs_spec("quantum_walk", N=N))
+    report = SimpleNamespace(point=(mpc(1), mpc(1)), reordering=(0, 1))
+    e = cli._expand_at_point(spec, report)
+    assert e.kind == "degenerate-odd" and e.meta["v"] == 3
+    assert built == orders
 
 
 def _perfbench_spans():

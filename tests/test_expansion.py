@@ -25,7 +25,7 @@ from smoothasym.expansion import (
     FlatSeries,
     rising_factorial_poly,
 )
-from smoothasym.localframe import smooth_phase_order, vanishing_order
+from smoothasym.localframe import frame_order, vanishing_order
 from smoothasym.stationary import OrderBudgetError
 
 from conftest import poly, smirnov_family
@@ -95,7 +95,7 @@ class TestExpandDegenerate:
     def test_v2_agrees_with_smooth(self, central_binomial):
         G, H, alpha = central_binomial
         frame = build_frame(G, H, 1, alpha, (mpc(1) / 2, mpc(1) / 2),
-                            smooth_phase_order(3, 2), 3)
+                            frame_order(3), 3)
         smooth = expand_smooth(frame, 3)
         even = expand_degenerate(frame, 3, v=2)
         assert even.kind == "degenerate-even"
@@ -121,7 +121,7 @@ class TestFrameTerms:
         # the amplitudes of a frame built for N=2 hold degrees through 2; a
         # third term would read degree 4 of them
         G, H, alpha = delannoy
-        frame = build_frame(G, H, 1, alpha, delannoy_point, smooth_phase_order(3, 2), 2)
+        frame = build_frame(G, H, 1, alpha, delannoy_point, frame_order(3), 2)
         assert frame.terms == 2
         assert len(expand_smooth(frame, 2).structured) == 2
         with pytest.raises(OrderBudgetError):
@@ -260,6 +260,6 @@ def _expand(G, H, p, alpha, N, G_den=None):
     points, _ = solve_critical(H, alpha)
     pos = [pt for pt in points if pt[0].real > 0 and abs(pt[0].imag) < mpf("1e-20")]
     point = min(pos, key=lambda pt: abs(pt[0]))
-    frame = build_frame(G, H, p, alpha, point, smooth_phase_order(N, H.nvars), N,
+    frame = build_frame(G, H, p, alpha, point, frame_order(N), N,
                         G_den=G_den)
     return expand_smooth(frame, N)

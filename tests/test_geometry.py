@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -39,6 +40,7 @@ from smoothasym.geometry import (
     _jacobian_singular,
     _min_modulus_roots,
     _paired_y_roots,
+    _sample_minimality,
     _scan_minimality_2d,
 )
 
@@ -730,6 +732,46 @@ def bivariate_scans(draw):
     return SparsePoly(2, terms), point
 
 
+def reference_torus_sample(H, point):
+    """The first scaled-torus sample with a slice root inside, as a loop of
+    one sample at a time, each slice evaluated at working precision and
+    solved by ``np.roots``: ``(w, roots inside)``, or ``None``."""
+    d = H.nvars
+    rng = random.Random(geometry.TORUS_SEED)
+    for _ in range(geometry.TORUS_SAMPLES):
+        s = 0.5 + 0.5 * rng.random()
+        w = []
+        for j in range(d - 1):
+            t = 2 * math.pi * rng.random()
+            r = float(abs(point[j]))
+            w.append(mpc(complex(s * r * math.cos(t), s * r * math.sin(t))))
+        coeffs = [mpc(0)] * (H.max_degree(d - 1) + 1)
+        for e, c in H.terms.items():
+            term = geometry.coef_to_mpc(c)
+            for j in range(d - 1):
+                term *= w[j] ** e[j]
+            coeffs[e[d - 1]] += term
+        row = np.trim_zeros(np.array([complex(c) for c in reversed(coeffs)]), "f")
+        inside = [y for y in (np.roots(row) if row.size > 1 else [])
+                  if abs(y) < float(abs(point[d - 1])) * (1 - 1e-9)]
+        if inside:
+            return tuple(w), inside
+    return None
+
+
+@st.composite
+def trivariate_samples(draw):
+    """Random H(x, y, z) with H(0) != 0, Gaussian coefficients among them,
+    and a polyradius to sample inside, which need not lie on the variety."""
+    rationals = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3))
+    coefs = st.one_of(rationals, st.builds(GaussRat, rationals, rationals))
+    exps = st.tuples(*[st.integers(0, 2)] * 3).filter(any)
+    terms = draw(st.dictionaries(exps, coefs, min_size=1, max_size=6))
+    terms[(0, 0, 0)] = draw(coefs)
+    point = tuple(mpc(draw(st.integers(1, 12))) / 6 for _ in range(3))
+    return SparsePoly(3, terms), point
+
+
 @st.composite
 def low_degree_batches(draw):
     """Slice rows of one width, highest degree first: degree 1 (width 2) or
@@ -878,3 +920,47 @@ class TestSliceScan:
         roots, found = _min_modulus_roots(np.array([[1], [0]], dtype=np.complex128))
         assert not found.any()
 
+
+
+class TestTorusSampling:
+    """All torus samples solved in one batch give the verdicts of the
+    per-sample loop: the same first sample with a root inside, and a root
+    of its slice inside as the witness."""
+
+    @settings(max_examples=20)
+    @given(trivariate_samples())
+    def test_matches_per_sample_reference(self, case):
+        H, point = case
+        verdict = _sample_minimality(H, point)
+        ref = reference_torus_sample(H, point)
+        assert verdict.kind == ("unknown" if ref is None else "not-minimal")
+        if ref is None:
+            return
+        w, inside = ref
+        assert verdict.witness[:2] == w
+        y = verdict.witness[2]
+        assert abs(y) <= min(abs(complex(r)) for r in inside) * (1 + 1e-9)
+        scale = max(abs(geometry.coef_to_mpc(c)) for c in H.terms.values())
+        assert abs(H.eval(verdict.witness)) < mpf("1e-9") * scale * max(abs(y), 1) ** 2
+
+    def test_plane(self):
+        # 1 - x - y - z: (1, 1, -1) has variety points inside its polydisc,
+        # (1/3, 1/3, 1/3) is minimal and sampling cannot certify it
+        H = poly(3, {(0, 0, 0): 1, (1, 0, 0): -1, (0, 1, 0): -1, (0, 0, 1): -1})
+        verdict = _sample_minimality(H, (mpc(1), mpc(1), mpc(-1)))
+        assert verdict.kind == "not-minimal"
+        assert abs(H.eval(verdict.witness)) < mpf("1e-15")
+        assert all(abs(z) < 1 for z in verdict.witness)
+        assert _sample_minimality(H, (mpc(1) / 3,) * 3).kind == "unknown"
+
+    @pytest.mark.parametrize("big", [Fraction(10) ** 400, Fraction(1, 10**400)])
+    def test_coefficients_beyond_the_double_range(self, big):
+        # the slices are scaled by a power of two before they are rounded to
+        # doubles, so a coefficient of 1e400 neither overflows nor, at 1e-400,
+        # changes the verdict
+        H = poly(3, {(0, 0, 0): 1, (1, 0, 0): -1, (0, 1, 0): -1, (0, 0, 1): -1,
+                     (1, 1, 1): big})
+        verdict = _sample_minimality(H, (mpc(1), mpc(1), mpc(-1)))
+        assert verdict.kind == "not-minimal"
+        assert all(abs(z) < 1 for z in verdict.witness)
+        assert abs(H.eval(verdict.witness)) < mpf("1e-12") * max(big, 1)

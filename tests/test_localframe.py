@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -19,19 +20,21 @@ from smoothasym import (
     solve_critical,
     vanishing_order,
 )
+from smoothasym import cli
+from smoothasym.cli import PipelineExit, ProblemSpec
 from smoothasym.expansion import expand_degenerate, expand_smooth
 from smoothasym.localframe import (
     FrameError,
     amplitude_jets,
-    degenerate_phase_order,
+    frame_order,
     hessian_from_jet,
     phase_window,
-    smooth_phase_order,
     validate_frame,
 )
 from smoothasym.stationary import (
     OrderBudgetError,
     PhaseData,
+    read_degree,
     stationary_term,
     stationary_term_even,
     stationary_term_odd,
@@ -45,6 +48,7 @@ from oracles import (
     frame_to_json,
     jet_bits,
     phase_hessian_symmetric_q,
+    poly_to_json,
     reference_implicit_root,
 )
 
@@ -327,12 +331,12 @@ class TestAmplitudeTopDegree:
             return max(reads)
 
         for d in (2, 3):
-            order = smooth_phase_order(N, d)
+            order = frame_order(N)
             phase = PhaseData(Jet(d - 1, order, (0,) * (d - 1), {}), N,
                               hessian_inverse=mp.eye(d - 1))
             assert highest(phase, stationary_term, order) <= order - 1
         for v in range(2, 7):
-            order = degenerate_phase_order(N, v)
+            order = frame_order(N, v)
             phase = PhaseData(Jet(1, order, (0,), {}), N, a=mpc(1), v=v)
             term = stationary_term_even if v % 2 == 0 else stationary_term_odd
             assert highest(phase, term, order) <= order - 1
@@ -410,7 +414,7 @@ class TestFrameWindows:
         else:
             H, fams = smirnov_family()
             (G, G_den, p), alpha, pt = fams[1], Direction((1, 1, 1)), (mpc(1) / 3,) * 3
-        order = smooth_phase_order(N, H.nvars)
+        order = frame_order(N)
         frame = build_frame(G, H, p, alpha, pt, order, N, G_den=G_den)
         # the whole route builds the implicit root and the phase whole
         whole = build_frame(G, H, p, alpha, pt, order, N, G_den=G_den, v="whole")
@@ -454,7 +458,7 @@ class TestFrameWindows:
         # beyond the nondegenerate route's 2N
         G, H, alpha, pt = quartic_phase
         N = 2
-        order = degenerate_phase_order(N, 4)
+        order = frame_order(N, 4)
         frame = build_frame(G, H, 1, alpha, pt, order, N)
         assert frame.phase.held_through() == 2 * N
         assert vanishing_order(frame.phase) == 4
@@ -479,14 +483,17 @@ class TestFrameWindows:
         # one term's window, degree 2, holds no order past the gradient.  At
         # x = 1 the t^2 coefficient is exactly 0; with x rescaled by 7/3 the
         # point (3/7, 1) is inexact and it is rounding noise, as is the
-        # gradient, which must not set the negligibility scale
+        # gradient, which must not set the negligibility scale.  A whole
+        # phase shows v = 3 only at an order that reaches it
         (G, H), alpha = (_scale_x(f, scale) for f in quantum_walk[:2]), quantum_walk[2]
         pt = (mpc(Fraction(scale).denominator) / Fraction(scale).numerator, mpc(1))
-        order = smooth_phase_order(1, 2)
-        frame = build_frame(G, H, 1, alpha, pt, order, 1)
+        frame = build_frame(G, H, 1, alpha, pt, frame_order(1), 1)
         assert frame.phase.held_through() == 2
         assert vanishing_order(frame.phase) is None
-        whole = build_frame(G, H, 1, alpha, pt, order, 1, v="whole")
+        low = build_frame(G, H, 1, alpha, pt, frame_order(1), 1, v="whole")
+        assert low.phase.held_through() == low.order == 2
+        assert vanishing_order(low.phase) is None
+        whole = build_frame(G, H, 1, alpha, pt, frame_order(1, 3), 1, v="whole")
         assert vanishing_order(whole.phase) == 3
         if scale == 1:
             assert whole.phase.coefficient((2,)) == 0
@@ -511,18 +518,38 @@ class TestVanishingOrder:
         assert vanishing_order(g) == 3
 
     def test_flat_phase_rejected(self):
-        g = Jet(1, 6, (mpc(0),), {})
-        with pytest.raises(FrameError):
-            vanishing_order(g)
+        # a phase that holds no order is a plain ``None``; the degenerate
+        # route refuses it once its whole-phase search finds none.  On
+        # ``H = 1 - xy`` along (1, 1) the torus phase at (1, 1) is exactly
+        # flat: ``h(x e^{it}) = e^{-it}/x`` cancels the linear term
+        assert vanishing_order(Jet(1, 6, (mpc(0),), {})) is None
+        H = poly(2, {(0, 0): 1, (1, 1): -1})
+        spec = ProblemSpec.from_json({
+            "variables": ["x", "y"], "G": poly_to_json(SparsePoly.constant(2, 1)),
+            "H": poly_to_json(H), "p": 1, "alpha": ["1", "1"], "N": 1, "n_values": [1],
+        })
+        report = SimpleNamespace(point=(mpc(1), mpc(1)), reordering=(0, 1))
+        with pytest.raises(PipelineExit, match="phase numerically flat") as info:
+            cli._expand_at_point(spec, report)
+        assert info.value.code == cli.EXIT_NO_CRITICAL
 
 
 class TestBuildFrame:
     def test_orders_cover_budgets(self):
-        assert smooth_phase_order(2, 2) >= 10
-        assert degenerate_phase_order(5, 3) >= 25  # odd: the sup-norm budget
-        assert degenerate_phase_order(5, 4) >= 40  # even: 2(N-1)(v+1) consumed
-        # large N: the consumed order dominates the sup-norm budget
-        assert smooth_phase_order(6, 2) >= 30
+        # one above the highest degree the terms read: 6(N-1) nondegenerate,
+        # 2(N-1)(v+1) for even v, (N-1)(v+1) for odd v; never below the
+        # phase window, which one term and a large v set
+        assert frame_order(1) == 2
+        assert frame_order(2) == 7
+        assert frame_order(8) == 43  # Delannoy at N = 8 reads degree 42
+        assert frame_order(5, 3) == 17
+        assert frame_order(5, 4) == 41
+        assert frame_order(1, 7) == 7 == phase_window(1, 7)
+
+    @pytest.mark.parametrize("v", [None, 2, 3, 4, 5, 6])
+    def test_frame_order_is_one_above_the_reads(self, v):
+        for N in range(1, 9):
+            assert frame_order(N, v) - 1 == max(read_degree(N, v), phase_window(N, v) - 1)
 
     def test_delannoy_frame_validates(self, delannoy, delannoy_point):
         G, H, alpha = delannoy

@@ -9,9 +9,9 @@ given seeds (1 and 2 by default) through the ``cli.main`` of the checkout at
 benchmark's closed loop does.
 Then, whatever the seeds, it runs ``ROUTES``: nine fixed requests on
 routes that no workload reaches (the degenerate even route, the degenerate
-route's whole-phase search and second frame, the one-variable route, torus
-sampling in three variables, the ``oracle`` command, a three-variable
-Gaussian system from seeds and a Gaussian ``G``).
+route's whole-phase search and its reuse of the first frame, the
+one-variable route, torus sampling in three variables, the ``oracle``
+command, a three-variable Gaussian system from seeds and a Gaussian ``G``).
 For each request it hashes the exit code, stdout, stderr and the JSON and
 CSV files the request writes (an exception escaping ``cli.main`` is hashed
 as its type and message), and prints one line
@@ -97,7 +97,7 @@ ROUTES = (
     ("delannoy-degenerate-even", "expand", "delannoy",
      {"overrides": {"force_degenerate": True}}),
     ("quantum-walk-whole-phase", "expand", "quantum_walk", {"N": 1}),
-    ("quantum-walk-second-frame", "expand", "quantum_walk", {"N": 2}),
+    ("quantum-walk-one-frame", "expand", "quantum_walk", {"N": 2}),
     ("univariate-pole-2", "expand", None, {
         "variables": ["x"], "G": _terms(((0,), 1)),
         "H": _terms(((0,), 1), ((1,), -1), ((2,), -1)),
