@@ -31,7 +31,8 @@ from .expansion import (
     expand_univariate,
 )
 from .geometry import Direction, GeometryError, build_report, solve_critical
-from .localframe import FrameError, build_frame, frame_order, phase_window, vanishing_order
+from .localframe import (FrameError, build_frame, frame_order, phase_window, search_order,
+                         vanishing_order)
 from .oracle import maclaurin_table
 from .series import (DEFAULT_BITS, GaussRat, SeriesError, SparsePoly, check_precision,
                      coef_to_mpc, json_int, parse_fraction, parse_rational, workprec)
@@ -290,9 +291,8 @@ def _expand_at_point(spec, report):
     try:
         v = vanishing_order(frame.phase)
         if v is None:
-            # v lies beyond the window 2N: search the whole phase to the
-            # sup-norm budget (v + 1)(N + 1) + 1 of the least such v, 2N + 1
-            frame = frame_of_order(2 * (spec.N + 1) ** 2 + 1, "whole")
+            # v lies beyond the window 2N: search the whole phase
+            frame = frame_of_order(search_order(spec.N), "whole")
             v = vanishing_order(frame.phase)
             if v is None:
                 raise FrameError("phase numerically flat")

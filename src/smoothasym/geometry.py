@@ -24,11 +24,10 @@ than two variables the slices, sampled at random on shrunken tori
 
 numpy is imported on first use, inside the seed-root helpers
 (``_normal_doubles``, ``_dense_roots_double``, ``_slice_roots``) and the
-minimality scan (``_best_slice_root``, ``_unit_circle``,
-``_min_modulus_roots``, ``_sample_minimality``) only, never
-at module level: it is about 0.16 s of a 0.28 s ``import smoothasym.cli``,
-which a process pays before its first request, and the ``oracle`` command and
-spec errors never need it.
+minimality scan (``_best_slice_root``, ``_unit_circle``, ``_min_modulus_roots``,
+``_sample_minimality``) only, never at module level: it is about 0.16 s of a
+0.28 s ``import smoothasym.cli``, which a process pays before its first
+request, and the ``oracle`` command and spec errors never need it.
 """
 
 from __future__ import annotations
@@ -795,7 +794,7 @@ def _scan_minimality_2d(H, point, grid):
     if min_ratio < 1 - float(margin):
         # refine the witness at working precision: fix x, polish y on H(x,.)
         x = mpc(x)
-        y = _polish_slice_root(H, x, mpc(y))
+        y = _polish_slice_root(H, (x,), mpc(y))
         if y is not None and abs(y) < r2 * (1 - margin) and abs(x) < r1 * (1 - margin):
             return MinimalityVerdict(
                 "not-minimal",
@@ -928,8 +927,8 @@ def _min_modulus_roots(polys):
     return roots, found
 
 
-def _polish_slice_root(H, x, y0):
-    coeffs = _y_slice(H, (x,))
+def _polish_slice_root(H, w, y0):
+    coeffs = _y_slice(H, w)
     y = mpc(y0)
     for _ in range(80):
         f = sum(coeffs[k] * y**k for k in range(len(coeffs)))
@@ -948,33 +947,29 @@ def _polish_slice_root(H, x, y0):
 def _sample_minimality(H, point):
     """Random scaled-torus sampling; can only find witnesses, never certify.
 
-    All slices ``H(w, .)``, ``w_j = s |c_j| e^{i t_j}``, are built at once in
-    complex128; the first whose least-modulus root lies inside is the witness."""
+    The slices ``H(w, .)`` of all samples are built at once in complex128,
+    scaled by a power of two; the witness is the first sample whose
+    least-modulus root, polished on its slice, lies inside."""
     import numpy as np
 
-    d = H.nvars
     radii = [float(abs(z)) for z in point]
     rng = random.Random(TORUS_SEED)
-    ws = np.empty((TORUS_SAMPLES, d - 1), dtype=np.complex128)
+    ws = np.empty((TORUS_SAMPLES, H.nvars - 1), dtype=np.complex128)
     for w in ws:
         s = 0.5 + 0.5 * rng.random()  # shrink factor < 1
-        w[:] = [cmath.rect(s * r, 2 * math.pi * rng.random()) for r in radii[: d - 1]]
-    slices = np.zeros((TORUS_SAMPLES, H.max_degree(d - 1) + 1), dtype=np.complex128)
-    # scaled by a power of two, so coefficients beyond the double range keep their roots
-    scale = -mp.frexp(H.coeff_bound())[1]
+        w[:] = [cmath.rect(s * r, 2 * math.pi * rng.random()) for r in radii[:-1]]
+    slices = np.zeros((TORUS_SAMPLES, H.max_degree(H.nvars - 1) + 1), dtype=np.complex128)
+    unit = mp.ldexp(1, -mp.frexp(H.coeff_bound())[1])
     for e, c in H.terms.items():
-        z = coef_to_mpc(c)
-        z = complex(mp.ldexp(z.real, scale), mp.ldexp(z.imag, scale))
-        slices[:, e[d - 1]] += z * np.prod(ws ** e[: d - 1], axis=1)
+        slices[:, e[-1]] += complex(coef_to_mpc(c) * unit) * np.prod(ws ** e[:-1], axis=1)
     ys, found = _min_modulus_roots(slices[:, ::-1])
-    inside = np.flatnonzero(found & (np.abs(ys) < radii[d - 1] * (1 - 1e-9)))
-    if inside.size:
-        k = inside[0]
-        return MinimalityVerdict(
-            "not-minimal",
-            "sampled variety point with strictly smaller coordinate moduli",
-            witness=tuple(mpc(complex(z)) for z in ws[k]) + (mpc(complex(ys[k])),),
-        )
+    bound = radii[-1] * (1 - 1e-9)
+    for k in np.flatnonzero(found & (np.abs(ys) < bound)):
+        w = tuple(mpc(complex(z)) for z in ws[k])
+        y = _polish_slice_root(H, w, complex(ys[k]))
+        if y is not None and abs(y) < bound:
+            return MinimalityVerdict("not-minimal", "sampled variety point with strictly "
+                                     "smaller coordinate moduli", witness=w + (y,))
     return MinimalityVerdict(
         "unknown",
         f"no witness in {TORUS_SAMPLES} scaled-torus samples; minimality in more than "

@@ -33,6 +33,11 @@ def frame_order(N, v=None):
     return max(phase_window(N, v), read_degree(N, v) + 1)
 
 
+def search_order(N):
+    """Order of the whole phase searched for a vanishing order beyond ``2N``."""
+    return 2 * (N + 1) ** 2 + 1
+
+
 def phase_window(N, v=None):
     """The degree through which N terms read the phase: the nondegenerate
     route's (``v`` None) or the degenerate route's of vanishing order ``v``.

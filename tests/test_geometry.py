@@ -759,6 +759,12 @@ def reference_torus_sample(H, point):
     return None
 
 
+def term_scale(H, w):
+    """``sum |c_e w^e|``, the scale of ``H(w)``'s rounding error."""
+    return sum(abs(geometry.coef_to_mpc(c)) * mp.fprod(abs(z) ** k for z, k in zip(w, e))
+               for e, c in H.terms.items())
+
+
 @st.composite
 def trivariate_samples(draw):
     """Random H(x, y, z) with H(0) != 0, Gaussian coefficients among them,
@@ -921,11 +927,10 @@ class TestSliceScan:
         assert not found.any()
 
 
-
 class TestTorusSampling:
     """All torus samples solved in one batch give the verdicts of the
     per-sample loop: the same first sample with a root inside, and a root
-    of its slice inside as the witness."""
+    of its slice inside, polished onto the variety, as the witness."""
 
     @settings(max_examples=20)
     @given(trivariate_samples())
@@ -940,8 +945,8 @@ class TestTorusSampling:
         assert verdict.witness[:2] == w
         y = verdict.witness[2]
         assert abs(y) <= min(abs(complex(r)) for r in inside) * (1 + 1e-9)
-        scale = max(abs(geometry.coef_to_mpc(c)) for c in H.terms.values())
-        assert abs(H.eval(verdict.witness)) < mpf("1e-9") * scale * max(abs(y), 1) ** 2
+        dust = mpf(2) ** (20 - mp.prec)
+        assert abs(H.eval(verdict.witness)) < dust * term_scale(H, verdict.witness)
 
     def test_plane(self):
         # 1 - x - y - z: (1, 1, -1) has variety points inside its polydisc,
@@ -957,10 +962,12 @@ class TestTorusSampling:
     def test_coefficients_beyond_the_double_range(self, big):
         # the slices are scaled by a power of two before they are rounded to
         # doubles, so a coefficient of 1e400 neither overflows nor, at 1e-400,
-        # changes the verdict
+        # changes the verdict; at 1e400 the root z, about 1e-400, is no
+        # double, and only the polish puts the witness on the variety
         H = poly(3, {(0, 0, 0): 1, (1, 0, 0): -1, (0, 1, 0): -1, (0, 0, 1): -1,
                      (1, 1, 1): big})
         verdict = _sample_minimality(H, (mpc(1), mpc(1), mpc(-1)))
         assert verdict.kind == "not-minimal"
         assert all(abs(z) < 1 for z in verdict.witness)
-        assert abs(H.eval(verdict.witness)) < mpf("1e-12") * max(big, 1)
+        dust = mpf(2) ** (20 - mp.prec)
+        assert abs(H.eval(verdict.witness)) < dust * term_scale(H, verdict.witness)
