@@ -14,26 +14,25 @@ determinant, and reports a singular Jacobian, which ends a Newton run.  A
 Newton run that comes within ``DEDUPE_TOL`` of a point already kept stops
 there and returns that point, which ``solve_critical`` drops as a duplicate.
 
-Minimality in two variables is decided by a double-precision slice scan
-(``_scan_minimality_2d``): the least-modulus root of ``H(x, .)`` at every
-point of a grid inside the polydisc.  ``_min_modulus_roots`` takes those
-roots for the whole grid at once, in closed form when ``H`` has y-degree 2,
-and from one batched companion-matrix eigenvalue call otherwise.  In more
-than two variables the slices, sampled at random on shrunken tori
-(``_sample_minimality``), are solved by the same ``_min_modulus_roots``.
+Minimality in two and more variables is searched by one slice search
+(``_slice_search``): the least-modulus root of ``H(w, .)`` for a batch of
+leading coordinates ``w`` inside the polydisc, a grid in two variables
+(``_scan_minimality_2d``) and seeded samples on shrunken tori in more
+(``_sample_minimality``).  ``_min_modulus_roots`` takes those roots for the
+whole batch at once, in closed form when ``H`` has degree 2 in its last
+variable, and from one batched companion-matrix eigenvalue call otherwise.
 
 numpy is imported on first use, inside the seed-root helpers
 (``_normal_doubles``, ``_dense_roots_double``, ``_slice_roots``) and the
-minimality scan (``_best_slice_root``, ``_unit_circle``, ``_min_modulus_roots``,
-``_sample_minimality``) only, never at module level: it is about 0.16 s of a
-0.28 s ``import smoothasym.cli``, which a process pays before its first
-request, and the ``oracle`` command and spec errors never need it.
+minimality search (``_scan_minimality_2d``, ``_sample_minimality``,
+``_slice_search``, ``_min_modulus_roots``) only, never at module level: it
+is about 0.16 s of a 0.28 s ``import smoothasym.cli``, which a process pays
+before its first request, and the ``oracle`` command and spec errors never
+need it.
 """
 
 from __future__ import annotations
 
-import cmath
-import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -49,6 +48,7 @@ NEWTON_MAX_ITER = 200
 DEDUPE_TOL = mpf("1e-12")  # two solutions closer than this (relative) are one
 POSITIVE_REAL_TOL = mpf("1e-12")  # imaginary part allowed, relative to |z|
 SLICE_GRID = (24, 96)  # radii x angles of the two-variable minimality scan
+MARGIN = 1e-8  # a slice root or witness lies inside below 1 - MARGIN of the point's moduli
 TORUS_SAMPLES = 400  # witness search in more than two variables, fixed seed
 TORUS_SEED = 7
 
@@ -349,15 +349,26 @@ def _normal_doubles(p):
 def _dense_roots_double(coeffs):
     """Seed roots of a dense Fraction polynomial via the companion matrix,
     after an exact division by its largest coefficient
-    (``_normal_doubles``)."""
+    (``_normal_doubles``).  When that leaves a nonzero coefficient below the
+    smallest normal double, ``x = 2^s t`` is substituted first, exactly, with
+    ``s`` the mean ``log2`` ratio of the end coefficients per degree, read
+    from their bit lengths, and the roots ``t`` are scaled back."""
     import numpy as np
 
     coeffs = _pnorm(list(coeffs))
     if len(coeffs) <= 1:
         return []
-    scale = max(abs(c) for c in coeffs)
+    s, scale = 0, max(map(abs, coeffs))
+    if any(c and abs(c) / scale < np.finfo(np.float64).tiny for c in coeffs):
+        low = next(i for i, c in enumerate(coeffs) if c)
+        bits = [abs(c.numerator).bit_length() - c.denominator.bit_length()
+                for c in (coeffs[low], coeffs[-1])]
+        s = round((bits[0] - bits[1]) / (len(coeffs) - 1 - low))
+        coeffs = [c * Fraction(2) ** (s * i) for i, c in enumerate(coeffs)]
+        scale = max(map(abs, coeffs))
     arr = np.array([float(c / scale) for c in reversed(coeffs)], dtype=np.float64)
-    return [complex(z) for z in np.roots(_normal_doubles(arr))]
+    return [complex(math.ldexp(z.real, s), math.ldexp(z.imag, s))
+            for z in np.roots(_normal_doubles(arr))]
 
 
 # -- Newton refinement ---------------------------------------------------------
@@ -452,9 +463,9 @@ def _jacobian_singular(system, point):
 
 def _near(p, points, tol):
     """The first of ``points`` within ``tol`` of ``p``, relative to ``p``'s
-    largest coordinate (at least 1), or ``None``."""
-    scale = max(max(abs(z) for z in p), mpf(1))
-    return next((q for q in points if max(abs(a - b) for a, b in zip(p, q)) < tol * scale),
+    largest coordinate modulus, or ``None``."""
+    scale = max(abs(z) for z in p)
+    return next((q for q in points if max(abs(a - b) for a, b in zip(p, q)) <= tol * scale),
                 None)
 
 
@@ -711,13 +722,13 @@ def check_minimality(H, point, other_points=None):
     ``H``, and ``H`` is solved here when they are not given.
 
     Ladder: (a) nonnegativity/aperiodicity shortcut certifying strict
-    minimality at positive real points; (b) for two variables, a
-    double-precision ``SLICE_GRID`` slice scan (each slice's least-modulus
-    root in closed form for y-degree 2, by eigenvalues otherwise) whose best
-    witness is polished at working precision, which can certify not-minimal
-    with a witness, report plain minimality, or report unknown when a root
-    inside does not polish to a witness; (c) heuristic torus sampling
-    otherwise, which only ever yields not-minimal or unknown.
+    minimality at positive real points; (b) ``_slice_search`` for a variety
+    point inside the polydisc, its least-modulus slice root polished at
+    working precision: for two variables over a ``SLICE_GRID`` grid, which
+    can certify not-minimal with a witness, report plain minimality, or
+    report unknown when a root inside does not polish to a witness; (c)
+    otherwise over seeded torus samples, which only ever yields not-minimal
+    or unknown.
     """
     d = H.nvars
     scale = max(H.coeff_bound(), mpf(1))
@@ -779,89 +790,79 @@ def _check_minimality_univariate(point, roots):
 def _scan_minimality_2d(H, point, grid):
     """Double-precision slice grid scan inside the polydisc, plus refinement.
 
-    ``_best_slice_root`` finds the grid slice whose least-modulus root has
-    the least ``|y|/|c2|``.  If it lies inside by more than the margin, that
-    root is polished on ``H(x, .)`` at working precision and returned as a
-    not-minimal witness; if it does not polish to a point inside, the
-    verdict is unknown, since the scan saw a root inside.  Otherwise the
-    verdict is plain minimality: a grid can miss a witness and never
-    certifies strictness.
+    The grid is ``n_r x n_theta`` points ``x = r e^{i theta}``, with
+    ``r = |c1| i/(n_r+1)`` for ``i = 1..n_r`` (strictly inside ``|x| < |c1|``)
+    and ``theta = 2 pi k/n_theta``, in row-major ``(i, k)`` order, searched
+    by ``_slice_search``.  Its polished witness makes the point not minimal;
+    a root inside that does not polish to a witness leaves the verdict
+    unknown.  Otherwise the verdict is plain minimality: a grid can miss a
+    witness and never certifies strictness.
     """
-    r1 = abs(point[0])
-    r2 = abs(point[1])
-    margin = mpf("1e-8")
-    min_ratio, x, y = _best_slice_root(H, point, grid)
-    if min_ratio < 1 - float(margin):
-        # refine the witness at working precision: fix x, polish y on H(x,.)
-        x = mpc(x)
-        y = _polish_slice_root(H, (x,), mpc(y))
-        if y is not None and abs(y) < r2 * (1 - margin) and abs(x) < r1 * (1 - margin):
-            return MinimalityVerdict(
-                "not-minimal",
-                "variety point with strictly smaller coordinate moduli found by "
-                "the slice scan",
-                witness=(x, y),
-            )
+    import numpy as np
+
+    n_r, n_theta = grid
+    radii = float(abs(point[0])) * np.arange(1, n_r + 1) / (n_r + 1)
+    xs = radii[:, None] * np.exp(2j * np.pi * np.arange(n_theta) / n_theta)
+    ratio, inside, witness = _slice_search(H, point, xs.reshape(-1, 1))
+    if witness is not None:
+        return MinimalityVerdict(
+            "not-minimal",
+            "variety point with strictly smaller coordinate moduli found by "
+            "the slice scan",
+            witness=witness,
+        )
+    if inside:
         return MinimalityVerdict(
             "unknown",
             f"a {grid[0]}x{grid[1]} slice grid root lies inside (min |y|/|c2| ratio "
-            f"{min_ratio:.6f}) but did not polish to a variety point with strictly "
+            f"{ratio:.6f}) but did not polish to a variety point with strictly "
             "smaller coordinate moduli",
         )
     return MinimalityVerdict(
         "minimal",
         f"no interior variety point with smaller polyradius on a {grid[0]}x{grid[1]} "
-        f"slice grid (min |y|/|c2| ratio {min_ratio:.6f}); strictness not certified",
+        f"slice grid (min |y|/|c2| ratio {ratio:.6f}); strictness not certified",
     )
 
 
-def _best_slice_root(H, point, grid):
-    """``(ratio, x, y)``: the grid slice root of least ``|y|/|c2|``.  d=2 only.
+def _slice_search(H, point, ws):
+    """The least-modulus root of the slices ``H(w, .)`` for the rows ``w``
+    of the complex128 array ``ws``.
 
-    The grid is ``n_r x n_theta`` points ``x = r e^{i theta}``, with
-    ``r = |c1| i/(n_r+1)`` for ``i = 1..n_r`` (strictly inside ``|x| < |c1|``)
-    and ``theta = 2 pi k/n_theta``; ``y`` is the least-modulus root of the
-    slice ``H(x, .)``.  All slices take a few numpy calls: the dense
-    complex128 coefficient matrix of ``H`` is built once, one Horner sweep in
-    ``x`` evaluates every y-coefficient at every grid point, and
-    ``_min_modulus_roots`` solves every slice at once: in closed form when
-    ``H`` has y-degree 2, with one batched eigenvalue call otherwise.
-    Ties go to the first slice in row-major ``(i, k)`` order.  Slices
-    that are constant in ``y`` have no root; if no slice has one, the result
-    is ``(inf, None, None)``.
+    All slices are built at once in complex128: each coefficient of ``H``,
+    scaled by the power of two that brings ``H.coeff_bound()`` into
+    ``[1/2, 1)``, times powers of the coordinates built by repeated
+    multiplication.  ``_min_modulus_roots`` solves them, and the root of
+    least ``|y|/|c_d|`` is kept, the first on ties.  Returns ``(ratio,
+    inside, witness)``: that ratio (``inf`` when no slice has a root),
+    whether it is below ``1 - MARGIN``, and the witness ``w + (y,)``, with
+    the root polished once on its slice at working precision, when it lies
+    inside the polydisc of ``point`` by ``MARGIN`` in every coordinate, or
+    ``None``.
     """
     import numpy as np
 
-    n_r, n_theta = grid
-    r1 = abs(point[0])
-    coeffs = np.zeros((H.max_degree(1) + 1, H.max_degree(0) + 1), dtype=np.complex128)
-    for (ex, ey), c in H.terms.items():
-        coeffs[ey, ex] = complex(coef_to_mpc(c))
-    cos, sin = _unit_circle(n_theta)
-    radii = np.array([float(r1 * i / (n_r + 1)) for i in range(1, n_r + 1)])[:, None]
-    xs = np.empty(n_r * n_theta, dtype=np.complex128)
-    xs.real = (radii * cos).ravel()
-    xs.imag = (radii * sin).ravel()
-    ycoeffs = np.zeros((coeffs.shape[0], xs.size), dtype=np.complex128)
-    for column in coeffs.T[::-1]:
-        ycoeffs = ycoeffs * xs + column[:, None]
-    ys, found = _min_modulus_roots(ycoeffs[::-1].T)
-    if not found.any():
-        return math.inf, None, None
-    ratios = np.where(found, np.abs(ys), np.inf) / float(abs(point[1]))
+    d, count = H.nvars, len(ws)
+    powers = [np.cumprod(np.hstack([np.ones((count, 1)), np.repeat(ws[:, j:j + 1],
+              H.max_degree(j), axis=1)]), axis=1) for j in range(d - 1)]
+    slices = np.zeros((count, H.max_degree(d - 1) + 1), dtype=np.complex128)
+    unit = mp.ldexp(1, -mp.frexp(H.coeff_bound())[1])
+    for e, c in H.terms.items():
+        term = complex(coef_to_mpc(c) * unit)
+        for j in range(d - 1):
+            term = term * powers[j][:, e[j]]
+        slices[:, e[-1]] += term
+    ys, found = _min_modulus_roots(slices[:, ::-1])
+    ratios = np.where(found, np.abs(ys), np.inf) / float(abs(point[-1]))
     best = int(np.argmin(ratios))
-    return float(ratios[best]), complex(xs[best]), complex(ys[best])
-
-
-@functools.lru_cache(maxsize=None)
-def _unit_circle(n_theta):
-    """Read-only ``math.cos`` and ``math.sin`` of ``2 pi k/n_theta``, k < n_theta."""
-    import numpy as np
-
-    angles = [2 * math.pi * k / n_theta for k in range(n_theta)]
-    out = np.array([list(map(math.cos, angles)), list(map(math.sin, angles))])
-    out.flags.writeable = False
-    return out
+    ratio = float(ratios[best])
+    if not ratio < 1 - MARGIN:
+        return ratio, False, None
+    w = tuple(mpc(complex(z)) for z in ws[best])
+    y = _polish_slice_root(H, w, complex(ys[best]))
+    if y is None or not all(abs(z) < abs(c) * (1 - MARGIN) for z, c in zip(w + (y,), point)):
+        return ratio, True, None
+    return ratio, True, w + (y,)
 
 
 def _min_modulus_roots(polys):
@@ -947,29 +948,19 @@ def _polish_slice_root(H, w, y0):
 def _sample_minimality(H, point):
     """Random scaled-torus sampling; can only find witnesses, never certify.
 
-    The slices ``H(w, .)`` of all samples are built at once in complex128,
-    scaled by a power of two; the witness is the first sample whose
-    least-modulus root, polished on its slice, lies inside."""
+    ``TORUS_SAMPLES`` points ``w``, each coordinate ``s |c_j| e^{i t_j}``
+    with one shrink factor ``s`` in ``[1/2, 1)`` per sample, are searched by
+    ``_slice_search``; its polished witness makes the point not minimal."""
     import numpy as np
 
-    radii = [float(abs(z)) for z in point]
     rng = random.Random(TORUS_SEED)
-    ws = np.empty((TORUS_SAMPLES, H.nvars - 1), dtype=np.complex128)
-    for w in ws:
-        s = 0.5 + 0.5 * rng.random()  # shrink factor < 1
-        w[:] = [cmath.rect(s * r, 2 * math.pi * rng.random()) for r in radii[:-1]]
-    slices = np.zeros((TORUS_SAMPLES, H.max_degree(H.nvars - 1) + 1), dtype=np.complex128)
-    unit = mp.ldexp(1, -mp.frexp(H.coeff_bound())[1])
-    for e, c in H.terms.items():
-        slices[:, e[-1]] += complex(coef_to_mpc(c) * unit) * np.prod(ws ** e[:-1], axis=1)
-    ys, found = _min_modulus_roots(slices[:, ::-1])
-    bound = radii[-1] * (1 - 1e-9)
-    for k in np.flatnonzero(found & (np.abs(ys) < bound)):
-        w = tuple(mpc(complex(z)) for z in ws[k])
-        y = _polish_slice_root(H, w, complex(ys[k]))
-        if y is not None and abs(y) < bound:
-            return MinimalityVerdict("not-minimal", "sampled variety point with strictly "
-                                     "smaller coordinate moduli", witness=w + (y,))
+    draws = np.reshape([rng.random() for _ in range(TORUS_SAMPLES * H.nvars)], (-1, H.nvars))
+    radii = np.array([float(abs(z)) for z in point[:-1]])
+    ws = (0.5 + 0.5 * draws[:, :1]) * radii * np.exp(2j * np.pi * draws[:, 1:])
+    witness = _slice_search(H, point, ws)[2]
+    if witness is not None:
+        return MinimalityVerdict("not-minimal", "sampled variety point with strictly "
+                                 "smaller coordinate moduli", witness=witness)
     return MinimalityVerdict(
         "unknown",
         f"no witness in {TORUS_SAMPLES} scaled-torus samples; minimality in more than "

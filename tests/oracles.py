@@ -20,6 +20,9 @@ Independent oracles, and what each checks:
   reference_substitute       ``Jet.substitute``, the same
   reference_powers           ``PhaseData.remainder_power``, the same
   reference_implicit_root    ``implicit_root_jet``, by a fixed count of Newton steps
+  stirling_multinomial_expansion
+                             the flattened coefficients of 1/(1 - x_1 - ... - x_d),
+                             exactly, by Stirling's series
 Test harness:
   box_cells                  every cell of a box, for ``maclaurin_table``
   jet_eval                   a jet's truncated series at a displacement
@@ -679,3 +682,30 @@ def series_sub(a, b):
         if err is None or e > err:
             acc[e] = acc.get(e, mpc(0)) - c
     return FlatSeries(list(acc.items()), error_exponent=err)
+
+
+def stirling_multinomial_expansion(a, N):
+    """The first ``N`` flattened coefficients of ``F = 1/(1 - x_1 - ... - x_d)``
+    along the positive integer direction ``a``, as ``[(exponent, mpf)]``.
+
+    ``F_{na} = (|a| n)! / prod (a_i n)!``.  Stirling's series for each
+    factorial (DLMF 5.11.1, exact Bernoulli numbers from ``mpmath.bernfrac``)
+    gives ``F_{na} = rho^n C n^(-(d-1)/2) exp(S(1/n))`` with
+    ``C = sqrt(|a|/prod a_i) (2 pi)^(-(d-1)/2)`` and
+    ``S(u) = sum_k B_2k/(2k (2k-1)) (|a|^(1-2k) - sum a_i^(1-2k)) u^(2k-1)``;
+    ``exp(S)`` is a power series in ``1/n`` with rational coefficients
+    ``e_j``, and the coefficient of ``n^(-(d-1)/2 - j)`` is ``C e_j``, at the
+    working precision.
+    """
+    d, total = len(a), sum(a)
+    s = [Fraction(0)] * N  # S(u), by powers of u
+    for k in range(1, N // 2 + 1):
+        num, den = mp.bernfrac(2 * k)
+        inv = Fraction(1, total ** (2 * k - 1)) - sum(Fraction(1, ai ** (2 * k - 1)) for ai in a)
+        s[2 * k - 1] = Fraction(num, den) / (2 * k * (2 * k - 1)) * inv
+    e = [Fraction(1)]  # exp(S), by e' = S' e
+    for m in range(1, N):
+        e.append(sum(j * s[j] * e[m - j] for j in range(1, m + 1)) / m)
+    const = mp.sqrt(mpf(total) / math.prod(a)) * (2 * mp.pi) ** (-mpf(d - 1) / 2)
+    return [(Fraction(1 - d, 2) - j, const * mpf(c.numerator) / c.denominator)
+            for j, c in enumerate(e)]

@@ -35,7 +35,6 @@ from smoothasym.geometry import (
     newton_polish,
     resultant_eliminate_y,
     system_residual,
-    _best_slice_root,
     _dense_roots_double,
     _jacobian_singular,
     _min_modulus_roots,
@@ -156,6 +155,36 @@ class TestSolveCritical:
                 distinct.add(r)
         points, _ = solve_critical(H, alpha)
         assert len(points) == len(distinct)
+
+    @staticmethod
+    def tiny_points(k):
+        """``H = 1 - x - y + 10^k xy`` along (1, 1) and its two critical
+        points ``x = y = (1 +- sqrt(1 - 10^k))/10^k``, about ``+-i 10^(-k/2)``."""
+        H = poly(2, {(0, 0): 1, (1, 0): -1, (0, 1): -1, (1, 1): 10**k})
+        big = mpf(10) ** k
+        return H, [((1 + r) / big,) * 2 for r in (mp.sqrt(1 - big), -mp.sqrt(1 - big))]
+
+    def assert_tiny_points(self, k):
+        # to 1e-12 only: at k = 310 and 400 the Jacobian's rows differ in
+        # scale by 10^(k/2), so Newton stops at the double-precision seed
+        H, expect = self.tiny_points(k)
+        points, _ = solve_critical(H, Direction((1, 1)))
+        assert len(points) == 2
+        for e in expect:
+            assert any(max(abs(a - b) for a, b in zip(q, e)) < mpf("1e-12") * abs(e[0])
+                       for q in points)
+
+    @pytest.mark.parametrize("k", [310, 400])
+    def test_eliminant_coefficients_beyond_the_double_range(self, k):
+        # the eliminant's coefficient ratios fall below the double range, but
+        # its roots, about 1e-155 and 1e-200, are doubles
+        self.assert_tiny_points(k)
+
+    @pytest.mark.parametrize("k", [26, 60])
+    def test_distinct_tiny_points_are_not_merged(self, k):
+        # the two points are 2 10^(-k/2) apart: duplicates are judged
+        # relative to the point's own modulus, not to 1
+        self.assert_tiny_points(k)
 
     def test_newton_needs_seeds_beyond_two_vars(self):
         H = poly(3, {(0, 0, 0): 1, (1, 0, 0): -1, (0, 1, 0): -2, (0, 0, 1): -3})
@@ -662,57 +691,49 @@ class TestReports:
             )
 
 
-# -- the per-slice scan, kept as the reference for the batched one -------------
+# -- the per-slice search, kept as the reference for the batched one -----------
 
 
-def reference_torus_slice_min(H, x_values, prec_scan=53):
-    """For each x in x_values, the min |y| over roots of H(x, .). d=2 only."""
-    ydeg = H.max_degree(1)
-    terms = [dict() for _ in range(ydeg + 1)]
-    for (ex, ey), c in H.terms.items():
-        terms[ey][(ex,)] = terms[ey].get((ex,), Fraction(0)) + c
-    ycoef_polys = [SparsePoly(1, t) for t in terms]
-    out = []
-    for x in x_values:
-        coeffs = np.array(
-            [complex(P.eval((x,))) for P in reversed(ycoef_polys)], dtype=np.complex128
-        )
-        coeffs = np.trim_zeros(coeffs, "f")
-        if coeffs.size <= 1:
-            out.append((x, None))
-            continue
-        roots = np.roots(coeffs)
-        if roots.size == 0:
-            out.append((x, None))
-            continue
-        k = int(np.argmin(np.abs(roots)))
-        out.append((x, complex(roots[k])))
-    return out
+def reference_slice_roots(H, w):
+    """The roots of ``H(w, .)``, evaluated at working precision and solved
+    by ``np.roots``."""
+    d = H.nvars
+    coeffs = [mpc(0)] * (H.max_degree(d - 1) + 1)
+    for e, c in H.terms.items():
+        term = geometry.coef_to_mpc(c)
+        for j in range(d - 1):
+            term *= w[j] ** e[j]
+        coeffs[e[d - 1]] += term
+    row = np.trim_zeros(np.array([complex(c) for c in reversed(coeffs)]), "f")
+    return np.roots(row) if row.size > 1 else np.array([])
 
 
-def reference_best_slice_root(H, point, grid):
-    """``_best_slice_root`` as a loop of one slice at a time, each evaluated
-    at working precision and solved by ``np.roots``."""
-    n_r, n_theta = grid
-    r1 = abs(point[0])
-    r2 = abs(point[1])
-    best = None  # (ratio, x, y)
-    for i in range(1, n_r + 1):
-        r = r1 * i / (n_r + 1)  # strictly inside |x| < |c1|
-        for k in range(n_theta):
-            theta = 2 * math.pi * k / n_theta
-            x = complex(float(r) * math.cos(theta), float(r) * math.sin(theta))
-            for xv, y in reference_torus_slice_min(H, [x]):
-                if y is None:
-                    continue
-                ratio = abs(y) / float(r2)
-                if best is None or ratio < best[0]:
-                    best = (ratio, x, y)
-    return best if best is not None else (math.inf, None, None)
+def reference_slice_search(H, point, ws):
+    """``_slice_search`` as a loop of one slice at a time
+    (``reference_slice_roots``): the least ``|y|/|c_d|``, the first on ties,
+    and its root polished by ``_polish_slice_root`` when it lies inside."""
+    best = (math.inf, None, None)  # (ratio, w, y)
+    for row in ws:
+        w = tuple(mpc(complex(z)) for z in row)
+        roots = reference_slice_roots(H, w)
+        if roots.size:
+            y = roots[np.argmin(np.abs(roots))]
+            ratio = abs(y) / float(abs(point[-1]))
+            if ratio < best[0]:
+                best = (ratio, w, complex(y))
+    ratio, w, y = best
+    if not ratio < 1 - geometry.MARGIN:
+        return ratio, False, None
+    y = geometry._polish_slice_root(H, w, y)
+    witness = None if y is None else w + (y,)
+    if witness and not all(abs(z) < abs(c) * (1 - geometry.MARGIN)
+                           for z, c in zip(witness, point)):
+        witness = None
+    return ratio, True, witness
 
 
 def reference_scan(H, point, grid):
-    with mock.patch.object(geometry, "_best_slice_root", reference_best_slice_root):
+    with mock.patch.object(geometry, "_slice_search", reference_slice_search):
         return _scan_minimality_2d(H, point, grid)
 
 
@@ -733,11 +754,14 @@ def bivariate_scans(draw):
 
 
 def reference_torus_sample(H, point):
-    """The first scaled-torus sample with a slice root inside, as a loop of
-    one sample at a time, each slice evaluated at working precision and
-    solved by ``np.roots``: ``(w, roots inside)``, or ``None``."""
+    """The scaled-torus sample whose slice has the root of least modulus,
+    the first on ties, as a loop of one sample at a time
+    (``reference_slice_roots``): ``(w, roots inside)``, or ``None`` when
+    that root is not inside."""
     d = H.nvars
     rng = random.Random(geometry.TORUS_SEED)
+    bound = float(abs(point[d - 1])) * (1 - geometry.MARGIN)
+    best = None  # (least |y|, w, roots)
     for _ in range(geometry.TORUS_SAMPLES):
         s = 0.5 + 0.5 * rng.random()
         w = []
@@ -745,18 +769,12 @@ def reference_torus_sample(H, point):
             t = 2 * math.pi * rng.random()
             r = float(abs(point[j]))
             w.append(mpc(complex(s * r * math.cos(t), s * r * math.sin(t))))
-        coeffs = [mpc(0)] * (H.max_degree(d - 1) + 1)
-        for e, c in H.terms.items():
-            term = geometry.coef_to_mpc(c)
-            for j in range(d - 1):
-                term *= w[j] ** e[j]
-            coeffs[e[d - 1]] += term
-        row = np.trim_zeros(np.array([complex(c) for c in reversed(coeffs)]), "f")
-        inside = [y for y in (np.roots(row) if row.size > 1 else [])
-                  if abs(y) < float(abs(point[d - 1])) * (1 - 1e-9)]
-        if inside:
-            return tuple(w), inside
-    return None
+        roots = reference_slice_roots(H, w)
+        if roots.size and (best is None or min(abs(roots)) < best[0]):
+            best = (min(abs(roots)), tuple(w), roots)
+    if best is None or not best[0] < bound:
+        return None
+    return best[1], [y for y in best[2] if abs(y) < bound]
 
 
 def term_scale(H, w):
@@ -816,13 +834,20 @@ class TestSliceScan:
     @given(bivariate_scans())
     def test_matches_per_slice_reference(self, case):
         H, point = case
-        ratio, _, _ = _best_slice_root(H, point, self.GRID)
-        ref_ratio, _, _ = reference_best_slice_root(H, point, self.GRID)
+        n_r, n_theta = self.GRID
+        with mock.patch.object(geometry, "_slice_search",
+                               wraps=geometry._slice_search) as search:
+            verdict = _scan_minimality_2d(H, point, self.GRID)
+        ws = search.call_args.args[2]
+        grid = [complex(mp.rect(abs(point[0]) * i / (n_r + 1), 2 * mp.pi * k / n_theta))
+                for i in range(1, n_r + 1) for k in range(n_theta)]
+        assert np.allclose(ws[:, 0], grid, rtol=1e-14, atol=0)
+        ratio = geometry._slice_search(H, point, ws)[0]
+        ref_ratio = reference_slice_search(H, point, ws)[0]
         if math.isinf(ref_ratio):
             assert math.isinf(ratio)
         else:
             assert abs(ratio - ref_ratio) <= 1e-9 * ref_ratio
-        verdict = _scan_minimality_2d(H, point, self.GRID)
         ref = reference_scan(H, point, self.GRID)
         assert verdict.kind == ref.kind
         if ref.witness is not None:
@@ -915,13 +940,6 @@ class TestSliceScan:
         assert verdict.witness is None
         assert "ratio 0." in verdict.evidence
 
-    def test_unit_circle_is_math_cos_and_sin(self):
-        cos, sin = geometry._unit_circle(96)
-        angles = [2 * math.pi * k / 96 for k in range(96)]
-        assert list(cos) == list(map(math.cos, angles))
-        assert list(sin) == list(map(math.sin, angles))
-        assert not cos.flags.writeable
-
     def test_min_modulus_roots_constant_in_y(self):
         roots, found = _min_modulus_roots(np.array([[1], [0]], dtype=np.complex128))
         assert not found.any()
@@ -929,8 +947,9 @@ class TestSliceScan:
 
 class TestTorusSampling:
     """All torus samples solved in one batch give the verdicts of the
-    per-sample loop: the same first sample with a root inside, and a root
-    of its slice inside, polished onto the variety, as the witness."""
+    per-sample loop: the sample whose slice has the least root inside, and
+    a root of its slice inside, polished onto the variety, as the
+    witness."""
 
     @settings(max_examples=20)
     @given(trivariate_samples())
@@ -942,7 +961,7 @@ class TestTorusSampling:
         if ref is None:
             return
         w, inside = ref
-        assert verdict.witness[:2] == w
+        assert all(abs(a - b) <= 1e-15 * abs(b) for a, b in zip(verdict.witness, w))
         y = verdict.witness[2]
         assert abs(y) <= min(abs(complex(r)) for r in inside) * (1 + 1e-9)
         dust = mpf(2) ** (20 - mp.prec)

@@ -73,6 +73,7 @@ ROUTE_EXIT_CODES = {
     "delannoy-oracle": 0,
     "gaussian-3-seeded": 0,
     "delannoy-gaussian-g": 0,
+    "tiny-critical-points": 0,
 }
 
 

@@ -7,11 +7,12 @@ Runs every request of the benchmark workloads (``perfbench/gen.py``) at the
 given seeds (1 and 2 by default) through the ``cli.main`` of the checkout at
 ``CHECKOUT``, in this one process, one request after another, as the
 benchmark's closed loop does.
-Then, whatever the seeds, it runs ``ROUTES``: nine fixed requests on
+Then, whatever the seeds, it runs ``ROUTES``: ten fixed requests on
 routes that no workload reaches (the degenerate even route, the degenerate
 route's whole-phase search and its reuse of the first frame, the
 one-variable route, torus sampling in three variables, the ``oracle``
-command, a three-variable Gaussian system from seeds and a Gaussian ``G``).
+command, a three-variable Gaussian system from seeds, a Gaussian ``G`` and
+critical points far smaller than the eliminant's coefficients).
 For each request it hashes the exit code, stdout, stderr and the JSON and
 CSV files the request writes (an exception escaping ``cli.main`` is hashed
 as its type and message), and prints one line
@@ -115,6 +116,13 @@ ROUTES = (
         "seeds": [[["1/3", "0"], ["1/3", "0"], ["-4/15", "2/15"]]]}),
     ("delannoy-gaussian-g", "expand", "delannoy",
      {"G": _terms(((0, 0), 1), ((1, 0), _gauss("1/2", "-1/3")))}),
+    # 1 - x - y + 10^310 xy along (1, 1): two critical points near +-i 1e-155,
+    # whose eliminant's coefficient ratios fall below the double range
+    ("tiny-critical-points", "critical", None, {
+        "variables": ["x", "y"], "G": _terms(((0, 0), 1)),
+        "H": _terms(((0, 0), 1), ((1, 0), -1), ((0, 1), -1),
+                    ((1, 1), str(10**310))),
+        "p": 1, "alpha": ["1", "1"], "N": 1}),
 )
 
 
