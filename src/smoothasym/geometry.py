@@ -352,7 +352,9 @@ def _dense_roots_double(coeffs):
     (``_normal_doubles``).  When that leaves a nonzero coefficient below the
     smallest normal double, ``x = 2^s t`` is substituted first, exactly, with
     ``s`` the mean ``log2`` ratio of the end coefficients per degree, read
-    from their bit lengths, and the roots ``t`` are scaled back."""
+    from their bit lengths, and the roots ``t`` are scaled back; a root whose
+    ``x`` would exceed the largest double is dropped, as it can seed no
+    double-precision point."""
     import numpy as np
 
     coeffs = _pnorm(list(coeffs))
@@ -368,7 +370,7 @@ def _dense_roots_double(coeffs):
         scale = max(map(abs, coeffs))
     arr = np.array([float(c / scale) for c in reversed(coeffs)], dtype=np.float64)
     return [complex(math.ldexp(z.real, s), math.ldexp(z.imag, s))
-            for z in np.roots(_normal_doubles(arr))]
+            for z in np.roots(_normal_doubles(arr)) if math.frexp(abs(z))[1] + s <= 1024]
 
 
 # -- Newton refinement ---------------------------------------------------------
@@ -843,16 +845,18 @@ def _slice_search(H, point, ws):
     import numpy as np
 
     d, count = H.nvars, len(ws)
-    powers = [np.cumprod(np.hstack([np.ones((count, 1)), np.repeat(ws[:, j:j + 1],
-              H.max_degree(j), axis=1)]), axis=1) for j in range(d - 1)]
-    slices = np.zeros((count, H.max_degree(d - 1) + 1), dtype=np.complex128)
+    powers = [np.cumprod(np.vstack([np.ones(count), np.tile(ws[:, j], (H.max_degree(j), 1))]),
+                         axis=0) for j in range(d - 1)]
+    # one contiguous row per power of the last variable: solving the
+    # transpose of this layout is faster than solving contiguous slices
+    slices = np.zeros((H.max_degree(d - 1) + 1, count), dtype=np.complex128)
     unit = mp.ldexp(1, -mp.frexp(H.coeff_bound())[1])
     for e, c in H.terms.items():
         term = complex(coef_to_mpc(c) * unit)
         for j in range(d - 1):
-            term = term * powers[j][:, e[j]]
-        slices[:, e[-1]] += term
-    ys, found = _min_modulus_roots(slices[:, ::-1])
+            term = term * powers[j][e[j]]
+        slices[e[-1]] += term
+    ys, found = _min_modulus_roots(slices[::-1].T)
     ratios = np.where(found, np.abs(ys), np.inf) / float(abs(point[-1]))
     best = int(np.argmin(ratios))
     ratio = float(ratios[best])
@@ -950,22 +954,25 @@ def _sample_minimality(H, point):
 
     ``TORUS_SAMPLES`` points ``w``, each coordinate ``s |c_j| e^{i t_j}``
     with one shrink factor ``s`` in ``[1/2, 1)`` per sample, are searched by
-    ``_slice_search``; its polished witness makes the point not minimal."""
+    ``_slice_search``; its polished witness makes the point not minimal.
+    Only the least-ratio root is polished, so a root inside that does not
+    polish leaves the verdict unknown even where another sample's might."""
     import numpy as np
 
     rng = random.Random(TORUS_SEED)
     draws = np.reshape([rng.random() for _ in range(TORUS_SAMPLES * H.nvars)], (-1, H.nvars))
     radii = np.array([float(abs(z)) for z in point[:-1]])
     ws = (0.5 + 0.5 * draws[:, :1]) * radii * np.exp(2j * np.pi * draws[:, 1:])
-    witness = _slice_search(H, point, ws)[2]
+    ratio, inside, witness = _slice_search(H, point, ws)
     if witness is not None:
         return MinimalityVerdict("not-minimal", "sampled variety point with strictly "
                                  "smaller coordinate moduli", witness=witness)
-    return MinimalityVerdict(
-        "unknown",
-        f"no witness in {TORUS_SAMPLES} scaled-torus samples; minimality in more than "
-        "two variables is not decided by this tool",
-    )
+    seen = (f"a root of {TORUS_SAMPLES} scaled-torus samples lies inside (min |y|/|c_d| "
+            f"ratio {ratio:.6f}) but did not polish to a variety point with strictly "
+            "smaller coordinate moduli" if inside
+            else f"no witness in {TORUS_SAMPLES} scaled-torus samples")
+    return MinimalityVerdict("unknown", f"{seen}; minimality in more than two variables "
+                             "is not decided by this tool")
 
 
 def build_report(H, point, check, other_points=None):

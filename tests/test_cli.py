@@ -551,7 +551,15 @@ class TestMainEntry:
            (Fraction(1, 2), Fraction(1, 2)), 3) for k in (250, 305, 310, 330)],
         # 1 - x + 10^-310 x^3, whose leading coefficient is subnormal too
         (univariate_spec("1", "-1", "0", f"1/{10**310}"), (1,), 0),
-    ], ids=["k250", "k305", "k310", "k330", "univariate-k310"])
+        # 1 - x - y + 10^-k xy and 1 - x + 10^-400 x^2: the eliminant's far
+        # root, about 10^k, is no double and is dropped from the seeds
+        *[(dict(DELANNOY_SPEC, alpha=["1", "1"], H=[
+            {"exp": [0, 0], "coef": "1"}, {"exp": [1, 0], "coef": "-1"},
+            {"exp": [0, 1], "coef": "-1"}, {"exp": [1, 1], "coef": f"1/{10**k}"}]),
+           (Fraction(1, 2), Fraction(1, 2)), 3) for k in (310, 400)],
+        (univariate_spec("1", "-1", f"1/{10**400}"), (1,), 0),
+    ], ids=["k250", "k305", "k310", "k330", "univariate-k310", "xy-k310", "xy-k400",
+            "univariate-k400"])
     def test_coefficients_beyond_the_double_range(self, tmp_path, capsys, spec, point,
                                                   expand_code):
         code, out, _ = self._run_quietly(tmp_path, capsys, "critical", spec)

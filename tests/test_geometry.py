@@ -180,6 +180,17 @@ class TestSolveCritical:
         # its roots, about 1e-155 and 1e-200, are doubles
         self.assert_tiny_points(k)
 
+    @pytest.mark.parametrize("k", [310, 400])
+    def test_eliminant_roots_beyond_the_double_range(self, k):
+        # 1 - x - y + 10^-k xy: the eliminant's far root, about 2 10^k, has
+        # no double and is dropped; the near one is the point (1/2, 1/2)
+        H = poly(2, {(0, 0): 1, (1, 0): -1, (0, 1): -1, (1, 1): Fraction(1, 10**k)})
+        points, _ = solve_critical(H, Direction((1, 1)))
+        assert len(points) == 1
+        assert all(abs(z - mpf(1) / 2) < mpf("1e-50") for z in points[0])
+        (root,) = _dense_roots_double([1, -1, Fraction(1, 10**k)])
+        assert root == 1
+
     @pytest.mark.parametrize("k", [26, 60])
     def test_distinct_tiny_points_are_not_merged(self, k):
         # the two points are 2 10^(-k/2) apart: duplicates are judged
@@ -976,6 +987,18 @@ class TestTorusSampling:
         assert abs(H.eval(verdict.witness)) < mpf("1e-15")
         assert all(abs(z) < 1 for z in verdict.witness)
         assert _sample_minimality(H, (mpc(1) / 3,) * 3).kind == "unknown"
+
+    @pytest.mark.parametrize("polished", [None, mpc(10)])
+    def test_inside_root_that_does_not_polish_is_unknown(self, polished):
+        # only the least-ratio root is polished: when that fails (None) or
+        # lands outside, the evidence says a root lay inside
+        H = poly(3, {(0, 0, 0): 1, (1, 0, 0): -1, (0, 1, 0): -1, (0, 0, 1): -1})
+        with mock.patch.object(geometry, "_polish_slice_root", return_value=polished):
+            verdict = _sample_minimality(H, (mpc(1), mpc(1), mpc(-1)))
+        assert verdict.kind == "unknown"
+        assert verdict.witness is None
+        assert "ratio 0." in verdict.evidence and "did not polish" in verdict.evidence
+        assert "no witness" in _sample_minimality(H, (mpc(1) / 3,) * 3).evidence
 
     @pytest.mark.parametrize("big", [Fraction(10) ** 400, Fraction(1, 10**400)])
     def test_coefficients_beyond_the_double_range(self, big):
