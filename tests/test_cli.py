@@ -16,7 +16,8 @@ from types import SimpleNamespace
 import pytest
 from mpmath import mpc, mpf
 
-from smoothasym import Jet, PhaseData, cli, expansion, geometry, localframe, series
+from smoothasym import (Jet, PhaseData, cli, expansion, geometry, localframe, oracle,
+                        series)
 from smoothasym.cli import (
     EXIT_DEGENERATE_HIGH_DIM,
     EXIT_MINIMALITY_UNKNOWN,
@@ -24,6 +25,7 @@ from smoothasym.cli import (
     PipelineExit,
     ProblemSpec,
     main,
+    rational_str,
     run_critical,
     run_expand,
     run_oracle,
@@ -600,12 +602,25 @@ class TestMainEntry:
 
     def test_oracle_command_smirnov_words(self, capsys):
         spec_path = str(PROBLEMS / "smirnov_words.json")
-        assert main(["oracle", "--input", spec_path, "--n-values", "1,2,4,8,16"]) == 0
+        assert main(["oracle", "--input", spec_path, "--n-values", "1,2,4,8,16,96"]) == 0
         rows = [line.split(",") for line in capsys.readouterr().out.strip().split("\n")]
         assert rows[0] == ["beta_x", "beta_y", "beta_z", "exact_rational", "decimal"]
-        for n, row in zip((1, 2, 4, 8, 16), rows[1:]):
+        assert len(rows) == 7
+        for n, row in zip((1, 2, 4, 8, 16, 96), rows[1:]):
             assert row[:3] == [str(n)] * 3
             assert row[3] == str(math.factorial(3 * n) // math.factorial(n) ** 3)
+
+    def test_oracle_command_quantum_walk_matches_the_sweep(self, capsys):
+        # H is linear in y, whose B = x (1/2 - x) has a monomial factor
+        spec_path = str(PROBLEMS / "quantum_walk.json")
+        assert main(["oracle", "--input", spec_path, "--n-values", "32,128"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.strip().split("\n")]
+        spec = ProblemSpec.from_json(json.loads(Path(spec_path).read_text()))
+        cells = [(64, 16), (256, 64)]
+        swept = oracle._sweep(spec.G_num, spec.H, spec.p, cells)
+        assert [row[:2] for row in rows[1:]] == [["64", "16"], ["256", "64"]]
+        for cell, row in zip(cells, rows[1:]):
+            assert row[2] == rational_str(swept.coeff_at(cell)) != "0"
 
     def test_oracle_command_gaussian(self, tmp_path, capsys):
         # H = 1 + (-1/2 + i/3) x - y/2: the xy coefficient is 1/2 - i/3

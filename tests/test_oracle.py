@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
-from smoothasym import GaussRat, Jet, SparsePoly, maclaurin_table
+from smoothasym import GaussRat, Jet, SparsePoly, maclaurin_table, oracle
 from smoothasym.cli import decimal_str
 from smoothasym.oracle import OracleError
 
@@ -137,17 +137,32 @@ class TestMaclaurinTable:
                 assert table.coeff_at(beta) == geo.get(beta, Fraction(0)), beta
         assert recurrence_residual(table, G, H, 3, G_den=G_den) == 0
 
-    def test_memory_stays_with_the_row(self, delannoy):
-        # the full 193x129 box of numerators would take about 1.4 MB
-        G, H, _ = delannoy
+    @staticmethod
+    def _delannoy_peak(path, G, H, n):
+        """``path``'s Delannoy value at ``n (3, 2)``, checked against the
+        closed form, and its peak traced memory."""
+        a, b = 3 * n, 2 * n
         tracemalloc.start()
         try:
-            table = maclaurin_table(G, H, 1, [(192, 128)])
+            table = path(G, H, 1, [(a, b)])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert table.coeff_at((192, 128)) == sum(
-            math.comb(192, k) * math.comb(128, k) * 2**k for k in range(129))
+        assert table.coeff_at((a, b)) == sum(
+            math.comb(a, k) * math.comb(b, k) * 2**k for k in range(b + 1))
+        return peak
+
+    def test_memory_stays_with_the_row(self, delannoy):
+        # the sweep's full 193x129 box of numerators would take about 1.4 MB
+        G, H, _ = delannoy
+        peak = self._delannoy_peak(oracle._sweep, G, H, 64)
+        assert peak < 200_000, peak
+
+    def test_elimination_memory_stays_with_one_row(self, delannoy):
+        # x is eliminated, so each T_k is one row of y (385 numerators)
+        G, H, _ = delannoy
+        assert oracle._linear_variable(H, (576, 384)) == 0
+        peak = self._delannoy_peak(maclaurin_table, G, H, 192)
         assert peak < 200_000, peak
 
 
@@ -225,6 +240,110 @@ class TestMaclaurinTableProperties:
             val = table.coeff_at(beta)
             assert val == 0 and type(val) is Fraction
         assert set(table_values(table)) == {(2, j) for j in range(4)}
+
+
+@st.composite
+def linear_instances(draw, gaussian=False):
+    """Random ``(G_num, H, p, bounds)`` with ``H = A + x'^v B~ z`` of degree 1
+    in a variable ``z``, ``A(0)`` not in {0, 1} and ``B~(0) != 0``.
+
+    ``v`` is a random monomial (like the quantum walk's
+    ``B = x (1/2 - x)``), ``G_num`` carries a random monomial factor, so some
+    cells are zero.  With ``gaussian`` some coefficients of ``G_num`` get a
+    nonzero imaginary part.
+    """
+    d = draw(st.integers(1, 3))
+    z = draw(st.integers(0, d - 1))
+    exps = st.tuples(*[st.integers(0, 2)] * (d - 1))
+    zero = (0,) * (d - 1)
+
+    def rest(const):
+        terms = draw(st.dictionaries(exps.filter(any), nonzero_rationals, max_size=3))
+        terms[zero] = draw(const)
+        return terms
+
+    def lift(e, j):
+        return e[:z] + (j,) + e[z:]
+
+    A = rest(nonzero_rationals.filter(lambda c: c != 1))
+    B = rest(nonzero_rationals)
+    v = draw(st.tuples(*[st.integers(0, 1)] * (d - 1)))
+    H = {lift(e, 0): c for e, c in A.items()}
+    H.update({lift(tuple(map(sum, zip(e, v))), 1): c for e, c in B.items()})
+    coef = rationals
+    if gaussian:
+        coef = st.one_of(rationals, st.builds(GaussRat, rationals, nonzero_rationals))
+    G = draw(st.dictionaries(st.tuples(*[st.integers(0, 2)] * d), coef,
+                             min_size=gaussian, max_size=4))
+    shift = SparsePoly(d, {draw(st.tuples(*[st.integers(0, 2)] * d)): 1})
+    p = draw(st.sampled_from([1, 2, 3]))
+    bounds = draw(st.tuples(*[st.integers(0, 5)] * d))
+    return SparsePoly(d, G) * shift, SparsePoly(d, H), p, bounds
+
+
+def _check_against_sweep(instance, data):
+    G, H, p, bounds = instance
+    assert oracle._linear_variable(H, bounds) is not None
+    cells = box_cells(bounds)
+    table = maclaurin_table(G, H, p, cells)
+    swept = oracle._sweep(G, H, p, cells)
+    assert table.bounds == swept.bounds == bounds
+    for beta in cells:
+        got, want = table.coeff_at(beta), swept.coeff_at(beta)
+        assert got == want and type(got) is type(want), (beta, got, want)
+        assert isinstance(got, Fraction) or got.im, (beta, got)
+    assert recurrence_residual(table, G, H, p) == 0
+    # a few cells alone, repeated, each T_k then swept only as far as
+    # those cells read
+    some = data.draw(st.lists(st.sampled_from(cells), min_size=1, max_size=4))
+    part = maclaurin_table(G, H, p, some)
+    for beta in some:
+        got = part.coeff_at(beta)
+        assert got == table.coeff_at(beta) and type(got) is type(table.coeff_at(beta))
+
+
+class TestElimination:
+    @settings(max_examples=80)
+    @given(linear_instances(), st.data())
+    def test_matches_the_sweep(self, instance, data):
+        _check_against_sweep(instance, data)
+
+    @settings(max_examples=40)
+    @given(linear_instances(gaussian=True), st.data())
+    def test_gaussian_g_matches_the_sweep(self, instance, data):
+        _check_against_sweep(instance, data)
+
+    def test_monomial_factor_and_gaussian_g(self, quantum_walk):
+        # the quantum walk's B = x (1/2 - x), so every y comes with an x; with
+        # G = (1 - x/2) i + y, a cell with beta_y = 0 is purely imaginary, one
+        # with beta_y = beta_x + 1 is real (only y G reaches it) and one
+        # further out is zero
+        _, H, _ = quantum_walk
+        G = SparsePoly(2, {(0, 0): GaussRat(0, 1), (1, 0): GaussRat(0, Fraction(-1, 2)),
+                           (0, 1): Fraction(1)})
+        cells = box_cells((9, 4))
+        assert oracle._linear_variable(H, (9, 4)) == 1
+        table = maclaurin_table(G, H, 2, cells)
+        swept = oracle._sweep(G, H, 2, cells)
+        for beta in cells:
+            got, want = table.coeff_at(beta), swept.coeff_at(beta)
+            assert got == want and type(got) is type(want), (beta, got, want)
+        assert table.coeff_at((3, 0)) == GaussRat(0, Fraction(1, 8))
+        assert table.coeff_at((3, 4)) == Fraction(-1, 2)
+        assert table.coeff_at((2, 4)) == 0 and type(table.coeff_at((2, 4))) is Fraction
+
+    @pytest.mark.parametrize("terms", [
+        # B = -y - z for x, and likewise for y and z: B~(0) = 0 every time
+        {(0, 0, 0): 1, (1, 1, 0): -1, (1, 0, 1): -1, (0, 1, 1): -1},
+        {(0, 0, 0): 1, (2, 0, 0): -1, (0, 2, 0): -1, (0, 0, 2): -1},  # degree 2
+    ])
+    def test_other_inputs_take_the_sweep(self, terms):
+        H = poly(3, terms)
+        assert oracle._linear_variable(H, (4, 4, 4)) is None
+
+    def test_gaussian_h_takes_the_sweep(self):
+        H = SparsePoly(1, {(0,): Fraction(1), (1,): GaussRat(0, -1)})
+        assert oracle._linear_variable(H, (4,)) is None
 
 
 class TestQuadrature:

@@ -71,6 +71,7 @@ ROUTE_EXIT_CODES = {
     "symmetric-3-critical": 0,
     "symmetric-3-sampled": 0,
     "delannoy-oracle": 0,
+    "smirnov-words-oracle": 0,
     "gaussian-3-seeded": 0,
     "delannoy-gaussian-g": 0,
     "tiny-critical-points": 0,

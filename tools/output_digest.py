@@ -7,12 +7,13 @@ Runs every request of the benchmark workloads (``perfbench/gen.py``) at the
 given seeds (1 and 2 by default) through the ``cli.main`` of the checkout at
 ``CHECKOUT``, in this one process, one request after another, as the
 benchmark's closed loop does.
-Then, whatever the seeds, it runs ``ROUTES``: ten fixed requests on
+Then, whatever the seeds, it runs ``ROUTES``: eleven fixed requests on
 routes that no workload reaches (the degenerate even route, the degenerate
 route's whole-phase search and its reuse of the first frame, the
 one-variable route, torus sampling in three variables, the ``oracle``
-command, a three-variable Gaussian system from seeds, a Gaussian ``G`` and
-critical points far smaller than the eliminant's coefficients).
+command in two and in three variables, a three-variable Gaussian system
+from seeds, a Gaussian ``G`` and critical points far smaller than the
+eliminant's coefficients).
 For each request it hashes the exit code, stdout, stderr and the JSON and
 CSV files the request writes (an exception escaping ``cli.main`` is hashed
 as its type and message), and prints one line
@@ -107,6 +108,7 @@ ROUTES = (
     ("symmetric-3-sampled", "expand", None,
      dict(_SYMMETRIC_3, overrides={"assume_strictly_minimal": True})),
     ("delannoy-oracle", "oracle", "delannoy", {}),
+    ("smirnov-words-oracle", "oracle", "smirnov_words", {"n_values": [48, 96]}),
     ("gaussian-3-seeded", "critical", None, {
         "variables": ["x", "y", "z"],
         "G": _terms(((0, 0, 0), 1)),
