@@ -265,7 +265,7 @@ def _expand_at_point(spec, report):
                 spec.G_num, spec.H, spec.p, report.point, G_den=spec.G_den,
                 direction=spec.alpha,
             )
-        except (ExpansionError, FrameError, SeriesError) as exc:
+        except (ExpansionError, FrameError, GeometryError, SeriesError) as exc:
             raise PipelineExit(EXIT_NO_CRITICAL, f"univariate expansion failed: {exc}")
 
     def frame_of_order(order, v=None):

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from mpmath import mp, mpc, mpf
 
-from .geometry import Direction
+from .geometry import Direction, check_smooth
 from .localframe import amplitude_jets, frame_order
 from .series import Jet, coef_to_mpc, complex_to_json
 from .stationary import (
@@ -318,17 +318,15 @@ def expand_univariate(G_num, H, p, point, G_den=None, direction=None):
 
     The amplitudes are constants; the result is a polynomial in the
     coefficient index against the base ``c^{-n alpha_1}`` (``direction``
-    defaults to index steps of one).
+    defaults to index steps of one).  ``check_smooth`` judges the point,
+    and raises ``GeometryError`` when it is not on the variety.
     """
     if H.nvars != 1:
         raise ExpansionError("univariate path requires one variable")
     direction = direction or Direction((1,))
     a1 = direction.alpha[0]
     c = mpc(point[0] if isinstance(point, (tuple, list)) else point)
-    scale = max(H.coeff_bound(), mpf(1))
-    if abs(H.eval((c,))) > mpf("1e-10") * scale:
-        raise ExpansionError("point is not on the variety")
-    if abs(H.partial(0).eval((c,))) <= mpf("1e-12") * scale:
+    if not check_smooth(H, (c,))[0]:
         raise ExpansionError("point is not a smooth (simple) zero")
     # the residue at x = c is the frame with no torus variables
     amps, _ = amplitude_jets(G_num, H, p, (c,), Jet(0, p, (), {(): c}), 1, 1, G_den=G_den)

@@ -5,6 +5,15 @@ elimination for two variables, damped Newton plus a symmetric-diagonal
 shortcut otherwise), and classifies each solution: smoothness with a
 distinguished coordinate, isolation, and minimality with explicit evidence.
 
+One rule decides that a polynomial is zero at a point (``vanishes``):
+``|P(c)| <= RESIDUAL_TOL sum_e |a_e||c^e|``, the scale of the rounding error
+of evaluating ``P``.  ``c`` is on the variety when ``H`` vanishes, smooth
+when some partial does not, and isolated when the Jacobian determinant
+exceeds ``RESIDUAL_TOL`` times the product of its rows' term scales, whatever
+the units of ``H`` and of the variables.  The printed residuals
+(``system_residual``) keep each equation's largest coefficient as their
+scale, so the output that checks read against 1e-10 stays as it was.
+
 The system is built once per solve (``CriticalSystem``): its equations and
 Jacobian entries are ``SparsePoly``s, which keep their coefficients converted
 at the working precision, and a point's values and Jacobian share one table
@@ -215,15 +224,8 @@ class CriticalSystem:
 
 def system_residual(system, point):
     """(|H(c)|, max residual of the critical equations), scale-normalized."""
-    vals = system.values(point)
-    scales = system.scales()
-    res_h = abs(vals[0]) / scales[0]
-    res_c = mpf(0)
-    for v, scale in zip(vals[1:], scales[1:]):
-        r = abs(v) / scale
-        if r > res_c:
-            res_c = r
-    return res_h, res_c
+    res = [abs(v) / scale for v, scale in zip(system.values(point), system.scales())]
+    return res[0], max(res[1:], default=mpf(0))
 
 
 # -- exact univariate helpers for elimination ---------------------------------
@@ -381,19 +383,19 @@ def _gauss_solve(A, b):
     elimination with partial pivoting, at the working precision.
 
     Returns ``(x, det)``, or ``None`` when ``A`` is singular: when a pivot's
-    modulus is at most ``mp.eps`` times the largest column sum of moduli of
-    ``A``, the tolerance of mpmath's LU.
+    modulus is at most ``mp.eps`` times the largest modulus of its own row
+    of ``A``, so rows of different scales are each judged by their own.
     """
     n = len(A)
-    tol = mp.eps * max(sum(abs(row[j]) for row in A) for j in range(n))
+    tols = [mp.eps * max(abs(v) for v in row) for row in A]
     M = [list(row) + [v] for row, v in zip(A, b)]
     det = mpf(1)
     for j in range(n):
         p = max(range(j, n), key=lambda i: abs(M[i][j]))
-        if abs(M[p][j]) <= tol:
+        if abs(M[p][j]) <= tols[p]:
             return None
         if p != j:
-            M[j], M[p] = M[p], M[j]
+            M[j], M[p], tols[j], tols[p] = M[p], M[j], tols[p], tols[j]
             det = -det
         pivot = M[j][j]
         det *= pivot
@@ -410,14 +412,14 @@ def _gauss_solve(A, b):
 def newton_polish(system, point, known=()):
     """Damped Newton iteration on a ``CriticalSystem``, at working precision.
 
-    Returns (point, converged).  The values and Jacobian at an iterate share
-    one table of powers, and each step solves with ``_gauss_solve``; a
-    Jacobian that it reports singular ends the iteration.  A run whose
-    iterate comes within ``DEDUPE_TOL`` (relative) of one of the ``known``
-    points, solutions already kept, returns that point as converged, and
-    ``solve_critical`` drops it as a duplicate.  Such a run nearly always
-    ends at that point; one that would only pass it on the way to a
-    distinct solution loses that solution.
+    Returns the last iterate, which ``solve_critical``'s residual filter
+    judges.  The values and Jacobian at an iterate share one table of
+    powers, and each step solves with ``_gauss_solve``; a Jacobian that it
+    reports singular ends the iteration.  A run whose iterate comes within
+    ``DEDUPE_TOL`` (relative) of one of the ``known`` points, solutions
+    already kept, returns that point, and ``solve_critical`` drops it as a
+    duplicate.  Such a run nearly always ends at that point; one that would
+    only pass it on the way to a distinct solution loses that solution.
     """
     d = len(point)
     x = [mpc(z) for z in point]
@@ -430,7 +432,7 @@ def newton_polish(system, point, known=()):
             break
         near = _near(x, known, DEDUPE_TOL)
         if near is not None:
-            return list(near), True
+            return list(near)
         solved = _gauss_solve(system.jacobian(x, powers), [-v for v in vals])
         if solved is None:
             break
@@ -447,20 +449,17 @@ def newton_polish(system, point, known=()):
             lam /= 2
         else:
             break
-    return x, err < RESIDUAL_TOL
+    return x
 
 
 def _jacobian_singular(system, point):
     """Whether the critical system's Jacobian at ``point`` is singular:
-    ``_gauss_solve`` reports it so, or its determinant is below ``1e-10``
-    times ``s^d``, with ``s`` its largest entry modulus (at least 1)."""
-    d = len(point)
-    J = system.jacobian(point)
-    solved = _gauss_solve(J, [mpc(0)] * d)
-    if solved is None:
-        return True
-    scale = max(max(abs(v) for row in J for v in row), mpf(1))
-    return abs(solved[1]) < mpf("1e-10") * scale**d
+    ``_gauss_solve`` reports it so, or its determinant is at most
+    ``RESIDUAL_TOL`` times the product over its rows of the sum of their
+    entries' ``term_scale``s, a bound on the determinant (Hadamard)."""
+    solved = _gauss_solve(system.jacobian(point), [mpc(0)] * len(point))
+    bound = math.prod(sum(Q.term_scale(point) for Q in row) for row in system.partials)
+    return solved is None or abs(solved[1]) <= RESIDUAL_TOL * bound
 
 
 def _near(p, points, tol):
@@ -542,8 +541,8 @@ def solve_critical(H, direction, seeds=None):
     term moduli, below ``PAIRING_TOL``), or all of them where none does.
     Each seed gets a Newton polish at working precision.  d>=3: damped
     Newton from each seed plus the diagonal shortcut for symmetric H with a
-    constant direction.  Every returned point has scale-normalized residual
-    below 1e-10.
+    constant direction.  Every returned point has ``system_residual`` at
+    most ``RESIDUAL_TOL``.
     """
     d = H.nvars
     system = critical_system(H, direction)
@@ -578,8 +577,8 @@ def solve_critical(H, direction, seeds=None):
     points = []
     residuals = []
     for cand in candidates:
-        x, ok = newton_polish(system, cand, points)
-        if not ok or _near(x, points, DEDUPE_TOL) is not None:
+        x = newton_polish(system, cand, points)
+        if _near(x, points, DEDUPE_TOL) is not None:
             continue
         res_h, res_c = system_residual(system, x)
         if res_h > RESIDUAL_TOL or res_c > RESIDUAL_TOL:
@@ -620,28 +619,35 @@ def _diagonal_points(H):
 # -- smoothness ---------------------------------------------------------------
 
 
+def vanishes(P, point, value=None):
+    """Whether ``P`` vanishes at ``point``: ``|P(c)|`` (``value``, when the
+    caller has it) is at most ``RESIDUAL_TOL`` times ``P.term_scale(c)``."""
+    value = P.eval(point) if value is None else value
+    return abs(value) <= RESIDUAL_TOL * P.term_scale(point)
+
+
 def check_smooth(H, point):
     """(is_smooth, witness index, reordering that puts a usable coordinate last).
 
-    The reordering maximizes |c_j dH/dx_j(c)| in the last slot so downstream
-    implicit solves are well-conditioned; the witness is any coordinate with a
-    nonvanishing partial.
+    Each test is ``vanishes``; the witness is the nonvanishing partial of
+    largest modulus.  The last coordinate stays last unless ``c_d`` or
+    ``dH/dx_d`` vanishes; then the largest ``|c_j dH/dx_j(c)|`` with neither
+    vanishing goes last, so downstream implicit solves are well-conditioned.
     """
     d = H.nvars
-    tol = RESIDUAL_TOL * max(H.coeff_bound(), mpf(1))
-    if abs(H.eval(point)) > tol:
+    if not vanishes(H, point):
         raise GeometryError("point is not on the variety")
-    partials = [H.partial(j).eval(point) for j in range(d)]
-    mags = [abs(v) for v in partials]
+    parts = [H.partial(j) for j in range(d)]
+    mags = [abs(P.eval(point)) for P in parts]
+    mags = [0 if vanishes(P, point, m) else m for P, m in zip(parts, mags)]
     witness = max(range(d), key=lambda j: mags[j])
-    if mags[witness] <= tol:
+    if not mags[witness]:
         return False, -1, tuple(range(d))
     weighted = [abs(point[j]) * mags[j] for j in range(d)]
-    if weighted[d - 1] > tol:
-        last = d - 1  # keep the original order when it already works
-    else:
+    last = d - 1  # keep the original order when it already works
+    if not weighted[last]:
         last = max(range(d), key=lambda j: weighted[j])
-        if weighted[last] <= tol:
+        if not weighted[last]:
             # smooth, but x_j dH/dx_j vanishes in every coordinate
             last = witness
     perm = [j for j in range(d) if j != last] + [last]
@@ -695,25 +701,24 @@ def is_aperiodic(P):
 
 
 def _is_positive_real(point):
-    for z in point:
-        scale = max(abs(z), mpf(1))
-        if abs(z.imag) > POSITIVE_REAL_TOL * scale or z.real <= 0:
-            return False
-    return True
+    return all(z.real > 0 and abs(z.imag) <= POSITIVE_REAL_TOL * abs(z) for z in point)
+
+
+def _inside(q, point):
+    """Whether ``q`` lies strictly inside the polydisc of ``point``: below
+    ``1 - MARGIN`` of its modulus in every coordinate."""
+    return all(abs(a) < abs(b) * (1 - MARGIN) for a, b in zip(q, point))
 
 
 def _one_minus_H_nonneg(H):
-    """1 - H has nonnegative coefficients and constant term below 1."""
-    P = SparsePoly.constant(H.nvars, 1) - H
-    const = P.constant_term()
-    if isinstance(const, GaussRat) or const < 0 or const >= 1:
-        return False, P
-    for e, c in P.terms.items():
-        if isinstance(c, GaussRat) or c < 0:
-            return False, P
-        if not any(e) and c >= 1:
-            return False, P
-    return True, P
+    """``(ok, P)``: ``P = 1 - H/H(0)``, which has the variety of ``H``, and
+    whether ``H(0)`` is a nonzero rational and ``P`` has nonnegative
+    coefficients."""
+    const = H.constant_term()
+    if isinstance(const, GaussRat) or not const:
+        return False, None
+    P = SparsePoly.constant(H.nvars, 1) - H * (1 / const)
+    return all(not isinstance(c, GaussRat) and c >= 0 for c in P.terms.values()), P
 
 
 def check_minimality(H, point, other_points=None):
@@ -733,13 +738,12 @@ def check_minimality(H, point, other_points=None):
     or unknown.
     """
     d = H.nvars
-    scale = max(H.coeff_bound(), mpf(1))
-    if abs(H.eval(point)) > RESIDUAL_TOL * scale:
+    if not vanishes(H, point):
         raise GeometryError("point is not on the variety")
 
     # quick not-minimal witness: another known variety point strictly inside
     for q in other_points or ():
-        if all(abs(qj) < abs(pj) * (1 - mpf("1e-9")) for qj, pj in zip(q, point)):
+        if _inside(q, point):
             return MinimalityVerdict(
                 "not-minimal",
                 "another variety point has strictly smaller coordinate moduli",
@@ -769,16 +773,14 @@ def check_minimality(H, point, other_points=None):
 
 def _check_minimality_univariate(point, roots):
     """Verdict for ``point`` among ``roots``, all the roots of ``H``."""
-    roots = [r for (r,) in roots]
-    c = point[0]
-    rho = min(abs(r) for r in roots)
-    tol = mpf("1e-9") * max(abs(c), mpf(1))
-    if abs(c) > rho + tol:
-        inner = min(roots, key=lambda r: abs(r))
+    inner = min(roots, key=lambda r: abs(r[0]))
+    if _inside(inner, point):
         return MinimalityVerdict(
-            "not-minimal", "a root of smaller modulus exists", witness=(inner,)
+            "not-minimal", "a root of smaller modulus exists", witness=tuple(inner)
         )
-    same = [r for r in roots if abs(abs(r) - abs(c)) <= tol]
+    c = point[0]
+    tol = MARGIN * abs(c)
+    same = [r for (r,) in roots if abs(abs(r) - abs(c)) <= tol]
     companions = [(r,) for r in same if abs(r - c) > tol]
     if companions:
         return MinimalityVerdict(
@@ -864,7 +866,7 @@ def _slice_search(H, point, ws):
         return ratio, False, None
     w = tuple(mpc(complex(z)) for z in ws[best])
     y = _polish_slice_root(H, w, complex(ys[best]))
-    if y is None or not all(abs(z) < abs(c) * (1 - MARGIN) for z, c in zip(w + (y,), point)):
+    if y is None or not _inside(w + (y,), point):
         return ratio, True, None
     return ratio, True, w + (y,)
 
@@ -944,9 +946,8 @@ def _polish_slice_root(H, w, y0):
         y -= step
         if abs(step) < mpf(2) ** (20 - mp.prec) * max(abs(y), mpf(1)):
             break
-    scale = max(max(abs(c) for c in coeffs), mpf(1))
     f = sum(coeffs[k] * y**k for k in range(len(coeffs)))
-    return y if abs(f) < RESIDUAL_TOL * scale else None
+    return y if vanishes(H, w + (y,), f) else None
 
 
 def _sample_minimality(H, point):

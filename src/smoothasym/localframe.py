@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from mpmath import mp, mpc, mpf
 
-from .geometry import Direction, check_smooth
+from .geometry import Direction, check_smooth, vanishes
 from .series import Jet, jet_circle_substitute
 from .stationary import read_degree, slice_degree
 
@@ -59,17 +59,15 @@ def implicit_root_jet(H, point, order, window=None):
     bit, since every later step would return it too.  Each step runs through
     degree ``window`` (the order by default), so the result is the window
     (see ``series``) of the full-order solution.  The composite residual
-    vanishes through the window (checked).
+    vanishes through the window, to ``2^-(prec/2)`` of ``H.term_scale(c)``.
     """
     d = H.nvars
     if d < 2:
         raise FrameError("implicit solve needs at least two variables")
     c = tuple(mpc(z) for z in point)
-    scale = max(H.coeff_bound(), mpf(1))
-    if abs(H.eval(c)) > mpf("1e-10") * scale:
+    if not vanishes(H, c):
         raise FrameError("point is not on the variety")
-    dHd = H.partial(d - 1).eval(c)
-    if abs(dHd) <= mpf("1e-10") * scale:
+    if vanishes(H.partial(d - 1), c):
         raise FrameError("not smooth in the distinguished coordinate")
 
     hi = order if window is None else min(window, order)
@@ -96,7 +94,7 @@ def implicit_root_jet(H, point, order, window=None):
         eta = new
     residual = H_jet.substitute(d - 1, eta, hi)
     res = max((abs(v) for v in residual.coeffs.values()), default=mpf(0))
-    if res > scale * mpf(2) ** (-(mp.prec // 2)):
+    if res > H.term_scale(c) * mpf(2) ** (-(mp.prec // 2)):
         raise FrameError(f"implicit solve residual too large: {mp.nstr(res, 5)}")
 
     return (eta.reindex(lambda b: b[: d - 1], nvars=d - 1, center=w_center)
@@ -158,8 +156,7 @@ def phase_hessian(H, point):
     c = tuple(mpc(z) for z in point)
     parts = [H.partial(j) for j in range(d)]
     dH = [parts[j].eval(c) for j in range(d)]
-    scale = max(H.coeff_bound(), mpf(1))
-    if abs(dH[d - 1]) <= mpf("1e-10") * scale or abs(c[d - 1]) == 0:
+    if vanishes(parts[d - 1], c, dH[d - 1]) or c[d - 1] == 0:
         raise FrameError("needs c_d and dH/dx_d nonzero at the point")
     second = [[parts[i].partial(j).eval(c) for j in range(d)] for i in range(d)]
     cd, dHd = c[d - 1], dH[d - 1]
@@ -247,8 +244,7 @@ def amplitude_jets(G_num, H, p, point, h_jet, order, terms, G_den=None):
     zero_slice = max(
         (abs(v) for b, v in H_sv.coeffs.items() if b[d - 1] == 0), default=mpf(0)
     )
-    scale = max(H.coeff_bound(), mpf(1))
-    if zero_slice > scale * mpf(2) ** (-(mp.prec // 2)):
+    if zero_slice > H.term_scale(c) * mpf(2) ** (-(mp.prec // 2)):
         raise FrameError("pole division failed: H(w, h(w)) does not vanish on jets")
 
     # Q = H / (y - h): divide by v by shifting the v-exponent down

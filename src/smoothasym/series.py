@@ -91,8 +91,8 @@ from operator import lshift
 
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import (
-    fzero, mpc_add, mpc_mul, mpc_pow_int, mpf_add, mpf_mul, mpf_neg, mpf_sub,
-    round_nearest,
+    fzero, mpc_abs, mpc_add, mpc_mul, mpc_pow_int, mpf_add, mpf_mul, mpf_neg, mpf_pow_int,
+    mpf_sub, round_nearest,
 )
 
 DEFAULT_BITS = 212
@@ -263,8 +263,8 @@ class SparsePoly:
 
     ``terms`` maps exponent tuples (length ``nvars``, nonnegative) to nonzero
     ``Fraction`` or ``GaussRat`` coefficients.  A polynomial is not changed
-    after it is built: ``eval`` and ``coeff_bound`` keep its coefficients
-    converted at the precision of their last call.
+    after it is built: ``eval``, ``coeff_bound`` and ``term_scale`` keep its
+    coefficients converted at the precision of their last call.
     """
 
     __slots__ = ("nvars", "terms", "_prec", "_converted")
@@ -432,6 +432,19 @@ class SparsePoly:
             total = mpc_add(total, term, prec, rnd)
         return _mpc_of(*total)
 
+    def term_scale(self, point):
+        """``sum_e |a_e| |point^e|`` at 53 bits, from the coefficients ``eval``
+        holds: the scale of ``eval``'s rounding error at ``point`` (Higham,
+        *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 5.1)."""
+        moduli = [mpc_abs(mpc(z)._mpc_, 53) for z in point]
+        total = fzero
+        for c, factors in self._terms_at_prec():
+            term = mpc_abs(c, 53)
+            for j, k in factors:
+                term = mpf_mul(term, mpf_pow_int(moduli[j], k, 53), 53)
+            total = mpf_add(total, term, 53)
+        return mp.make_mpf(total)
+
     def permute(self, perm):
         """Reorder variables: new variable i is old variable ``perm[i]``."""
         if sorted(perm) != list(range(self.nvars)):
@@ -449,7 +462,7 @@ class SparsePoly:
 
     def coeff_bound(self):
         """Max coefficient magnitude at the current precision: the scale of
-        the on-variety, smoothness and residual checks."""
+        the printed critical-system residuals and of the minimality slices."""
         best = mpf(0)
         for c, _ in self._terms_at_prec():
             m = abs(_mpc_of(*c))

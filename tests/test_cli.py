@@ -358,6 +358,25 @@ class TestMainEntry:
         code = main(["expand", "--input", spec_path, "--assume-strictly-minimal"])
         assert code == 0
 
+    @pytest.mark.parametrize("s", [-40, 40])
+    def test_delannoy_with_scaled_H(self, tmp_path, capsys, s):
+        # H and 2^s H have one variety and every zero test is relative, so
+        # the expansion is the unscaled one divided by 2^s
+        spec = json.loads((PROBLEMS / "delannoy.json").read_text())
+        scaled = dict(spec, H=[dict(t, coef=str(Fraction(t["coef"]) * Fraction(2) ** s))
+                               for t in spec["H"]])
+        flat = []
+        for obj in (spec, scaled):
+            code, result, _, err = self._expand(tmp_path, capsys, obj)
+            assert code == 0, err
+            flat.append([(t["exponent"], mpc(mpf(t["coef"]["re"]), mpf(t["coef"]["im"])))
+                         for t in result["expansion"]["flattened"]["terms"]])
+        tol = mpf(2) ** (20 - result["provenance"]["precision_bits"])
+        assert [e for e, _ in flat[1]] == [e for e, _ in flat[0]]
+        for (_, a), (_, b) in zip(*flat):
+            want = a * mpf(2) ** -s
+            assert abs(b - want) <= tol * abs(want)
+
     def test_exit_origin(self, tmp_path, capsys):
         obj = dict(DELANNOY_SPEC)
         obj["H"] = [{"exp": [1, 0], "coef": "1"}]

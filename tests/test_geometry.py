@@ -165,14 +165,23 @@ class TestSolveCritical:
         return H, [((1 + r) / big,) * 2 for r in (mp.sqrt(1 - big), -mp.sqrt(1 - big))]
 
     def assert_tiny_points(self, k):
-        # to 1e-12 only: at k = 310 and 400 the Jacobian's rows differ in
-        # scale by 10^(k/2), so Newton stops at the double-precision seed
+        # both points to the working precision, smooth and isolated, though
+        # |dH/dx| is about 10^(k/2) and the Jacobian's rows differ in scale
+        # by as much
         H, expect = self.tiny_points(k)
-        points, _ = solve_critical(H, Direction((1, 1)))
+        points, checks = solve_critical(H, Direction((1, 1)))
         assert len(points) == 2
         for e in expect:
-            assert any(max(abs(a - b) for a, b in zip(q, e)) < mpf("1e-12") * abs(e[0])
-                       for q in points)
+            assert any(max(abs(a - b) for a, b in zip(q, e))
+                       < mpf(2) ** (20 - mp.prec) * abs(e[0]) for q in points)
+        assert all(check_smooth(H, q)[0] for q in points)
+        assert [c.isolated for c in checks] == ["yes", "yes"]
+
+    def test_tiny_points_smooth_and_isolated(self):
+        # the checks are relative to the terms at the point: at k = 20 an
+        # absolute scale read both points as not smooth
+        for k in (2, 20):
+            self.assert_tiny_points(k)
 
     @pytest.mark.parametrize("k", [310, 400])
     def test_eliminant_coefficients_beyond_the_double_range(self, k):
@@ -252,9 +261,7 @@ def reference_solve_critical_2d(H, direction):
 
     points = []
     for cand in candidates:
-        x, ok = newton_polish(system, cand)
-        if not ok:
-            continue
+        x = newton_polish(system, cand)
         res_h, res_c = system_residual(system, x)
         if res_h > RESIDUAL_TOL or res_c > RESIDUAL_TOL:
             continue
@@ -308,10 +315,10 @@ class TestPairedBackSubstitution:
         alpha = Direction((1, 2))
         converged = []
 
-        def recording(*args):
-            out = newton_polish(*args)
-            converged.append(out[1])
-            return out
+        def recording(system, *args):
+            x = newton_polish(system, *args)
+            converged.append(max(system_residual(system, x)) <= RESIDUAL_TOL)
+            return x
 
         with mock.patch.object(geometry, "newton_polish", recording):
             points, _ = solve_critical(H, alpha)
@@ -365,9 +372,9 @@ class TestKnownPoints:
         stops = []
 
         def recording(system, point, known=()):
-            x, ok = newton_polish(system, point, known)
+            x = newton_polish(system, point, known)
             stops.append(any(x == list(k) for k in known))
-            return x, ok
+            return x
 
         with mock.patch.object(geometry, "newton_polish", recording):
             got = solve_critical(H, alpha)
@@ -382,8 +389,7 @@ class TestKnownPoints:
         system = critical_system(H, Direction((3, 2)))
         (point, *_), _ = solve_critical(H, Direction((3, 2)))
         start = [z * (1 + mpf("1e-6")) for z in point]
-        x, ok = newton_polish(system, start, [point])
-        assert ok and x == list(point)
+        assert newton_polish(system, start, [point]) == list(point)
         far = [mpc(5), mpc(5)]
         assert newton_polish(system, start, [far]) == newton_polish(system, start)
 
@@ -579,6 +585,48 @@ class TestCheckSmooth:
         H = poly(2, {(0, 0): 1, (1, 0): -1, (0, 2): 1})
         smooth, _, perm = check_smooth(H, (mpc(1), mpc(0)))
         assert smooth and perm == (1, 0)
+
+
+@st.composite
+def scaled_critical_points(draw):
+    """A ``bivariate_critical_systems`` draw, sometimes times a line, whose
+    crossings with the rest of the curve are singular critical points, and
+    the exponents ``s`` and ``t`` of ``H -> 2^s H(2^-t x)``."""
+    H, alpha = draw(bivariate_critical_systems())
+    if draw(st.booleans()):
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3).filter(bool))
+        H = H * poly(2, {(0, 0): 1, (1, 0): a, (0, 1): b})
+    return H, alpha, draw(st.integers(-80, 80)), draw(st.integers(-30, 30))
+
+
+class TestScaleInvariance:
+    """The zero decisions read ``H`` and the point in no fixed units:
+    ``H -> 2^s H(2^-t x)`` at the point ``2^t c`` changes no verdict."""
+
+    @staticmethod
+    def verdicts(H, alpha, point):
+        try:
+            smooth = check_smooth(H, point)
+        except GeometryError:
+            smooth = "off the variety"
+        return (geometry.vanishes(H, point),
+                [geometry.vanishes(H.partial(j), point) for j in range(H.nvars)],
+                smooth, _jacobian_singular(critical_system(H, alpha), point))
+
+    @settings(max_examples=15)
+    @given(scaled_critical_points())
+    def test_verdicts_unchanged(self, case):
+        H, alpha, s, t = case
+        try:
+            points, _ = solve_critical(H, alpha)
+        except GeometryError:
+            return
+        scaled = SparsePoly(2, {e: c * Fraction(2) ** (s - t * sum(e))
+                                for e, c in H.terms.items()})
+        # the critical points and a point off the variety
+        for point in points + [tuple(z * (1 + mpf("1e-6")) for z in p) for p in points[:1]]:
+            moved = tuple(mp.ldexp(z.real, t) + 1j * mp.ldexp(z.imag, t) for z in point)
+            assert self.verdicts(scaled, alpha, moved) == self.verdicts(H, alpha, point)
 
 
 class TestAperiodic:

@@ -75,6 +75,7 @@ ROUTE_EXIT_CODES = {
     "gaussian-3-seeded": 0,
     "delannoy-gaussian-g": 0,
     "tiny-critical-points": 0,
+    "scaled-delannoy": 0,
 }
 
 
