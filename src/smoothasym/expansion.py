@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from mpmath import mp, mpc, mpf
 
-from .geometry import Direction, check_smooth
+from .geometry import Direction, _near, check_smooth
 from .localframe import amplitude_jets, frame_order
 from .series import Jet, coef_to_mpc, complex_to_json
 from .stationary import (
@@ -28,6 +28,7 @@ from .stationary import (
 )
 
 DEGENERACY_GATE = mpf("1e-10")
+DUPLICATE_TOL = mpf("1e-9")  # combined points this close, relative to their moduli, coincide
 
 
 class ExpansionError(ValueError):
@@ -370,10 +371,10 @@ def combine_expansions(expansions):
         if abs(e.base_magnitude() - mag) > mpf("1e-9") * mag:
             raise ExpansionError("combined expansions must share the base magnitude")
     for i, e1 in enumerate(expansions):
-        for e2 in expansions[i + 1 :]:
-            dist = max(abs(a - b) for a, b in zip(e1.base_point, e2.base_point))
-            if dist < mpf("1e-9") * max(mag, mpf(1)):
-                raise ExpansionError("duplicate expansion points in combination")
+        # relative to the point's own moduli, as the solver's duplicate test
+        if _near(e1.base_point, [e2.base_point for e2 in expansions[i + 1 :]],
+                 DUPLICATE_TOL) is not None:
+            raise ExpansionError("duplicate expansion points in combination")
     errs = [e.error_exponent for e in expansions if e.error_exponent is not None]
     return Expansion(
         kind="combined",

@@ -13,13 +13,15 @@ import math
 from dataclasses import dataclass
 
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import mpc_pos, round_nearest
 
 from .geometry import Direction, check_smooth, vanishes
-from .series import Jet, jet_circle_substitute
+from .series import Jet, _mpc_of, jet_circle_substitute
 from .stationary import read_degree, slice_degree
 
 VANISHING_TOL = mpf("1e-12")  # negligible phase coefficient, relative to the largest or 1
 FRAME_TOL = mpf("1e-10")  # relative tolerance of the ``validate_frame`` identities
+GUARD_BITS = 32  # bits above the working precision of ``implicit_root_jet``'s recurrence
 
 
 class FrameError(ValueError):
@@ -54,12 +56,23 @@ def phase_window(N, v=None):
 def implicit_root_jet(H, point, order, window=None):
     """Jet of the holomorphic ``h`` with ``H(w, h(w)) = 0`` and ``h(c^) = c_d``.
 
-    Solved by Newton iteration on jets, ``ceil(log2(order + 1)) + 1`` steps
-    or fewer: the loop stops at the first step that returns its input bit for
-    bit, since every later step would return it too.  Each step runs through
-    degree ``window`` (the order by default), so the result is the window
-    (see ``series``) of the full-order solution.  The composite residual
-    vanishes through the window, to ``2^-(prec/2)`` of ``H.term_scale(c)``.
+    Solved degree by degree (the graded recurrences of Brent & Kung, J. ACM
+    25, 1978).  Write ``P_j(w)`` for the coefficient of ``(y - c_d)^j`` in
+    the Taylor shift of H and ``eta = h - c_d``, which has no constant term.
+    The degree-k part of ``sum_j P_j eta^j = 0`` is ``P_1(0) eta_k + R_k``,
+    where ``R_k`` reads eta only below degree k (for ``j >= 2`` the degree-k
+    part of ``eta^j`` does), so ``eta_k = -R_k / P_1(0)``; ``P_1(0) =
+    dH/dy(c)`` is nonzero at a point smooth in ``y``.  ``R_k`` adds the
+    degree-k parts of ``P_0`` and of ``P_j eta^j`` in increasing j.  The
+    recurrence runs ``GUARD_BITS`` above the working precision and rounds
+    each coefficient once.
+
+    The keys run in descending degree, the constant last.  The result is the
+    window (see ``series``) through ``window`` (the order by default) of the
+    full-order solution, whose nonzero keys above the window it carries.
+    The residual ``H(w, h(w))`` is judged through the window in relative
+    displacement: each coefficient of index ``b`` times ``prod_m |c_m|^b_m``
+    against ``2^-(prec/2)`` of ``H.term_scale(c)``.
     """
     d = H.nvars
     if d < 2:
@@ -72,33 +85,44 @@ def implicit_root_jet(H, point, order, window=None):
 
     hi = order if window is None else min(window, order)
     H_jet = Jet.from_poly(H, c, order)
-    dH_jet = Jet.from_poly(H.partial(d - 1), c, order)
-    w_center = c[: d - 1]
+    with mp.workprec(mp.prec + GUARD_BITS):
+        eta = _graded_root(H_jet, order)
+    prec = mp.prec
+    coeffs = {b: _mpc_of(*mpc_pos(v._mpc_, prec, round_nearest))
+              for b, v in sorted(eta.coeffs.items(), key=lambda t: -sum(t[0]))}
+    coeffs[(0,) * (d - 1)] = c[d - 1]
+    h = Jet(d - 1, order, c[: d - 1], coeffs).through(hi)
 
-    # the solution depends on w alone and vanishes at the base point; the
-    # z-slots and the constant carry only Newton noise
-    def solution(b):
-        return b if b[d - 1] == 0 and any(b) else None
-
-    # eta(s) = h(c^ + s) - c_d, solved to increasing accuracy; each Newton
-    # step doubles the correct valuation.  A step reads only eta (it has no
-    # caps), so once a step returns eta bit for bit every later step would too.
-    eta = Jet(d, order, c, {})
-    steps = max(1, math.ceil(math.log2(order + 1))) + 1
-    for _ in range(steps):
-        num = H_jet.substitute(d - 1, eta, hi)
-        den = dH_jet.substitute(d - 1, eta, hi)
-        new = (eta - num.mul_through(den.reciprocal(hi), hi)).reindex(solution)
-        if new.same_bits(eta):
-            break
-        eta = new
-    residual = H_jet.substitute(d - 1, eta, hi)
-    res = max((abs(v) for v in residual.coeffs.values()), default=mpf(0))
-    if res > H.term_scale(c) * mpf(2) ** (-(mp.prec // 2)):
+    shift = h.reindex(lambda b: b + (0,) if any(b) else None, nvars=d, center=c)
+    residual = H_jet.substitute(d - 1, shift, hi)
+    moduli = [abs(z) for z in c[: d - 1]]
+    res = max((abs(v) * math.prod(m**e for m, e in zip(moduli, b))
+               for b, v in residual.coeffs.items()), default=mpf(0))
+    if res > H.term_scale(c) * mpf(2) ** (-(prec // 2)):
         raise FrameError(f"implicit solve residual too large: {mp.nstr(res, 5)}")
+    return h
 
-    return (eta.reindex(lambda b: b[: d - 1], nvars=d - 1, center=w_center)
-            + Jet.constant(d - 1, order, w_center, c[d - 1]))
+
+def _graded_root(H_jet, order):
+    """The implicit root's displacement ``eta``, a jet in the w variables,
+    by the recurrence of ``implicit_root_jet`` at the working precision:
+    degree k of ``eta^j`` and of ``P_j eta^j`` are taken while ``eta`` still
+    stops below degree k, which drops the ``P_1(0) eta_k`` term."""
+    n = H_jet.nvars - 1
+    center = H_jet.center[:n]
+    top = max(b[n] for b in H_jet.coeffs)
+    P = [H_jet.reindex(lambda b, j=j: b[:n] if b[n] == j else None, nvars=n, center=center)
+         for j in range(top + 1)]
+    lead = P[1].constant_coefficient()
+    powers = [None] + [Jet(n, order, center) for _ in range(top)]  # eta^j so far
+    for k in range(1, order + 1):
+        for j in range(2, top + 1):
+            powers[j] = powers[j] + powers[1].mul_degree(powers[j - 1], k)
+        R = P[0].reindex(lambda b: b if sum(b) == k else None)
+        for j in range(1, top + 1):
+            R = R + P[j].mul_degree(powers[j], k)
+        powers[1] = powers[1] + R.map_coeffs(lambda v: -v / lead)
+    return powers[1]
 
 
 def phase_jet(h_jet, direction, order=None, window=None):
@@ -210,13 +234,14 @@ def amplitude_jets(G_num, H, p, point, h_jet, order, terms, G_den=None):
     ``Q^p``, its reciprocal) through ``wu + p - 1`` and ``H``'s pole jet
     through ``wu + p``.  Every coefficient a term reads is the full-order
     chain's, bit for bit, and a window at or above the order is the whole
-    jet.  ``h_jet`` may itself be a window, through ``wu + p`` or beyond.
+    jet.  The amplitudes read the chain only at v-degrees below ``p``, so
+    its jets (``Q`` among them) are capped at v-degree ``p - 1``.  ``h_jet`` may itself be a window, through ``wu + p`` or beyond.
     The check that ``H``'s v^0 slice vanishes covers its window;
     ``implicit_root_jet`` checks the same residual through its own.
     """
     d = H.nvars
     c = tuple(mpc(z) for z in point)
-    caps = (None,) * (d - 1) + (p + 2,)
+    caps = (None,) * (d - 1) + (p - 1,)
     work_order = order + p - 1
     if h_jet.order < work_order:
         raise FrameError(

@@ -76,9 +76,16 @@ number of variables, order, center and caps, so that callers slice, shift
 and truncate windows without seeing ``above``.  ``drop_through`` drops the
 low degrees and hands the keys above the window on as they are, without
 decoding them.  ``coefficient`` refuses an index a window lacks but its
-full-order self holds, ``held_through`` gives the degree through which a
-jet holds every coefficient of its full-order self, and ``same_bits``
-compares two jets bit for bit, ``above`` included.
+full-order self holds, and ``held_through`` gives the degree through which
+a jet holds every coefficient of its full-order self.
+
+A jet packs its coefficients for ``_product`` once (``_packed``), so a chain
+that multiplies by one fixed operand, as ``substitute`` and ``_horner`` do,
+does not pack it again at every step; a jet whose ``coeffs`` is replaced by
+a new dict packs again, and a jet's dict is not changed in place once it
+has been multiplied.  A product whose window no pair reaches, where the
+least degrees of the two operands sum above ``hi``, runs no pair loop; it
+still records the keys above the window.
 """
 
 from __future__ import annotations
@@ -86,6 +93,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from fractions import Fraction
+from functools import lru_cache
 from itertools import count, islice
 from operator import lshift
 
@@ -436,7 +444,7 @@ class SparsePoly:
         """``sum_e |a_e| |point^e|`` at 53 bits, from the coefficients ``eval``
         holds: the scale of ``eval``'s rounding error at ``point`` (Higham,
         *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 5.1)."""
-        moduli = [mpc_abs(mpc(z)._mpc_, 53) for z in point]
+        moduli = _moduli(tuple(z._mpc_ if type(z) is mpc else mpc(z)._mpc_ for z in point))
         total = fzero
         for c, factors in self._terms_at_prec():
             term = mpc_abs(c, 53)
@@ -471,6 +479,13 @@ class SparsePoly:
         return best
 
 
+@lru_cache(maxsize=8)
+def _moduli(point):
+    """The 53-bit moduli of a point's raw ``_mpc_`` coordinates, kept for the
+    last few points: the zero tests call ``term_scale`` many times at one."""
+    return tuple(mpc_abs(z, 53) for z in point)
+
+
 # -- jets --------------------------------------------------------------------
 
 _ZERO_PAIR = (fzero, fzero)
@@ -500,12 +515,20 @@ def _key(beta, shifts, top):
     return sum(map(lshift, beta, shifts)) + (sum(beta) << top)
 
 
-def _packed(coeffs, shifts, top):
-    """``(degree, index, key, re, im)`` for each coefficient, in order."""
-    return [
-        ((d := sum(b)), b, sum(map(lshift, b, shifts)) + (d << top), *v._mpc_)
-        for b, v in coeffs.items()
-    ]
+def _packed(jet):
+    """``(degree, index, key, re, im)`` for each coefficient of ``jet``, in
+    order, by its own layout, and the least of those degrees (``None`` for
+    no coefficient).  Packed once per ``coeffs`` dict: a jet whose
+    ``coeffs`` is replaced packs again."""
+    pack = jet._pack
+    if pack is None or pack[0] is not jet.coeffs:
+        shifts, top, _ = _layout(jet)
+        packed = [
+            ((d := sum(b)), b, sum(map(lshift, b, shifts)) + (d << top), *v._mpc_)
+            for b, v in jet.coeffs.items()
+        ]
+        pack = jet._pack = (jet.coeffs, packed, min((t[0] for t in packed), default=None))
+    return pack[1], pack[2]
 
 
 def _degrees(jet, packed, top):
@@ -640,7 +663,7 @@ class Jet:
     more.
     """
 
-    __slots__ = ("nvars", "order", "center", "coeffs", "caps", "above")
+    __slots__ = ("nvars", "order", "center", "coeffs", "caps", "above", "_pack")
 
     def __init__(self, nvars, order, center, coeffs=None, caps=None, above=frozenset()):
         self.nvars = int(nvars)
@@ -652,6 +675,7 @@ class Jet:
         self.center = tuple(z if type(z) is mpc else coef_to_mpc(z) for z in center)
         self.caps = tuple(caps) if caps is not None else None
         self.above = above
+        self._pack = None
         self.coeffs = {}
         if coeffs:
             for beta, c in coeffs.items():
@@ -797,14 +821,6 @@ class Jet:
         return Jet(self.nvars, self.order, self.center,
                    {b: v for b, v in self.coeffs.items() if sum(b) > d}, self.caps, self.above)
 
-    def same_bits(self, other):
-        """Whether ``other`` holds the same keys in the same order, each with
-        the same raw parts, and the same keys above its window."""
-        return self.above == other.above and len(self.coeffs) == len(other.coeffs) and all(
-            b == b2 and v._mpc_ == v2._mpc_
-            for (b, v), (b2, v2) in zip(self.coeffs.items(), other.coeffs.items())
-        )
-
     def _compat(self, other):
         if not isinstance(other, Jet):
             raise SeriesError("expected a Jet")
@@ -883,13 +899,15 @@ class Jet:
         prec, rnd = mp._prec_rounding
         shifts, top, mask = _layout(self)
         capped = [(j, cap) for j, cap in enumerate(caps or ()) if cap is not None]
-        outer = _packed(small.coeffs, shifts, top)
-        inner = _packed(big.coeffs, shifts, top)
+        outer, outer_low = _packed(small)
+        inner, inner_low = _packed(big)
         entries = {}  # outer part -> (degree, index, row entry) of each inner term
         rows = {}  # (outer degree, room under each cap, outer part) -> usable entries
         acc = {}  # key -> [re, im], updated in place
         get = acc.get
-        for d1, b1, k1, a, b in outer:
+        # no pair reaches the window when the least degrees sum above it
+        reach = outer and inner and outer_low + inner_low <= hi
+        for d1, b1, k1, a, b in outer if reach else ():
             part, x = _pure(a, b)
             room = tuple(cap - b1[j] for j, cap in capped)
             row = rows.get((d1, room, part))

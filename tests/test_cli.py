@@ -377,6 +377,22 @@ class TestMainEntry:
             want = a * mpf(2) ** -s
             assert abs(b - want) <= tol * abs(want)
 
+    @pytest.mark.parametrize("k", [2, 20, 26, 60, 310])
+    def test_tiny_points_expand_without_exit_1(self, tmp_path, capsys, k):
+        # 1 - x - y + 10^k xy along (1, 1): two smooth points near +-i 10^(-k/2),
+        # closer to each other than 1e-9 but not relative to their moduli;
+        # the spec is valid, so expand succeeds or stops on a route (exit 2)
+        spec = dict(DELANNOY_SPEC, alpha=["1", "1"], N=2, H=[
+            {"exp": [0, 0], "coef": "1"}, {"exp": [1, 0], "coef": "-1"},
+            {"exp": [0, 1], "coef": "-1"}, {"exp": [1, 1], "coef": str(10**k)}])
+        code = main(["expand", "--input", self._write(tmp_path, spec),
+                     "--assume-strictly-minimal"])
+        captured = capsys.readouterr()
+        assert code in (0, 2), captured.err
+        assert "Traceback" not in captured.err
+        if k <= 20:
+            assert code == 0, captured.err
+
     def test_exit_origin(self, tmp_path, capsys):
         obj = dict(DELANNOY_SPEC)
         obj["H"] = [{"exp": [1, 0], "coef": "1"}]

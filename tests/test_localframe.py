@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from types import SimpleNamespace
 from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
 from smoothasym import (
@@ -45,6 +48,7 @@ from smoothasym.series import SeriesError
 from conftest import poly, random_critical_instance, smirnov_family
 from oracles import (
     above_indices,
+    eval_exact,
     frame_to_json,
     jet_bits,
     phase_hessian_symmetric_q,
@@ -100,7 +104,7 @@ class TestImplicitJet:
             implicit_root_jet(H, (mpf(1), mpf(1)), 4)
 
 
-def _newton_cases(delannoy, delannoy_point, quantum_walk):
+def _implicit_cases(delannoy, delannoy_point, quantum_walk):
     """``(name, H, point, order)`` at the docs points, each at the implicit
     order of its high-N frame, and on ``TestAmplitudeTopDegree.H``."""
     smirnov = poly(3, {(0, 0, 0): 1, (1, 0, 0): -1, (0, 1, 0): -1, (0, 0, 1): -1})
@@ -117,34 +121,102 @@ def _newton_cases(delannoy, delannoy_point, quantum_walk):
     ]
 
 
-class TestImplicitNewtonStop:
-    """The Newton loop of ``implicit_root_jet`` stops at the first step that
-    returns its input bit for bit, with the fixed-count loop's result."""
+def _moduli_majorant(H, point, order):
+    """Per degree k of the implicit root in one w variable, the scale of the
+    rounding error of its degree-k coefficient: the recurrence of
+    ``implicit_root_jet`` run on the moduli of the Taylor shift's
+    coefficients, where every term adds and nothing cancels."""
+    P = {}
+    for b, v in Jet.from_poly(H, point, order).coeffs.items():
+        P.setdefault(b[1], {})[b[0]] = abs(v)
+    top = max(P)
+    powers = [[mpf(1)] + [mpf(0)] * order] + [[mpf(0)] * (order + 1) for _ in range(top)]
+    for k in range(1, order + 1):
+        for j in range(2, top + 1):
+            powers[j][k] = sum(powers[1][m] * powers[j - 1][k - m] for m in range(1, k))
+        powers[1][k] = sum(P[j].get(l, 0) * powers[j][k - l]
+                           for j in P for l in range(k + 1) if (j, l) != (1, 0)) / P[1][0]
+    return powers[1]
 
-    def test_same_bits_as_fixed_count(self, delannoy, delannoy_point, quantum_walk):
-        for name, H, pt, order in _newton_cases(delannoy, delannoy_point, quantum_walk):
-            got = implicit_root_jet(H, pt, order)
-            assert jet_bits(got) == jet_bits(reference_implicit_root(H, pt, order)), name
 
-    def test_steps(self, delannoy, delannoy_point, quantum_walk):
-        # the quantum walk's point is (1, 1) and the Smirnov point 1/3, and H
-        # is linear in the distinguished variable, so one step is the
-        # solution to the last bit and the second repeats it; Delannoy's
-        # irrational point leaves rounding noise that never settles, so it
-        # takes all ceil(log2(45)) + 1 = 7 steps
-        want = {"delannoy": 7, "quantum_walk": 2, "smirnov_snaps": 2, "smirnov_words": 2}
-        reciprocal = Jet.reciprocal
-        for name, H, pt, order in _newton_cases(delannoy, delannoy_point, quantum_walk):
-            calls = []
+@st.composite
+def implicit_instance(draw):
+    """``(H, point, order)``: a bivariate H of y-degree 2 or 3 with small
+    integer coefficients, shifted to vanish at a point with dyadic
+    coordinates where dH/dy does not, so the Taylor shift is exact and a
+    comparison sees only the recurrence's rounding."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    deg = draw(st.sampled_from([2, 3]))
+    terms = {(i, j): rng.randint(-4, 4)
+             for i in range(3) for j in range(deg + 1) if rng.random() < 0.6}
+    terms[0, deg] = rng.choice([-3, -2, -1, 1, 2, 3])
+    c = (Fraction(rng.randint(1, 8), 4), Fraction(rng.randint(1, 8), 4))
+    P = SparsePoly(2, terms)
+    H = P - SparsePoly.constant(2, eval_exact(P, c))
+    assume(eval_exact(H.partial(1), c) != 0)
+    return H, tuple(mpc(z.numerator) / z.denominator for z in c), draw(st.integers(4, 16))
 
-            def counting(self, window=None):
-                calls.append(1)
-                return reciprocal(self, window)
 
-            with mock.patch.object(Jet, "reciprocal", counting):
-                implicit_root_jet(H, pt, order)
-            if name in want:
-                assert len(calls) == want[name], name
+class TestImplicitGraded:
+    """``implicit_root_jet`` solves degree by degree, 32 bits above the
+    working precision, and rounds each coefficient once: it meets the closed
+    forms and Newton's loop (``oracles.reference_implicit_root``) to a few
+    units in the last place, and a 424-bit run to two units of ``2^-prec``
+    times the moduli majorant (``_moduli_majorant``), which the same
+    recurrence without guard bits misses by up to eight."""
+
+    @staticmethod
+    def assert_close(h, want, bits):
+        assert set(h.coeffs) == set(want)
+        for b, v in want.items():
+            assert abs(h.coeffs[b] - v) <= mpf(2) ** (bits - mp.prec) * abs(v), b
+
+    def test_delannoy_closed_form(self, delannoy, delannoy_point):
+        # h = (1 - x)/(1 + x) = -1 + 2/(1 + x): h_k = 2 (-1)^k / (1 + c)^(k+1)
+        _, H, _ = delannoy
+        c1, c2 = delannoy_point
+        h = implicit_root_jet(H, delannoy_point, 44)
+        with mp.workprec(mp.prec + 64):
+            want = {(k,): 2 * (-1) ** k / (1 + c1) ** (k + 1) for k in range(1, 45)}
+        self.assert_close(h, {**want, (0,): c2}, 8)
+
+    def test_smirnov_closed_form(self):
+        # h = 1 - x - y: two linear keys and the constant, nothing above
+        H = poly(3, {(0, 0, 0): 1, (1, 0, 0): -1, (0, 1, 0): -1, (0, 0, 1): -1})
+        third = mpf(1) / 3
+        h = implicit_root_jet(H, (third,) * 3, 20)
+        self.assert_close(h, {(0, 0): third, (1, 0): mpc(-1), (0, 1): mpc(-1)}, 8)
+
+    def test_quantum_walk_closed_form(self, quantum_walk):
+        # h = (x - 2)/(x (1 - 2x)) = -2/x - 3/(1 - 2x): at x = 1 + s the
+        # coefficient of s^k is (-1)^k (3 2^k - 2)
+        h = implicit_root_jet(quantum_walk[1], (mpc(1), mpc(1)), 44)
+        self.assert_close(h, {(k,): mpc((-1) ** k * (3 * 2**k - 2)) for k in range(45)}, 8)
+
+    @settings(max_examples=40)
+    @given(case=implicit_instance(), data=st.data())
+    def test_random_against_newton_and_424_bits(self, case, data):
+        H, point, order = case
+        try:
+            h = implicit_root_jet(H, point, order)
+        except FrameError:
+            # a branch point of h close to the point: the residual gate
+            # refuses the jet at high degree
+            assume(False)
+        newton = reference_implicit_root(H, point, order)
+        with mp.workprec(424):
+            high = implicit_root_jet(H, point, order)
+            scale = _moduli_majorant(H, point, order)
+        assert h.constant_coefficient() == point[1]
+        for k in range(1, order + 1):
+            got = h.coefficient((k,))
+            assert abs(got - newton.coefficient((k,))) <= mpf(2) ** (20 - mp.prec) * scale[k]
+            assert abs(got - high.coefficient((k,))) <= mpf(2) ** (1 - mp.prec) * scale[k]
+        # a window is the whole jet's, bit for bit, with its keys above
+        window = data.draw(st.integers(0, order))
+        windowed = implicit_root_jet(H, point, order, window)
+        assert jet_bits(windowed) == jet_bits(h, window)
+        assert above_indices(windowed) == {b for b in h.coeffs if sum(b) > window}
 
 
 class TestPhaseJet:
@@ -256,12 +328,13 @@ class TestAmplitudes:
 
     def test_q_jet_identity(self, delannoy, delannoy_point):
         # distinguished-coordinate derivatives of Q against derivatives of H
+        # Q is held through v-degree p - 1, the degrees the amplitudes read
         G, H, _ = delannoy
-        p = 1
-        h = implicit_root_jet(H, delannoy_point, 8)
+        p = 4
+        h = implicit_root_jet(H, delannoy_point, 8 + p - 1)
         # five terms read degree 8: the window is the whole order
         _, Q = amplitude_jets(G, H, p, delannoy_point, h, 8, 5)
-        for j in range(0, p + 3):
+        for j in range(p):
             lhs = Q.coefficient((0, j))  # j-th derivative / j!
             dj = H
             for _ in range(j + 1):
@@ -374,7 +447,7 @@ class TestAmplitudeWindow:
 
 
 # the terms and pole order of each docs spec's high-N run, whose implicit
-# orders ``_newton_cases`` gives
+# orders ``_implicit_cases`` gives
 HIGH_N = {"delannoy": (8, 1), "quantum_walk": (8, 1), "smirnov_snaps": (3, 2),
           "smirnov_words": (4, 1)}
 
@@ -394,15 +467,19 @@ class TestFrameWindows:
     build, and carry the whole build's keys above them."""
 
     def test_implicit_root_window(self, delannoy, delannoy_point, quantum_walk):
-        for name, H, pt, order in _newton_cases(delannoy, delannoy_point, quantum_walk):
+        for name, H, pt, order in _implicit_cases(delannoy, delannoy_point, quantum_walk):
             if name not in HIGH_N:
                 continue
             N, p = HIGH_N[name]
             window = max(phase_window(N), 2 * (N - 1) + p)
             got = implicit_root_jet(H, pt, order, window)
-            want = reference_implicit_root(H, pt, order)
-            assert jet_bits(got) == jet_bits(want, window), name
-            assert above_indices(got) == {b for b in want.coeffs if sum(b) > window}, name
+            whole = implicit_root_jet(H, pt, order)
+            assert jet_bits(got) == jet_bits(whole, window), name
+            # the keys above the window are the full-order solution's, the
+            # keys Newton's loop left
+            newton = reference_implicit_root(H, pt, order)
+            assert set(whole.coeffs) == set(newton.coeffs), name
+            assert above_indices(got) == {b for b in newton.coeffs if sum(b) > window}, name
 
     @pytest.mark.parametrize("N", [1, 2, 4])
     @pytest.mark.parametrize("case", ["delannoy", "quantum_walk", "smirnov_snaps"])

@@ -76,6 +76,7 @@ ROUTE_EXIT_CODES = {
     "delannoy-gaussian-g": 0,
     "tiny-critical-points": 0,
     "scaled-delannoy": 0,
+    "cubic-in-y": 0,
 }
 
 

@@ -14,7 +14,8 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import (
-    finf, fnan, fninf, from_man_exp, fzero, mpf_add, mpf_mul, mpf_sub, round_nearest,
+    finf, fnan, fninf, from_man_exp, fzero, mpc_abs, mpf_add, mpf_mul, mpf_pow_int, mpf_sub,
+    round_nearest,
 )
 
 from smoothasym import GaussRat, Jet, SparsePoly, jet_circle_substitute
@@ -105,6 +106,33 @@ class TestSparsePoly:
                 for Q in (P, P.partial(0), P):
                     assert Q.eval(point, powers)._mpc_ == reference_eval(Q, point)._mpc_
                 assert P.coeff_bound() == max(abs(coef_to_mpc(c)) for c in P.terms.values())
+
+    def test_term_scale_memo_keeps_the_bits(self):
+        # the coordinate moduli are kept for the last few points, keyed by
+        # their raw parts: the scale is the one computed afresh at every
+        # call, bit for bit, across more points than the memo holds, mixed
+        # coordinate types and two precisions
+        P = SparsePoly(2, {(0, 0): GaussRat(1, -2), (1, 0): Fraction(-5, 11), (2, 1): 3,
+                           (0, 3): GaussRat(0, Fraction(4, 15))})
+
+        def afresh(point):
+            moduli = [mpc_abs(mpc(z)._mpc_, 53) for z in point]
+            total = fzero
+            for c, factors in P._terms_at_prec():
+                term = mpc_abs(c, 53)
+                for j, k in factors:
+                    term = mpf_mul(term, mpf_pow_int(moduli[j], k, 53), 53)
+                total = mpf_add(total, term, 53)
+            return total
+
+        with mp.workprec(300):
+            fine = mpf(1) / 7  # rounded again at each lower precision
+        for bits in (212, 100, 212):
+            with mp.workprec(bits):
+                points = [(mpc(k, 1) / 3, mpf(k) / 5) for k in range(12)]
+                points += [(fine, 3), (2, mpc(0, -1) / 9)]
+                for point in points + points[::-1]:
+                    assert P.term_scale(point)._mpf_ == afresh(point)
 
     def test_json_round_trip(self):
         P = SparsePoly(2, {(1, 0): Fraction(1, 3), (0, 2): GaussRat(0, Fraction(2, 5))})
@@ -699,6 +727,44 @@ class TestWindowCost:
         with mock.patch.object(Jet, "substitute", reference_substitute):
             full = _count_mul(lambda: jet_circle_substitute(a))
         assert windowed <= 0.4 * full
+
+
+class TestProductShortcuts:
+    """A jet packs its coefficients for products once per ``coeffs`` dict,
+    and a product whose window no pair reaches runs no pair loop; both keep
+    the reference loop's result and the window's keys above it."""
+
+    @staticmethod
+    def jet(nvars, low, seed):
+        keys = [b for b in itertools.product(range(9), repeat=nvars) if low <= sum(b) <= 8]
+        return Jet(nvars, 8, (0,) * nvars,
+                   {b: mpc(b[0] + seed, sum(b)) / (b[-1] + 3) for b in keys})
+
+    @pytest.mark.parametrize("nvars", [1, 2])
+    def test_window_no_pair_reaches(self, nvars):
+        # valuations 3 and 2: no pair lands at or below degree 4
+        a, s = self.jet(nvars, 3, 1), self.jet(nvars, 2, 2)
+        full = reference_jet_mul(a, s)
+        for hi in range(7):
+            with mock.patch.object(series, "_pair", side_effect=series._pair) as pairs:
+                got = a.mul_through(s, hi)
+            assert (pairs.call_count == 0) == (hi < 5)
+            assert jet_bits(got) == jet_bits(full, hi)
+            assert above_indices(got) == {b for b in full.coeffs if sum(b) > hi}
+            assert jet_bits(a.mul_degree(s, hi)) == jet_bits(reference_mul_degree(a, s, hi))
+        empty = Jet(nvars, 8, (0,) * nvars, {})
+        assert not a.mul_through(empty, 8).coeffs and not empty.mul_through(a, 3).coeffs
+
+    def test_packs_once_and_again_after_a_new_dict(self):
+        a, s = self.jet(2, 0, 1), self.jet(2, 1, 2)
+        a * s
+        packed = a._pack
+        a.mul_through(s, 3)
+        assert a._pack is packed
+        a.coeffs = {b: -v for b, v in list(a.coeffs.items())[:7]}
+        assert jet_bits(a * s) == jet_bits(reference_jet_mul(a, s))
+        assert jet_bits(s * a) == jet_bits(reference_jet_mul(s, a))
+        assert a._pack is not packed
 
 
 class TestPureProducts:

@@ -7,13 +7,14 @@ Runs every request of the benchmark workloads (``perfbench/gen.py``) at the
 given seeds (1 and 2 by default) through the ``cli.main`` of the checkout at
 ``CHECKOUT``, in this one process, one request after another, as the
 benchmark's closed loop does.
-Then, whatever the seeds, it runs ``ROUTES``: twelve fixed requests on
+Then, whatever the seeds, it runs ``ROUTES``: thirteen fixed requests on
 routes that no workload reaches (the degenerate even route, the degenerate
 route's whole-phase search and its reuse of the first frame, the
 one-variable route, torus sampling in three variables, the ``oracle``
 command in two and in three variables, a three-variable Gaussian system
 from seeds, a Gaussian ``G``, critical points far smaller than the
-eliminant's coefficients and a Delannoy ``H`` scaled by ``2^-40``).
+eliminant's coefficients, a Delannoy ``H`` scaled by ``2^-40`` and an ``H``
+of degree 3 in its distinguished variable).
 For each request it hashes the exit code, stdout, stderr and the JSON and
 CSV files the request writes (an exception escaping ``cli.main`` is hashed
 as its type and message), and prints one line
@@ -130,6 +131,12 @@ ROUTES = (
     ("scaled-delannoy", "expand", "delannoy", {
         "H": _terms(((0, 0), f"1/{2**40}"), ((1, 0), f"-1/{2**40}"),
                     ((0, 1), f"-1/{2**40}"), ((1, 1), f"-1/{2**40}"))}),
+    # 1 - x - y - x y^3: the implicit root reads the powers of its
+    # displacement up to the cube, which no docs spec's linear H reaches
+    ("cubic-in-y", "expand", None, {
+        "variables": ["x", "y"], "G": _terms(((0, 0), 1)),
+        "H": _terms(((0, 0), 1), ((1, 0), -1), ((0, 1), -1), ((1, 3), -1)),
+        "p": 2, "alpha": ["1", "1"], "N": 6, "n_values": [1, 2, 4, 8]}),
 )
 
 
