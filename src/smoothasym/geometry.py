@@ -761,8 +761,8 @@ def check_minimality(H, point, other_points=None):
     if ok and _is_positive_real(point) and is_aperiodic(P):
         return MinimalityVerdict(
             "strictly-minimal",
-            "1-H is aperiodic with nonnegative coefficients and the point is "
-            "positive real, so every positive variety point is strictly minimal",
+            "1-H/H(0) is aperiodic with nonnegative coefficients and the point "
+            "is positive real, so every positive variety point is strictly minimal",
         )
 
     if d == 2:

@@ -669,6 +669,13 @@ class TestMinimality:
         verdict = check_minimality(H, delannoy_point)
         assert verdict.kind == "strictly-minimal"
 
+    def test_strict_evidence_names_the_normalized_polynomial(self, delannoy, delannoy_point):
+        # the shortcut tests 1 - H/H(0), which for 2^-40 H is not 1 - H
+        _, H, _ = delannoy
+        verdict = check_minimality(H * Fraction(1, 2**40), delannoy_point)
+        assert verdict.kind == "strictly-minimal"
+        assert verdict.evidence.startswith("1-H/H(0) is aperiodic with nonnegative coefficients")
+
     def test_delannoy_negative_not_minimal(self, delannoy, delannoy_point):
         _, H, _ = delannoy
         s13 = mp.sqrt(13)
