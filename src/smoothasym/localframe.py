@@ -13,10 +13,9 @@ import math
 from dataclasses import dataclass
 
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import mpc_pos, round_nearest
 
 from .geometry import Direction, check_smooth, vanishes
-from .series import Jet, _mpc_of, jet_circle_substitute
+from .series import Jet, jet_circle_substitute
 from .stationary import read_degree, slice_degree
 
 VANISHING_TOL = mpf("1e-12")  # negligible phase coefficient, relative to the largest or 1
@@ -87,9 +86,8 @@ def implicit_root_jet(H, point, order, window=None):
     H_jet = Jet.from_poly(H, c, order)
     with mp.workprec(mp.prec + GUARD_BITS):
         eta = _graded_root(H_jet, order)
-    prec = mp.prec
-    coeffs = {b: _mpc_of(*mpc_pos(v._mpc_, prec, round_nearest))
-              for b, v in sorted(eta.coeffs.items(), key=lambda t: -sum(t[0]))}
+    # unary plus rounds to the working precision
+    coeffs = {b: +v for b, v in sorted(eta.coeffs.items(), key=lambda t: -sum(t[0]))}
     coeffs[(0,) * (d - 1)] = c[d - 1]
     h = Jet(d - 1, order, c[: d - 1], coeffs).through(hi)
 
@@ -98,7 +96,7 @@ def implicit_root_jet(H, point, order, window=None):
     moduli = [abs(z) for z in c[: d - 1]]
     res = max((abs(v) * math.prod(m**e for m, e in zip(moduli, b))
                for b, v in residual.coeffs.items()), default=mpf(0))
-    if res > H.term_scale(c) * mpf(2) ** (-(prec // 2)):
+    if res > H.term_scale(c) * mpf(2) ** (-(mp.prec // 2)):
         raise FrameError(f"implicit solve residual too large: {mp.nstr(res, 5)}")
     return h
 
@@ -235,7 +233,8 @@ def amplitude_jets(G_num, H, p, point, h_jet, order, terms, G_den=None):
     through ``wu + p``.  Every coefficient a term reads is the full-order
     chain's, bit for bit, and a window at or above the order is the whole
     jet.  The amplitudes read the chain only at v-degrees below ``p``, so
-    its jets (``Q`` among them) are capped at v-degree ``p - 1``.  ``h_jet`` may itself be a window, through ``wu + p`` or beyond.
+    its jets (``Q`` among them) are capped at v-degree ``p - 1``.  ``h_jet``
+    may itself be a window, through ``wu + p`` or beyond.
     The check that ``H``'s v^0 slice vanishes covers its window;
     ``implicit_root_jet`` checks the same residual through its own.
     """
